@@ -18,6 +18,8 @@ from mixident import (
     mixture_pushforward_cdf,
     mixture_weights,
 )
+from mixident.oracles import quad_mixture_cdf
+from mixident.pushforward import ASSIGNMENTS
 
 m_a, m_b = equal_product_pair(0.4)
 print("mixing matrix A:")
@@ -29,8 +31,8 @@ print()
 beta = 0.3
 x = (0.3, -0.2)
 
-closed = mixture_pushforward_cdf(m_a, beta, x, method="closed")
-quad = mixture_pushforward_cdf(m_a, beta, x, method="quad")
+closed = mixture_pushforward_cdf(m_a, beta, x)
+quad = quad_mixture_cdf(m_a, beta, x)
 print(f"F_A at x = {x}, beta = {beta}")
 print(f"  closed kernels : {closed:.12f}")
 print(f"  quadrature     : {quad:.12f}")
@@ -49,8 +51,7 @@ print()
 
 # how the analytic form decomposes: one weight per assignment of the two
 # coordinates to contaminant (1) or background (0)
-assignments = ((0, 0), (0, 1), (1, 0), (1, 1))
 print("component-assignment weights beta^k (1-beta)^(2-k) at beta = 0.3:")
-for flags, w in zip(assignments, mixture_weights(beta)):
+for flags, w in zip(ASSIGNMENTS, mixture_weights(beta)):
     print(f"  coordinates {flags}: {w:.4f}")
 print("weights sum to", f"{sum(mixture_weights(beta)):.10f}")

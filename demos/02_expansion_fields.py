@@ -39,8 +39,8 @@ print()
 worst = 0.0
 for beta in (0.0, 0.1, 0.5, 1.0):
     x = (0.3, -0.2)
-    rebuilt = polynomial_reconstruct(m_a, beta, x, method="closed")
-    direct = mixture_pushforward_cdf(m_a, beta, x, method="closed")
+    rebuilt = polynomial_reconstruct(m_a, beta, x)
+    direct = mixture_pushforward_cdf(m_a, beta, x)
     err = abs(rebuilt - direct)
     worst = max(worst, err)
     print(f"beta = {beta:<4}: rebuilt {rebuilt:.12f}  direct {direct:.12f}  |diff| {err:.2e}")
@@ -49,8 +49,8 @@ print()
 
 # first-order dominance: for small beta the mixture is background + beta * c * field
 beta = 0.01
-direct = mixture_pushforward_cdf(m_a, beta, (0.3, -0.2), method="closed")
-order0 = mixture_pushforward_cdf(m_a, 0.0, (0.3, -0.2), method="closed")
+direct = mixture_pushforward_cdf(m_a, beta, (0.3, -0.2))
+order0 = mixture_pushforward_cdf(m_a, 0.0, (0.3, -0.2))
 gamma1 = float(gamma_k_batch(m_a, 1, np.array([[0.3, -0.2]]))[0])
 linearized = order0 + beta * DEFAULT_MEASURE.norm_c * gamma1
 print(f"small-level linearization at beta = {beta}:")

@@ -35,7 +35,7 @@ sample = draw_sample(m_a, beta, n, root.child(0))
 grid = build_eval_grid(sample, EvalGridSpec(m_points=500), root.child(1).generator())
 stat = sup_stat(
     sample,
-    lambda pts: mixture_cdf_batch(m_b, beta, pts, method="closed"),
+    lambda pts: mixture_cdf_batch(m_b, beta, pts),
     grid,
 )
 print(f"n = {n}, beta_n = n^(-1/4) = {beta:.4f}")

@@ -14,22 +14,14 @@ import numpy as np
 
 from .expansion import (
     DEFAULT_MEASURE,
+    P_DIM,
     EvalGrid,
     NuMeasure,
-    estimate_sup_gap,
-    gamma_k_batch,
-    mixture_sup_gap,
+    gamma_from_fields,
     sup_on_grid,
 )
 from .laws import kolmogorov_distance_univ
-from .pushforward import (
-    as_matrix,
-    equal_product_pair,
-    mixture_cdf_batch,
-    pure_cdf_batch,
-)
-
-P_DIM = 2
+from .pushforward import PureFields, as_matrix, equal_product_pair
 
 # central tolerance table; acceptance criteria cite these entries
 TOLERANCES = {
@@ -83,6 +75,15 @@ def _default_pair():
     return equal_product_pair(0.4)
 
 
+def _fields(m, grid: EvalGrid, measure: NuMeasure) -> PureFields:
+    return PureFields(m, grid.points, measure.xi, measure.zeta)
+
+
+def _mixture_gap(fa: PureFields, fb: PureFields, beta: float) -> float:
+    """Grid sup of |F_A - F_B| at level beta, as expansion.mixture_sup_gap."""
+    return sup_on_grid(fa.mixture(beta) - fb.mixture(beta))
+
+
 # ---------------------------------------------------------------------------
 # individual checks
 
@@ -102,13 +103,14 @@ def check_thm31(
     m = as_matrix(m) if m is not None else _default_pair()[0]
     grid = grid or EvalGrid.tensor()
     c = measure.norm_c
-    base = mixture_cdf_batch(m, 0.0, grid.points, measure.xi, measure.zeta)
-    first = gamma_k_batch(m, 1, grid.points, measure)
+    fields = _fields(m, grid, measure)
+    base = fields.mixture(0.0)
+    first = gamma_from_fields(fields, 1, measure)
     betas = (0.02, 0.01, 0.005)
     devs = []
     raw_gaps = []
     for beta in betas:
-        fb = mixture_cdf_batch(m, beta, grid.points, measure.xi, measure.zeta)
+        fb = fields.mixture(beta)
         devs.append(float(np.max(np.abs((fb - base) / (beta * c) - first))))
         raw_gaps.append(float(np.max(np.abs(fb - base))))
     lo, hi = TOLERANCES["thm31.ratio_lo"], TOLERANCES["thm31.ratio_hi"]
@@ -140,14 +142,11 @@ def check_lem33_lemA1(
     worst_single = 0.0
     c = measure.norm_c
     for m in matrices:
-        m = as_matrix(m)
-        worst_field = max(worst_field, sup_on_grid(gamma_k_batch(m, 1, grid.points, measure)))
-        base = pure_cdf_batch(m, (measure.zeta, measure.zeta), grid.points)
-        for comps in (
-            (measure.xi, measure.zeta),
-            (measure.zeta, measure.xi),
-        ):
-            term = (pure_cdf_batch(m, comps, grid.points) - base) / c
+        fields = _fields(m, grid, measure)
+        worst_field = max(worst_field, sup_on_grid(gamma_from_fields(fields, 1, measure)))
+        # single placements: contaminant on one coordinate (rows EN, NE)
+        for a in (1, 2):
+            term = (fields.row(a) - fields.row(0)) / c
             worst_single = max(worst_single, sup_on_grid(term))
     rows = [
         _le("first_order_sup", worst_field, TOLERANCES["lem33.first_order_bound"]),
@@ -173,10 +172,11 @@ def check_lem35(
     m_a, m_b = as_matrix(m_a), as_matrix(m_b)
     grid = grid or EvalGrid.tensor()
     product_gap = float(np.max(np.abs(m_a.aat() - m_b.aat())))
-    null_gap = mixture_sup_gap(m_a, m_b, 0.0, grid, measure.xi, measure.zeta)
-    cont_gap = mixture_sup_gap(m_a, m_b, 0.5, grid, measure.xi, measure.zeta)
-    swapped = as_matrix(m_a.as_array()[:, ::-1])
-    perm_gap = mixture_sup_gap(m_a, swapped, 0.5, grid, measure.xi, measure.zeta)
+    fa, fb = _fields(m_a, grid, measure), _fields(m_b, grid, measure)
+    swapped = _fields(m_a.as_array()[:, ::-1], grid, measure)
+    null_gap = _mixture_gap(fa, fb, 0.0)
+    cont_gap = _mixture_gap(fa, fb, 0.5)
+    perm_gap = _mixture_gap(fa, swapped, 0.5)
     tol = TOLERANCES["lem35.null_gap"]
     rows = [
         _le("transpose_product_gap", product_gap, 1e-12),
@@ -204,9 +204,11 @@ def check_cor34(
         m_a, m_b = _default_pair()
     m_a, m_b = as_matrix(m_a), as_matrix(m_b)
     grid = grid or EvalGrid.tensor()
-    r1 = mixture_sup_gap(m_a, m_b, 0.01, grid, measure.xi, measure.zeta) / 0.01
-    r2 = mixture_sup_gap(m_a, m_b, 0.005, grid, measure.xi, measure.zeta) / 0.005
-    sup, _ = estimate_sup_gap(m_a, m_b, grid, measure, refine=False)
+    fa, fb = _fields(m_a, grid, measure), _fields(m_b, grid, measure)
+    r1 = _mixture_gap(fa, fb, 0.01) / 0.01
+    r2 = _mixture_gap(fa, fb, 0.005) / 0.005
+    # the unrefined grid sup of estimate_sup_gap
+    sup = sup_on_grid(gamma_from_fields(fa, 1, measure) - gamma_from_fields(fb, 1, measure))
     k_const = measure.norm_c * sup
     rate_bound = 4.0 * P_DIM * measure.norm_c
     rows = [

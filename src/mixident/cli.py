@@ -351,9 +351,7 @@ def cmd_cdf(args) -> int:
     m = _single_matrix(args, config)
     if len(args.x) != 2:
         raise CliError(f"--x needs 2 coordinates, got {len(args.x)}")
-    value = mixture_pushforward_cdf(
-        m, args.beta, args.x, xi=config_xi(config), method=args.method
-    )
+    value = mixture_pushforward_cdf(m, args.beta, args.x, xi=config_xi(config))
     print(repr(float(value)))
     return 0
 
@@ -513,7 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", type=_parse_matrix)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--x", type=_parse_floats, required=True)
-    p.add_argument("--method", choices=("quad", "closed"), default="quad")
     _add_config_flags(p)
     p.set_defaults(func=cmd_cdf)
 

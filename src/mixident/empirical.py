@@ -27,7 +27,7 @@ from .laws import (
     ContaminatedLaw,
     RngStream,
 )
-from .pushforward import as_matrix
+from .pushforward import as_matrix, mixture_cdf_batch
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,10 +169,6 @@ class EmpiricalCdf:
         weak, _ = self.dominance_counts(queries)
         return weak / self.n
 
-    def eval_strict_batch(self, queries) -> np.ndarray:
-        _, strict = self.dominance_counts(queries)
-        return strict / self.n
-
 
 def ecdf_eval_batch(ecdf: EmpiricalCdf, grid) -> np.ndarray:
     """Empirical CDF values (weak dominance fraction) at each grid point."""
@@ -302,3 +298,14 @@ def sup_stat(sample: Sample2D, target_cdf, grid) -> float:
         raise ValueError("target_cdf must return one probability per grid point")
     dev = np.maximum(np.abs(weak / n - target), np.abs(strict / n - target))
     return math.sqrt(n) * float(np.max(dev))
+
+
+def replication_statistic(
+    m_sample, m_target, beta: float, n: int, grid_spec: EvalGridSpec, stream: RngStream,
+    xi: ComponentLaw = CENTERED_EXPONENTIAL, zeta: ComponentLaw = STANDARD_NORMAL,
+) -> float:
+    """Statistic of n draws from m_sample at level beta against m_target's
+    mixture CDF; the draws use stream.child(0), the grid stream.child(1)."""
+    sample = draw_sample(m_sample, beta, n, stream.child(0), xi=xi, zeta=zeta)
+    grid = build_eval_grid(sample, grid_spec, stream.child(1).generator())
+    return sup_stat(sample, lambda pts: mixture_cdf_batch(m_target, beta, pts, xi, zeta), grid)

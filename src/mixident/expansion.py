@@ -6,6 +6,10 @@ module evaluates the coefficient fields of that polynomial, the pairwise
 difference of the first-order fields for two mixing matrices, and
 uniform-norm estimates of such fields on finite grids.
 
+Every coefficient field is a fixed weight vector (``GAMMA_WEIGHTS``) over
+the four pure-assignment CDF rows of ``pushforward.PureFields``, the rows
+the mixture itself combines with binomial weights.
+
 Coefficients are normalized by the uniform-norm distance between the
 contaminant and the background, so the first-order field is O(1) and the
 small-contamination divergence rate of two mixtures reads off directly.
@@ -14,7 +18,6 @@ small-contamination divergence rate of two mixtures reads off directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
@@ -24,13 +27,7 @@ from .laws import (
     ComponentLaw,
     kolmogorov_distance_univ,
 )
-from .pushforward import (
-    DEFAULT_QUAD,
-    QuadConfig,
-    as_matrix,
-    mixture_cdf_batch,
-    pure_cdf_batch,
-)
+from .pushforward import PureFields, mixture_cdf_batch
 
 P_DIM = 2  # the analytic engine is two-dimensional throughout
 
@@ -91,149 +88,52 @@ class EvalGrid:
         return self.points.shape[0]
 
 
-def _placements(k: int) -> tuple[tuple[int, ...], ...]:
-    """All 0/1 coordinate flags of length P_DIM with exactly k ones."""
-    out = []
-    for ones in combinations(range(P_DIM), k):
-        flags = [0] * P_DIM
-        for i in ones:
-            flags[i] = 1
-        out.append(tuple(flags))
-    return tuple(out)
+# Rows NN, EN, NE, EE (pushforward.ASSIGNMENTS) of the beta^k coefficient:
+# F_beta = (1-beta)^2 F_NN + beta (1-beta) (F_EN + F_NE) + beta^2 F_EE.
+GAMMA_WEIGHTS = ((1, 0, 0, 0), (-2, 1, 1, 0), (1, -1, -1, 1))
 
 
-@dataclass(frozen=True)
-class GammaTerm:
-    """Order-k coefficient field of the expansion for one mixing matrix.
-
-    The field is a sum over the C(2, k) placements of the normalized
-    difference measure among the background factors.  Each difference
-    factor expands bilinearly, so every evaluation reduces to pure
-    pushforward CDF calls divided by norm_c**k.
-    """
-
-    matrix: object
-    order: int
-    measure: NuMeasure = DEFAULT_MEASURE
-
-    def __post_init__(self):
-        if not 0 <= self.order <= P_DIM:
-            raise ValueError(f"order must lie in [0, {P_DIM}], got {self.order}")
-        object.__setattr__(self, "matrix", as_matrix(self.matrix))
-
-    @property
-    def placements(self) -> tuple[tuple[int, ...], ...]:
-        return _placements(self.order)
-
-    def at_batch(
-        self,
-        points,
-        method: str = "closed",
-        cfg: QuadConfig = DEFAULT_QUAD,
-    ) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        xi, zeta, c = self.measure.xi, self.measure.zeta, self.measure.norm_c
-        total = np.zeros(pts.shape[0])
-        cache: dict[tuple[int, int], np.ndarray] = {}
-
-        def pure(flags: tuple[int, ...]) -> np.ndarray:
-            if flags not in cache:
-                comps = tuple(xi if f else zeta for f in flags)
-                cache[flags] = pure_cdf_batch(
-                    self.matrix, comps, pts, method=method, cfg=cfg
-                )
-            return cache[flags]
-
-        for placement in self.placements:
-            # expand each difference factor: sign is (-1)^(number of
-            # difference slots resolved to the background law)
-            slots = [i for i, f in enumerate(placement) if f]
-            for resolved in range(1 << len(slots)):
-                flags = list(placement)
-                sign = 1.0
-                for j, i in enumerate(slots):
-                    if (resolved >> j) & 1:
-                        flags[i] = 0
-                        sign = -sign
-                total += sign * pure(tuple(flags))
-        return total / c**self.order
-
-    def at(self, x, method: str = "quad", cfg: QuadConfig = DEFAULT_QUAD) -> float:
-        return float(self.at_batch(np.asarray([x], dtype=float), method, cfg)[0])
+def gamma_from_fields(fields: PureFields, k: int, measure: NuMeasure = DEFAULT_MEASURE):
+    """Order-k coefficient field, the beta^k coefficient of the mixture CDF
+    over norm_c**k, from pure rows built on measure.xi and measure.zeta."""
+    if not 0 <= k <= P_DIM:
+        raise ValueError(f"order must lie in [0, {P_DIM}], got {k}")
+    return fields.combine(GAMMA_WEIGHTS[k]) / measure.norm_c**k
 
 
-def gamma_k_at(
-    m,
-    k: int,
-    x,
-    measure: NuMeasure = DEFAULT_MEASURE,
-    method: str = "quad",
-    cfg: QuadConfig = DEFAULT_QUAD,
-) -> float:
-    """Order-k expansion coefficient field at a single point."""
-    return GammaTerm(m, k, measure).at(x, method=method, cfg=cfg)
-
-
-def gamma_k_batch(
-    m,
-    k: int,
-    points,
-    measure: NuMeasure = DEFAULT_MEASURE,
-    method: str = "closed",
-    cfg: QuadConfig = DEFAULT_QUAD,
-) -> np.ndarray:
+def gamma_k_batch(m, k: int, points, measure: NuMeasure = DEFAULT_MEASURE) -> np.ndarray:
     """Order-k expansion coefficient field over an (n, 2) point array."""
-    return GammaTerm(m, k, measure).at_batch(points, method=method, cfg=cfg)
+    return gamma_from_fields(PureFields(m, points, measure.xi, measure.zeta), k, measure)
 
 
-def polynomial_reconstruct(
-    m,
-    beta: float,
-    x,
-    measure: NuMeasure = DEFAULT_MEASURE,
-    method: str = "quad",
-    cfg: QuadConfig = DEFAULT_QUAD,
-) -> float:
+def gamma_k_at(m, k: int, x, measure: NuMeasure = DEFAULT_MEASURE) -> float:
+    """Order-k expansion coefficient field at a single point."""
+    return float(gamma_k_batch(m, k, [x], measure)[0])
+
+
+def polynomial_reconstruct(m, beta: float, x, measure: NuMeasure = DEFAULT_MEASURE) -> float:
     """Rebuild the mixture CDF from the expansion coefficients.
 
     Evaluates sum_k beta^k * norm_c^k * coefficient_k(x).  Must agree
-    with the direct mixture evaluation; the two share the pure CDF
-    engine but combine terms along different routes.
+    with the direct mixture evaluation; the two share the pure rows but
+    combine them with different weights.
     """
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must lie in [0, 1], got {beta}")
+    fields = PureFields(m, [x], measure.xi, measure.zeta)
     c = measure.norm_c
-    total = 0.0
-    for k in range(P_DIM + 1):
-        total += beta**k * c**k * gamma_k_at(m, k, x, measure, method=method, cfg=cfg)
-    return total
+    return float(
+        sum(beta**k * c**k * gamma_from_fields(fields, k, measure) for k in range(P_DIM + 1))[0]
+    )
 
 
-def gamma_diff_at(
-    m_a,
-    m_b,
-    x,
-    measure: NuMeasure = DEFAULT_MEASURE,
-    method: str = "quad",
-    cfg: QuadConfig = DEFAULT_QUAD,
-) -> float:
+def gamma_diff_at(m_a, m_b, x, measure: NuMeasure = DEFAULT_MEASURE) -> float:
     """First-order coefficient gap between two mixing matrices at x."""
-    return gamma_k_at(m_a, 1, x, measure, method, cfg) - gamma_k_at(
-        m_b, 1, x, measure, method, cfg
-    )
+    return gamma_k_at(m_a, 1, x, measure) - gamma_k_at(m_b, 1, x, measure)
 
 
-def gamma_diff_batch(
-    m_a,
-    m_b,
-    points,
-    measure: NuMeasure = DEFAULT_MEASURE,
-    method: str = "closed",
-    cfg: QuadConfig = DEFAULT_QUAD,
-) -> np.ndarray:
-    return gamma_k_batch(m_a, 1, points, measure, method, cfg) - gamma_k_batch(
-        m_b, 1, points, measure, method, cfg
-    )
+def gamma_diff_batch(m_a, m_b, points, measure: NuMeasure = DEFAULT_MEASURE) -> np.ndarray:
+    return gamma_k_batch(m_a, 1, points, measure) - gamma_k_batch(m_b, 1, points, measure)
 
 
 def sup_on_grid(values) -> float:
@@ -281,8 +181,6 @@ def estimate_sup_gap(
     m_b,
     grid: EvalGrid | None = None,
     measure: NuMeasure = DEFAULT_MEASURE,
-    method: str = "closed",
-    cfg: QuadConfig = DEFAULT_QUAD,
     refine: bool = True,
 ):
     """Grid estimate of sup |first-order gap| with local refinement.
@@ -292,7 +190,7 @@ def estimate_sup_gap(
     """
     if grid is None:
         grid = EvalGrid.tensor()
-    vals = gamma_diff_batch(m_a, m_b, grid.points, measure, method, cfg)
+    vals = gamma_diff_batch(m_a, m_b, grid.points, measure)
     x0 = grid_argmax(vals, grid)
     best = sup_on_grid(vals)
     if not refine:
@@ -300,7 +198,7 @@ def estimate_sup_gap(
     step = float(np.max(grid.points[1:] - grid.points[:-1])) if len(grid) > 1 else 0.1
 
     def f(x):
-        return gamma_diff_at(m_a, m_b, x, measure, method="closed", cfg=cfg)
+        return gamma_diff_at(m_a, m_b, x, measure)
 
     x_ref, val = refine_sup(f, x0, step=max(step, 1e-2))
     if val > best:
@@ -313,15 +211,13 @@ def divergence_rate_constant(
     m_b,
     grid: EvalGrid | None = None,
     measure: NuMeasure = DEFAULT_MEASURE,
-    method: str = "closed",
-    cfg: QuadConfig = DEFAULT_QUAD,
 ) -> float:
     """Leading small-contamination rate of sup |F_A - F_B|.
 
     The mixtures drift apart linearly in the contamination level with
     slope norm_c * sup |first-order gap|; this returns that slope.
     """
-    sup, _ = estimate_sup_gap(m_a, m_b, grid, measure, method, cfg)
+    sup, _ = estimate_sup_gap(m_a, m_b, grid, measure)
     return measure.norm_c * sup
 
 
@@ -332,12 +228,10 @@ def mixture_sup_gap(
     grid: EvalGrid | None = None,
     xi: ComponentLaw = CENTERED_EXPONENTIAL,
     zeta: ComponentLaw = STANDARD_NORMAL,
-    method: str = "closed",
-    cfg: QuadConfig = DEFAULT_QUAD,
 ) -> float:
     """Grid sup of |F_A - F_B| at contamination level beta."""
     if grid is None:
         grid = EvalGrid.tensor()
-    fa = mixture_cdf_batch(m_a, beta, grid.points, xi, zeta, method=method, cfg=cfg)
-    fb = mixture_cdf_batch(m_b, beta, grid.points, xi, zeta, method=method, cfg=cfg)
+    fa = mixture_cdf_batch(m_a, beta, grid.points, xi, zeta)
+    fb = mixture_cdf_batch(m_b, beta, grid.points, xi, zeta)
     return sup_on_grid(fa - fb)

@@ -134,26 +134,6 @@ class RngStream:
         return np.random.Generator(np.random.PCG64(ss))
 
 
-# ---------------------------------------------------------------------------
-# operation-style wrappers
-
-
-def comp_cdf(law: ComponentLaw, t: float) -> float:
-    return law.cdf(t)
-
-
-def comp_sample(law: ComponentLaw, rng: np.random.Generator, size=None) -> np.ndarray:
-    return law.sample(rng, size)
-
-
-def contaminated_cdf(law: ContaminatedLaw, t: float) -> float:
-    return law.cdf(t)
-
-
-def contaminated_sample(law: ContaminatedLaw, rng: np.random.Generator, size=None) -> np.ndarray:
-    return law.sample(rng, size)
-
-
 def _golden_max(f, lo: float, hi: float, tol: float = 1e-12) -> tuple[float, float]:
     """Golden-section maximization of f on [lo, hi] (f unimodal there)."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0

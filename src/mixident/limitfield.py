@@ -21,12 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .empirical import EvalGridSpec, build_eval_grid, draw_sample, sup_stat
-from .expansion import DEFAULT_MEASURE
+from .empirical import EvalGridSpec, replication_statistic
+from .expansion import DEFAULT_MEASURE, P_DIM
 from .laws import RngStream
-from .pushforward import as_matrix, mixture_cdf_batch
-
-P_DIM = 2
+from .pushforward import as_matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,16 +74,11 @@ def simulate_limit_sup(
     m = as_matrix(m)
     if grid is None:
         grid = EvalGridSpec(m_points=500)
+    # draw r reads streams (r, 0) and (r, 1) of the master seed
     root = RngStream(master_seed)
-
-    def target(pts):
-        return mixture_cdf_batch(m, 0.0, pts, method="closed")
-
-    draws = np.empty(n_draws)
-    for r in range(n_draws):
-        sample = draw_sample(m, 0.0, n0, root.child(r, 0))
-        pts = build_eval_grid(sample, grid, root.child(r, 1).generator())
-        draws[r] = sup_stat(sample, target, pts)
+    draws = np.array([
+        replication_statistic(m, m, 0.0, n0, grid, root.child(r)) for r in range(n_draws)
+    ])
     return LimitLawSample(draws, n0=n0, grid=grid)
 
 

@@ -18,17 +18,17 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .empirical import EvalGridSpec, build_eval_grid, draw_sample, sup_stat
+from .empirical import EvalGridSpec, replication_statistic
 from .expansion import (
     DEFAULT_MEASURE,
     EvalGrid,
     NuMeasure,
-    estimate_sup_gap,
-    mixture_sup_gap,
+    gamma_from_fields,
+    sup_on_grid,
 )
 from .laws import (
     CENTERED_EXPONENTIAL,
@@ -36,7 +36,7 @@ from .laws import (
     ComponentLaw,
     RngStream,
 )
-from .pushforward import as_matrix, equal_product_pair, mixture_cdf_batch
+from .pushforward import PureFields, as_matrix, equal_product_pair
 
 
 @dataclass(frozen=True)
@@ -106,21 +106,11 @@ class ScenarioResult:
 
 def run_replication(scenario: Scenario, rep_index: int) -> float:
     """Statistic of one replication; pure in (seed, index, rep_index)."""
-    root = RngStream(scenario.master_seed).child(scenario.index, rep_index)
-    beta = scenario.beta_n
-    sample = draw_sample(
-        scenario.m_a, beta, scenario.n, root.child(0),
-        xi=scenario.xi, zeta=scenario.zeta,
+    return replication_statistic(
+        scenario.m_a, scenario.m_b, scenario.beta_n, scenario.n, scenario.grid,
+        RngStream(scenario.master_seed).child(scenario.index, rep_index),
+        scenario.xi, scenario.zeta,
     )
-    grid = build_eval_grid(sample, scenario.grid, root.child(1).generator())
-
-    def target(pts):
-        return mixture_cdf_batch(
-            scenario.m_b, beta, pts, xi=scenario.xi, zeta=scenario.zeta,
-            method="closed",
-        )
-
-    return sup_stat(sample, target, grid)
 
 
 def _rep_block(args) -> tuple[list[int], list[float]]:
@@ -342,15 +332,17 @@ def estimate_K(
     structure); the value is the finite-grid estimate norm_c * sup of the
     first-order field gap, matching the small-level slope convention.
     """
-    m_a, m_b = as_matrix(m_a), as_matrix(m_b)
     if grid is None:
         grid = EvalGrid.tensor()
-    base_gap = mixture_sup_gap(m_a, m_b, 0.0, grid, measure.xi, measure.zeta)
+    fa = PureFields(m_a, grid.points, measure.xi, measure.zeta)
+    fb = PureFields(m_b, grid.points, measure.xi, measure.zeta)
+    base_gap = sup_on_grid(fa.mixture(0.0) - fb.mixture(0.0))
     if base_gap > 1e-8:
         raise ValueError(
             f"uncontaminated models differ by {base_gap:.2e}; K is undefined"
         )
-    sup, _ = estimate_sup_gap(m_a, m_b, grid, measure, refine=False)
+    # the unrefined grid sup of expansion.estimate_sup_gap
+    sup = sup_on_grid(gamma_from_fields(fa, 1, measure) - gamma_from_fields(fb, 1, measure))
     return measure.norm_c * sup
 
 
@@ -365,8 +357,3 @@ def predict_threshold_n(rho: float, c: float, k_const: float) -> float:
     if k_const <= 0.0 or c <= 0.0:
         raise ValueError("need positive threshold and rate constant")
     return math.exp(math.log(c / k_const) / (0.5 - rho))
-
-
-def scenario_with(config: SweepConfig, **kw) -> SweepConfig:
-    """Convenience for CLI overrides on top of a preset."""
-    return replace(config, **kw)

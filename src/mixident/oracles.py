@@ -1,0 +1,266 @@
+"""Reference routes the closed-form engine of ``mixident.pushforward`` is
+checked against; only tests and demos import this module.
+
+* ``quad_pure_cdf`` / ``quad_mixture_cdf``: the engine's one-dimensional
+  reduction (density * interval-mass over the first coordinate) handed
+  piece by piece to adaptive quadrature;
+* ``oracle_cdf_quad2d``: 2-D quadrature of the image density, disjoint
+  from that reduction;
+* ``oracle_cdf_mc``: plain Monte Carlo.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+from scipy.integrate import quad
+
+from mixident.laws import (
+    CENTERED_EXPONENTIAL,
+    STANDARD_NORMAL,
+    ComponentLaw,
+    ContaminatedLaw,
+)
+from mixident.pushforward import (
+    _SQRT_TWOPI,
+    MixingMatrix2,
+    _classify,
+    _gauss_pair_batch,
+    as_matrix,
+    assignment_comps,
+    mixture_weights,
+)
+
+
+@dataclass(frozen=True)
+class QuadConfig:
+    """Tolerances for the quadrature evaluation path.
+
+    radius truncates Gaussian coordinates at +-radius (tail < 1e-80 for
+    the default 20).  Exponential coordinates decay much more slowly, so
+    their integration window extends to support + 3*radius instead
+    (tail ~ 1e-26 at the default), keeping truncation error far below
+    abs_tol.
+    """
+
+    abs_tol: float = 1e-10
+    max_subdivisions: int = 2000
+    radius: float = 20.0
+
+
+DEFAULT_QUAD = QuadConfig()
+
+
+def _density(law: ComponentLaw, t: float) -> float:
+    if law.is_gaussian:
+        return math.exp(-0.5 * t * t) / _SQRT_TWOPI
+    s = law.shift
+    return math.exp(-(t - s)) if t >= s else 0.0
+
+
+def _law_window(law: ComponentLaw, cfg: QuadConfig) -> tuple[float, float]:
+    if law.is_gaussian:
+        return -cfg.radius, cfg.radius
+    return law.shift, law.shift + 3.0 * cfg.radius
+
+
+def _quad_pair_scalar(m: MixingMatrix2, comps, x1: float, x2: float, cfg: QuadConfig) -> float:
+    law1, law2 = comps
+    uppers, lowers, tcons = _classify(m)
+    lo, hi = _law_window(law1, cfg)
+    for ai1, which in tcons:
+        bound = (x1, x2)[which] / ai1
+        if ai1 > 0.0:
+            hi = min(hi, bound)
+        else:
+            lo = max(lo, bound)
+    if lo >= hi:
+        return 0.0
+
+    ups = [((x1, x2)[w] / ai2, -ai1 / ai2) for ai1, ai2, w in uppers]
+    los = [((x1, x2)[w] / ai2, -ai1 / ai2) for ai1, ai2, w in lowers]
+
+    breaks = set()
+
+    def add_crossing(b1, b2):
+        (p1, q1), (p2, q2) = b1, b2
+        if q1 != q2:
+            breaks.add((p2 - p1) / (q1 - q2))
+
+    if len(ups) == 2:
+        add_crossing(ups[0], ups[1])
+    if len(los) == 2:
+        add_crossing(los[0], los[1])
+    if len(ups) == 1 and len(los) == 1:
+        add_crossing(ups[0], los[0])
+    # A steep bound (large |q|) turns the CDF factor into a boundary layer of
+    # width ~1/|q|; adaptive panels skip layers thinner than the first
+    # subdivision, so the layer edges are made explicit breakpoints.  Beyond
+    # |argument| = 45 both tails are below 1e-10 of saturation.
+    for p, q in ups + los:
+        if q == 0.0:
+            continue
+        if law2.is_gaussian:
+            for v in (-45.0, 0.0, 45.0):
+                breaks.add((v - p) / q)
+        else:
+            breaks.add((law2.shift - p) / q)
+            breaks.add((law2.shift + 45.0 - p) / q)
+    pts = sorted({lo, hi} | {b for b in breaks if lo < b < hi})
+
+    def mass(t: float) -> float:
+        fu = 1.0
+        if ups:
+            fu = law2.cdf(min(p + q * t for p, q in ups))
+        fl = 0.0
+        if los:
+            fl = law2.cdf(max(p + q * t for p, q in los))
+        return max(fu - fl, 0.0)
+
+    def integrand(t: float) -> float:
+        return _density(law1, t) * mass(t)
+
+    pieces = len(pts) - 1
+    total = 0.0
+    for a, b in zip(pts[:-1], pts[1:]):
+        val, _ = quad(
+            integrand, a, b,
+            epsabs=cfg.abs_tol / max(pieces, 1), epsrel=0.0,
+            limit=cfg.max_subdivisions,
+        )
+        total += val
+    return min(max(total, 0.0), 1.0)
+
+
+def quad_pure_cdf(
+    m,
+    comps: tuple[ComponentLaw, ComponentLaw],
+    x,
+    cfg: QuadConfig = DEFAULT_QUAD,
+) -> float:
+    """P(A e <= x) for pure coordinates by adaptive quadrature.
+
+    Gaussian pairs go through the bivariate normal CDF directly.
+    """
+    m = as_matrix(m)
+    x = np.asarray(x, dtype=float)
+    law1, law2 = comps
+    if law1.is_gaussian and law2.is_gaussian:
+        return float(_gauss_pair_batch(m, x.reshape(1, 2))[0])
+    return _quad_pair_scalar(m, comps, float(x[0]), float(x[1]), cfg)
+
+
+def quad_mixture_cdf(
+    m,
+    beta: float,
+    x,
+    xi: ComponentLaw = CENTERED_EXPONENTIAL,
+    zeta: ComponentLaw = STANDARD_NORMAL,
+    cfg: QuadConfig = DEFAULT_QUAD,
+) -> float:
+    """Mixture CDF as the binomial combination of ``quad_pure_cdf`` values."""
+    total = 0.0
+    for wt, comps in zip(mixture_weights(beta), assignment_comps(xi, zeta)):
+        if wt == 0.0:
+            continue
+        total += wt * quad_pure_cdf(m, comps, x, cfg)
+    return total
+
+
+def oracle_cdf_mc(
+    m,
+    beta: float,
+    x,
+    n_samples: int,
+    rng: np.random.Generator,
+    xi: ComponentLaw = CENTERED_EXPONENTIAL,
+    zeta: ComponentLaw = STANDARD_NORMAL,
+) -> float:
+    """Monte Carlo estimate of the mixture CDF (independent code path)."""
+    m = as_matrix(m)
+    x = np.asarray(x, dtype=float)
+    law = ContaminatedLaw(beta, xi, zeta)
+    eps = law.sample(rng, (n_samples, 2))
+    pts = eps @ m.as_array().T
+    return float(np.mean((pts[:, 0] <= x[0]) & (pts[:, 1] <= x[1])))
+
+
+def oracle_cdf_quad2d(
+    m,
+    beta: float,
+    x,
+    xi: ComponentLaw = CENTERED_EXPONENTIAL,
+    zeta: ComponentLaw = STANDARD_NORMAL,
+    abs_tol: float = 5e-9,
+) -> float:
+    """Mixture CDF by nested 2-D adaptive quadrature of the image density.
+
+    Works in the image coordinates: the density of A e at z is the product
+    mixture density evaluated at A^{-1} z over |det A|.  Entirely disjoint
+    from the interval-mass reduction used by the main paths, so it serves
+    as an independent oracle.
+    """
+    m = as_matrix(m)
+    x = np.asarray(x, dtype=float)
+    a = m.as_array()
+    ainv = np.linalg.inv(a)
+    absdet = abs(m.det)
+
+    def mix_density(e: float) -> float:
+        return beta * _density(xi, e) + (1.0 - beta) * _density(zeta, e)
+
+    cfg = DEFAULT_QUAD
+    cut1 = max(abs(v) for v in _law_window(xi, cfg)) + cfg.radius
+    # conservative box in image space from the coordinate windows
+    r1 = abs(a[0, 0]) * cut1 + abs(a[0, 1]) * cut1
+    r2 = abs(a[1, 0]) * cut1 + abs(a[1, 1]) * cut1
+    ulo, uhi = -r1, min(x[0], r1)
+    vlo, vhi = -r2, min(x[1], r2)
+    if uhi <= ulo or vhi <= vlo:
+        return 0.0
+
+    # density kink lines: (A^{-1} z)_i = shift of an exponential component
+    kink_shifts = []
+    for law in (xi, zeta):
+        if not law.is_gaussian:
+            kink_shifts.append(law.shift)
+
+    def inner(u: float) -> float:
+        pts = []
+        for i in range(2):
+            for s in kink_shifts:
+                # ainv[i,0]*u + ainv[i,1]*v = s
+                if ainv[i, 1] != 0.0:
+                    v = (s - ainv[i, 0] * u) / ainv[i, 1]
+                    if vlo < v < vhi:
+                        pts.append(v)
+
+        def f(v: float) -> float:
+            e = ainv @ (u, v)
+            return mix_density(e[0]) * mix_density(e[1]) / absdet
+
+        val, _ = quad(f, vlo, vhi, epsabs=abs_tol / (4.0 * max(r1, 1.0)), epsrel=0.0,
+                      limit=200, points=sorted(pts) or None)
+        return val
+
+    # inner(u) loses smoothness where a kink line meets the v limits (or
+    # runs at constant u); without these breakpoints the outer error
+    # estimate can be optimistic near small determinants
+    outer_pts = []
+    for i in range(2):
+        for s in kink_shifts:
+            if ainv[i, 0] == 0.0:
+                continue
+            if ainv[i, 1] == 0.0:
+                candidates = (s / ainv[i, 0],)
+            else:
+                candidates = tuple(
+                    (s - ainv[i, 1] * v_edge) / ainv[i, 0] for v_edge in (vlo, vhi)
+                )
+            outer_pts.extend(u for u in candidates if ulo < u < uhi)
+
+    val, _ = quad(inner, ulo, uhi, epsabs=abs_tol / 2.0, epsrel=0.0,
+                  limit=400, points=sorted(outer_pts) or None)
+    return min(max(val, 0.0), 1.0)

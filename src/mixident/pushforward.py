@@ -1,20 +1,19 @@
 """Exact CDFs of linearly mixed two-dimensional error vectors.
 
 Everything here evaluates P(A e <= x) componentwise for an invertible
-2x2 matrix A and independent coordinates e_1, e_2 with known laws.  Two
-evaluation paths exist:
+2x2 matrix A and independent coordinates e_1, e_2 with known laws.  There
+is one engine, the closed form: reduce to a one-dimensional integral of
+density * interval-mass over the first coordinate and evaluate it
+analytically.  Gaussian pairs collapse to the bivariate normal CDF; pairs
+involving an exponential coordinate reduce to normal CDFs and
+exponentials, stabilized through erfcx so no intermediate overflows.
 
-* quadrature ("quad"): reduce to a one-dimensional integral of
-  density * interval-mass over the first coordinate and hand the pieces
-  to adaptive quadrature.  This is the reference path.
-* closed form ("closed"): the same reduction evaluated analytically.
-  Gaussian pairs collapse to the bivariate normal CDF; pairs involving
-  an exponential coordinate reduce to normal CDFs and exponentials,
-  stabilized through erfcx so no intermediate overflows.  Roughly three
-  orders of magnitude faster, used by the batch APIs.
-
-Mixture CDFs expand the contaminated product law into its four pure
-component assignments with binomial weights.
+The contaminated product law splits into four pure component
+assignments.  ``PureFields`` holds their CDF rows for one matrix and one
+point set; mixtures at any level (binomial weights) and the expansion
+fields of ``mixident.expansion`` are weight vectors over those rows.  The
+quadrature reference route and the independent oracles live in
+``mixident.oracles``.
 """
 
 from __future__ import annotations
@@ -23,14 +22,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import erfcx, ndtr
 
 from mixident.laws import (
     CENTERED_EXPONENTIAL,
     STANDARD_NORMAL,
     ComponentLaw,
-    ContaminatedLaw,
 )
 
 _SQRT2 = math.sqrt(2.0)
@@ -91,25 +88,6 @@ def equal_product_pair(alpha: float = 0.4) -> tuple[MixingMatrix2, MixingMatrix2
         raise ValueError(f"|alpha| must be < 1, got {alpha}")
     r = math.sqrt(1.0 - alpha * alpha)
     return MixingMatrix2(1.0, 0.0, alpha, r), MixingMatrix2(r, alpha, 0.0, 1.0)
-
-
-@dataclass(frozen=True)
-class QuadConfig:
-    """Tolerances for the quadrature evaluation path.
-
-    radius truncates Gaussian coordinates at +-radius (tail < 1e-80 for
-    the default 20).  Exponential coordinates decay much more slowly, so
-    their integration window extends to support + 3*radius instead
-    (tail ~ 1e-26 at the default), keeping truncation error far below
-    abs_tol.
-    """
-
-    abs_tol: float = 1e-10
-    max_subdivisions: int = 2000
-    radius: float = 20.0
-
-
-DEFAULT_QUAD = QuadConfig()
 
 
 # ===========================================================================
@@ -543,173 +521,70 @@ def _closed_pair_batch(m: MixingMatrix2, comps, x: np.ndarray) -> np.ndarray:
 
 
 # ===========================================================================
-# quadrature path
-# ===========================================================================
-
-
-def _density(law: ComponentLaw, t: float) -> float:
-    if law.is_gaussian:
-        return math.exp(-0.5 * t * t) / _SQRT_TWOPI
-    s = law.shift
-    return math.exp(-(t - s)) if t >= s else 0.0
-
-
-def _law_window(law: ComponentLaw, cfg: QuadConfig) -> tuple[float, float]:
-    if law.is_gaussian:
-        return -cfg.radius, cfg.radius
-    return law.shift, law.shift + 3.0 * cfg.radius
-
-
-def _quad_pair_scalar(m: MixingMatrix2, comps, x1: float, x2: float, cfg: QuadConfig) -> float:
-    law1, law2 = comps
-    uppers, lowers, tcons = _classify(m)
-    lo, hi = _law_window(law1, cfg)
-    for ai1, which in tcons:
-        bound = (x1, x2)[which] / ai1
-        if ai1 > 0.0:
-            hi = min(hi, bound)
-        else:
-            lo = max(lo, bound)
-    if lo >= hi:
-        return 0.0
-
-    ups = [((x1, x2)[w] / ai2, -ai1 / ai2) for ai1, ai2, w in uppers]
-    los = [((x1, x2)[w] / ai2, -ai1 / ai2) for ai1, ai2, w in lowers]
-
-    breaks = set()
-
-    def add_crossing(b1, b2):
-        (p1, q1), (p2, q2) = b1, b2
-        if q1 != q2:
-            breaks.add((p2 - p1) / (q1 - q2))
-
-    if len(ups) == 2:
-        add_crossing(ups[0], ups[1])
-    if len(los) == 2:
-        add_crossing(los[0], los[1])
-    if len(ups) == 1 and len(los) == 1:
-        add_crossing(ups[0], los[0])
-    # A steep bound (large |q|) turns the CDF factor into a boundary layer of
-    # width ~1/|q|; adaptive panels skip layers thinner than the first
-    # subdivision, so the layer edges are made explicit breakpoints.  Beyond
-    # |argument| = 45 both tails are below 1e-10 of saturation.
-    for p, q in ups + los:
-        if q == 0.0:
-            continue
-        if law2.is_gaussian:
-            for v in (-45.0, 0.0, 45.0):
-                breaks.add((v - p) / q)
-        else:
-            breaks.add((law2.shift - p) / q)
-            breaks.add((law2.shift + 45.0 - p) / q)
-    pts = sorted({lo, hi} | {b for b in breaks if lo < b < hi})
-
-    def mass(t: float) -> float:
-        fu = 1.0
-        if ups:
-            fu = law2.cdf(min(p + q * t for p, q in ups))
-        fl = 0.0
-        if los:
-            fl = law2.cdf(max(p + q * t for p, q in los))
-        return max(fu - fl, 0.0)
-
-    def integrand(t: float) -> float:
-        return _density(law1, t) * mass(t)
-
-    pieces = len(pts) - 1
-    total = 0.0
-    for a, b in zip(pts[:-1], pts[1:]):
-        val, _ = quad(
-            integrand, a, b,
-            epsabs=cfg.abs_tol / max(pieces, 1), epsrel=0.0,
-            limit=cfg.max_subdivisions,
-        )
-        total += val
-    return min(max(total, 0.0), 1.0)
-
-
-# ===========================================================================
 # public evaluation API
 # ===========================================================================
 
 
-def pure_pushforward_cdf(
-    m,
-    comps: tuple[ComponentLaw, ComponentLaw],
-    x,
-    method: str = "quad",
-    cfg: QuadConfig = DEFAULT_QUAD,
-) -> float:
-    """P(A e <= x) for independent pure coordinates e = (e_1, e_2)."""
-    m = as_matrix(m)
-    x = np.asarray(x, dtype=float)
-    law1, law2 = comps
-    if law1.is_gaussian and law2.is_gaussian:
-        return float(_gauss_pair_batch(m, x.reshape(1, 2))[0])
-    if method == "closed":
-        return float(_closed_pair_batch(m, comps, x.reshape(1, 2))[0])
-    if method != "quad":
-        raise ValueError(f"unknown method {method!r}")
-    return _quad_pair_scalar(m, comps, float(x[0]), float(x[1]), cfg)
-
-
-def pure_cdf_batch(
-    m,
-    comps: tuple[ComponentLaw, ComponentLaw],
-    points,
-    method: str = "closed",
-    cfg: QuadConfig = DEFAULT_QUAD,
-) -> np.ndarray:
+def pure_cdf_batch(m, comps: tuple[ComponentLaw, ComponentLaw], points) -> np.ndarray:
     """Vectorized pure P(A e <= x) over an (n, 2) array of thresholds."""
-    m = as_matrix(m)
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError(f"points must have shape (n, 2), got {pts.shape}")
-    if method == "closed":
-        return _closed_pair_batch(m, comps, pts)
-    if method != "quad":
-        raise ValueError(f"unknown method {method!r}")
-    law1, law2 = comps
-    if law1.is_gaussian and law2.is_gaussian:
-        return _gauss_pair_batch(m, pts)
-    return np.array(
-        [_quad_pair_scalar(m, comps, float(p[0]), float(p[1]), cfg) for p in pts]
-    )
+    return _closed_pair_batch(as_matrix(m), comps, pts)
 
 
-_ASSIGNMENTS = ((0, 0), (1, 0), (0, 1), (1, 1))
+def pure_pushforward_cdf(m, comps: tuple[ComponentLaw, ComponentLaw], x) -> float:
+    """P(A e <= x) for independent pure coordinates e = (e_1, e_2)."""
+    return float(pure_cdf_batch(m, comps, [x])[0])
+
+
+# rows NN, EN, NE, EE of PureFields; flag 1 puts the contaminant on that coordinate
+ASSIGNMENTS = ((0, 0), (1, 0), (0, 1), (1, 1))
 
 
 def mixture_weights(beta: float) -> np.ndarray:
     """Binomial weights of the four pure component assignments."""
-    return np.array(
-        [beta ** sum(a) * (1.0 - beta) ** (2 - sum(a)) for a in _ASSIGNMENTS]
-    )
-
-
-def _assignment_comps(xi: ComponentLaw, zeta: ComponentLaw):
-    return [tuple(xi if flag else zeta for flag in a) for a in _ASSIGNMENTS]
-
-
-def mixture_pushforward_cdf(
-    m,
-    beta: float,
-    x,
-    xi: ComponentLaw = CENTERED_EXPONENTIAL,
-    zeta: ComponentLaw = STANDARD_NORMAL,
-    method: str = "quad",
-    cfg: QuadConfig = DEFAULT_QUAD,
-) -> float:
-    """P(A e <= x) with coordinates i.i.d. beta*xi + (1-beta)*zeta."""
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must lie in [0, 1], got {beta}")
-    w = mixture_weights(beta)
-    total = 0.0
-    for wt, comps in zip(w, _assignment_comps(xi, zeta)):
-        if wt == 0.0:
-            continue
-        total += wt * pure_pushforward_cdf(m, comps, x, method=method, cfg=cfg)
-    return total
+    return np.array([beta ** sum(a) * (1.0 - beta) ** (2 - sum(a)) for a in ASSIGNMENTS])
+
+
+def assignment_comps(xi: ComponentLaw, zeta: ComponentLaw):
+    """Component pairs of the four assignments, in ASSIGNMENTS order."""
+    return [tuple(xi if flag else zeta for flag in a) for a in ASSIGNMENTS]
+
+
+class PureFields:
+    """The four pure-assignment CDF rows of one matrix on one point set.
+
+    Every mixture value, expansion field, field gap and reconstruction is
+    a fixed weight vector over these rows (ordered as ASSIGNMENTS).  Each
+    row is computed by ``pure_cdf_batch`` the first time a nonzero weight
+    reads it, so a level-zero mixture runs only the Gaussian kernel.
+    """
+
+    def __init__(self, m, points, xi=CENTERED_EXPONENTIAL, zeta=STANDARD_NORMAL):
+        self.m = as_matrix(m)
+        self.points = np.asarray(points, dtype=float)
+        self._comps = assignment_comps(xi, zeta)
+        self._rows: list[np.ndarray | None] = [None] * len(ASSIGNMENTS)
+
+    def row(self, a: int) -> np.ndarray:
+        if self._rows[a] is None:
+            self._rows[a] = pure_cdf_batch(self.m, self._comps[a], self.points)
+        return self._rows[a]
+
+    def combine(self, weights) -> np.ndarray:
+        """sum_a weights[a] * row(a), skipping zero weights, in row order."""
+        total = np.zeros(self.points.shape[0])
+        for a, wa in enumerate(weights):
+            if wa != 0:
+                total += wa * self.row(a)
+        return total
+
+    def mixture(self, beta: float) -> np.ndarray:
+        """P(A e <= x) with coordinates i.i.d. beta*xi + (1-beta)*zeta."""
+        return self.combine(mixture_weights(beta))
 
 
 def mixture_cdf_batch(
@@ -719,117 +594,18 @@ def mixture_cdf_batch(
     xi: ComponentLaw = CENTERED_EXPONENTIAL,
     zeta: ComponentLaw = STANDARD_NORMAL,
     method: str = "closed",
-    cfg: QuadConfig = DEFAULT_QUAD,
 ) -> np.ndarray:
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta must lie in [0, 1], got {beta}")
-    pts = np.asarray(points, dtype=float)
-    w = mixture_weights(beta)
-    total = np.zeros(pts.shape[0])
-    for wt, comps in zip(w, _assignment_comps(xi, zeta)):
-        if wt == 0.0:
-            continue
-        total += wt * pure_cdf_batch(m, comps, pts, method=method, cfg=cfg)
-    return total
+    """Mixture CDF over an (n, 2) point array.
 
-
-# ===========================================================================
-# oracles
-# ===========================================================================
-
-
-def oracle_cdf_mc(
-    m,
-    beta: float,
-    x,
-    n_samples: int,
-    rng: np.random.Generator,
-    xi: ComponentLaw = CENTERED_EXPONENTIAL,
-    zeta: ComponentLaw = STANDARD_NORMAL,
-) -> float:
-    """Monte Carlo estimate of the mixture CDF (independent code path)."""
-    m = as_matrix(m)
-    x = np.asarray(x, dtype=float)
-    law = ContaminatedLaw(beta, xi, zeta)
-    eps = law.sample(rng, (n_samples, 2))
-    pts = eps @ m.as_array().T
-    return float(np.mean((pts[:, 0] <= x[0]) & (pts[:, 1] <= x[1])))
-
-
-def oracle_cdf_quad2d(
-    m,
-    beta: float,
-    x,
-    xi: ComponentLaw = CENTERED_EXPONENTIAL,
-    zeta: ComponentLaw = STANDARD_NORMAL,
-    abs_tol: float = 5e-9,
-) -> float:
-    """Mixture CDF by nested 2-D adaptive quadrature of the image density.
-
-    Works in the image coordinates: the density of A e at z is the product
-    mixture density evaluated at A^{-1} z over |det A|.  Entirely disjoint
-    from the interval-mass reduction used by the main paths, so it serves
-    as an independent oracle.
+    ``method`` accepts only "closed"; it stays so that callers passing
+    ``method="closed"`` keep working.  The quadrature reference is
+    ``mixident.oracles.quad_mixture_cdf``.
     """
-    m = as_matrix(m)
-    x = np.asarray(x, dtype=float)
-    a = m.as_array()
-    ainv = np.linalg.inv(a)
-    absdet = abs(m.det)
+    if method != "closed":
+        raise ValueError(f"unknown method {method!r}; quadrature is mixident.oracles")
+    return PureFields(m, points, xi, zeta).mixture(beta)
 
-    def mix_density(e: float) -> float:
-        return beta * _density(xi, e) + (1.0 - beta) * _density(zeta, e)
 
-    cfg = DEFAULT_QUAD
-    cut1 = max(abs(v) for v in _law_window(xi, cfg)) + cfg.radius
-    # conservative box in image space from the coordinate windows
-    r1 = abs(a[0, 0]) * cut1 + abs(a[0, 1]) * cut1
-    r2 = abs(a[1, 0]) * cut1 + abs(a[1, 1]) * cut1
-    ulo, uhi = -r1, min(x[0], r1)
-    vlo, vhi = -r2, min(x[1], r2)
-    if uhi <= ulo or vhi <= vlo:
-        return 0.0
-
-    # density kink lines: (A^{-1} z)_i = shift of an exponential component
-    kink_shifts = []
-    for law in (xi, zeta):
-        if not law.is_gaussian:
-            kink_shifts.append(law.shift)
-
-    def inner(u: float) -> float:
-        pts = []
-        for i in range(2):
-            for s in kink_shifts:
-                # ainv[i,0]*u + ainv[i,1]*v = s
-                if ainv[i, 1] != 0.0:
-                    v = (s - ainv[i, 0] * u) / ainv[i, 1]
-                    if vlo < v < vhi:
-                        pts.append(v)
-
-        def f(v: float) -> float:
-            e = ainv @ (u, v)
-            return mix_density(e[0]) * mix_density(e[1]) / absdet
-
-        val, _ = quad(f, vlo, vhi, epsabs=abs_tol / (4.0 * max(r1, 1.0)), epsrel=0.0,
-                      limit=200, points=sorted(pts) or None)
-        return val
-
-    # inner(u) loses smoothness where a kink line meets the v limits (or
-    # runs at constant u); without these breakpoints the outer error
-    # estimate can be optimistic near small determinants
-    outer_pts = []
-    for i in range(2):
-        for s in kink_shifts:
-            if ainv[i, 0] == 0.0:
-                continue
-            if ainv[i, 1] == 0.0:
-                candidates = (s / ainv[i, 0],)
-            else:
-                candidates = tuple(
-                    (s - ainv[i, 1] * v_edge) / ainv[i, 0] for v_edge in (vlo, vhi)
-                )
-            outer_pts.extend(u for u in candidates if ulo < u < uhi)
-
-    val, _ = quad(inner, ulo, uhi, epsabs=abs_tol / 2.0, epsrel=0.0,
-                  limit=400, points=sorted(outer_pts) or None)
-    return min(max(val, 0.0), 1.0)
+def mixture_pushforward_cdf(m, beta: float, x, xi=CENTERED_EXPONENTIAL, zeta=STANDARD_NORMAL) -> float:
+    """P(A e <= x) with coordinates i.i.d. beta*xi + (1-beta)*zeta."""
+    return float(mixture_cdf_batch(m, beta, [x], xi, zeta)[0])

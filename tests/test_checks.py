@@ -2,6 +2,7 @@
 
 import pytest
 
+import mixident.pushforward as pushforward
 from mixident.checks import (
     CHECK_IDS,
     CheckReport,
@@ -22,6 +23,29 @@ def test_all_checks_pass(all_reports):
     for rep in all_reports:
         failed = [row.quantity for row in rep.rows if not row.ok]
         assert rep.passed, f"{rep.check_id} failed rows: {failed}"
+
+
+def test_suite_computes_each_pure_field_once(monkeypatch):
+    # distinct (matrix, assignment) rows on the default grid: thm31 reads
+    # four of one matrix, lem33 three of twelve, lem35 four of three
+    # (pair and column swap), cor34 four of two
+    calls = []
+    original = pushforward.pure_cdf_batch
+
+    def counting(m, comps, points):
+        calls.append(comps)
+        return original(m, comps, points)
+
+    monkeypatch.setattr(pushforward, "pure_cdf_batch", counting)
+    per_check = {}
+    for cid in CHECK_IDS:
+        before = len(calls)
+        run_checks(cid)
+        per_check[cid] = len(calls) - before
+    assert per_check == {"thm31": 4, "lem33": 36, "lem35": 12, "cor34": 8, "lem32": 0}
+    calls.clear()
+    run_checks("all")
+    assert len(calls) == 60
 
 
 def test_single_check_selection():

@@ -111,7 +111,7 @@ def test_validation_errors_exit_one(tmp_path, capsys):
 
 
 def test_cdf_prints_mixture_value(capsys):
-    assert main(["cdf", "--beta", "0.3", "--x", "0.3,-0.2", "--method", "closed"]) == 0
+    assert main(["cdf", "--beta", "0.3", "--x", "0.3,-0.2"]) == 0
     value = float(capsys.readouterr().out.strip())
     assert value == pytest.approx(0.356603028955747, abs=1e-9)
 
@@ -128,8 +128,6 @@ def test_cdf_accepts_explicit_matrix(capsys):
                 "0.3",
                 "--x",
                 "0.3,-0.2",
-                "--method",
-                "closed",
             ]
         )
         == 0

@@ -5,8 +5,8 @@ import pytest
 
 from mixident.expansion import (
     DEFAULT_MEASURE,
+    GAMMA_WEIGHTS,
     EvalGrid,
-    GammaTerm,
     NuMeasure,
     divergence_rate_constant,
     estimate_sup_gap,
@@ -31,6 +31,7 @@ from mixident.pushforward import (
     equal_product_pair,
     mixture_cdf_batch,
     mixture_pushforward_cdf,
+    mixture_weights,
     pure_pushforward_cdf,
 )
 
@@ -104,30 +105,30 @@ def test_grid_validates():
 def test_order_validation():
     m = MixingMatrix2.identity()
     with pytest.raises(ValueError):
-        GammaTerm(m, 3)
+        gamma_k_at(m, 3, (0.0, 0.0))
     with pytest.raises(ValueError):
         gamma_k_at(m, -1, (0.0, 0.0))
 
 
-def test_placement_counts():
-    m = MixingMatrix2.identity()
-    assert len(GammaTerm(m, 0).placements) == 1
-    assert len(GammaTerm(m, 1).placements) == 2
-    assert len(GammaTerm(m, 2).placements) == 1
+def test_gamma_weights_rebuild_mixture_weights():
+    # sum_k beta^k GAMMA_WEIGHTS[k] is the binomial weight vector
+    for beta in (0.0, 0.1, 0.5, 1.0):
+        rebuilt = sum(beta**k * np.array(w) for k, w in enumerate(GAMMA_WEIGHTS))
+        np.testing.assert_allclose(rebuilt, mixture_weights(beta), rtol=0.0, atol=1e-15)
 
 
 def test_order_zero_is_background_cdf():
     m = equal_product_pair(0.4)[0]
     x = (0.4, -0.7)
-    got = gamma_k_at(m, 0, x, method="closed")
-    want = mixture_pushforward_cdf(m, 0.0, x, method="closed")
+    got = gamma_k_at(m, 0, x)
+    want = mixture_pushforward_cdf(m, 0.0, x)
     assert got == want
 
 
 def test_identity_mixing_first_order_factorizes():
     # under identity mixing the two placements agree and each factorizes,
     # so the field at the origin is 2 * nu_cdf(0) * Phi(0) = nu_cdf(0)
-    got = gamma_k_at(MixingMatrix2.identity(), 1, (0.0, 0.0), method="closed")
+    got = gamma_k_at(MixingMatrix2.identity(), 1, (0.0, 0.0))
     assert abs(got - NU_AT_ZERO) < 1e-12
 
 
@@ -138,12 +139,12 @@ def test_first_order_finite_difference_oracle():
     x = (0.0, 0.0)
     for m in equal_product_pair(0.4):
         def slope(beta):
-            f0 = mixture_pushforward_cdf(m, 0.0, x, method="closed")
-            fb = mixture_pushforward_cdf(m, beta, x, method="closed")
+            f0 = mixture_pushforward_cdf(m, 0.0, x)
+            fb = mixture_pushforward_cdf(m, beta, x)
             return (fb - f0) / (beta * c)
 
         rich = 2.0 * slope(0.01) - slope(0.02)
-        got = gamma_k_at(m, 1, x, method="closed")
+        got = gamma_k_at(m, 1, x)
         assert abs(got - rich) < 1e-4
 
 
@@ -153,7 +154,7 @@ def test_batch_matches_scalar():
     pts = rng.normal(size=(10, 2))
     for k in range(3):
         batch = gamma_k_batch(m, k, pts)
-        scalar = np.array([gamma_k_at(m, k, p, method="closed") for p in pts])
+        scalar = np.array([gamma_k_at(m, k, p) for p in pts])
         np.testing.assert_allclose(batch, scalar, atol=1e-14)
 
 
@@ -163,21 +164,17 @@ def test_batch_matches_scalar():
 
 def test_reconstruct_matches_mixture_at_worked_point():
     m = equal_product_pair(0.4)[0]
-    got = polynomial_reconstruct(m, 0.3, (0.5, -0.2), method="closed")
-    want = mixture_pushforward_cdf(m, 0.3, (0.5, -0.2), method="closed")
+    got = polynomial_reconstruct(m, 0.3, (0.5, -0.2))
+    want = mixture_pushforward_cdf(m, 0.3, (0.5, -0.2))
     assert abs(got - want) < 1e-8
 
 
 def test_reconstruct_degenerate_levels():
     m = equal_product_pair(0.4)[0]
     x = (0.2, 0.1)
-    assert polynomial_reconstruct(m, 0.0, x, method="closed") == gamma_k_at(
-        m, 0, x, method="closed"
-    )
-    pure_cont = pure_pushforward_cdf(
-        m, (CENTERED_EXPONENTIAL, CENTERED_EXPONENTIAL), x, method="closed"
-    )
-    assert abs(polynomial_reconstruct(m, 1.0, x, method="closed") - pure_cont) < 1e-8
+    assert polynomial_reconstruct(m, 0.0, x) == gamma_k_at(m, 0, x)
+    pure_cont = pure_pushforward_cdf(m, (CENTERED_EXPONENTIAL, CENTERED_EXPONENTIAL), x)
+    assert abs(polynomial_reconstruct(m, 1.0, x) - pure_cont) < 1e-8
 
 
 def test_reconstruct_identity_on_grid():
@@ -247,7 +244,7 @@ def test_single_placement_bound():
 
 def test_gap_vanishes_for_equal_matrices():
     m = equal_product_pair(0.4)[0]
-    assert gamma_diff_at(m, m, (0.3, 0.4), method="closed") == 0.0
+    assert gamma_diff_at(m, m, (0.3, 0.4)) == 0.0
 
 
 def test_gap_vanishes_under_column_permutation():

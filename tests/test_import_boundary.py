@@ -1,0 +1,52 @@
+"""The reference routes stay out of the production import graph."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import mixident
+
+PACKAGE = Path(mixident.__file__).resolve().parent
+REFERENCE_MODULES = {"scipy.integrate", "mixident.oracles"}
+
+
+def test_import_does_not_load_quadrature():
+    code = (
+        "import sys, mixident; "
+        "print('scipy.integrate' in sys.modules, 'mixident.oracles' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, timeout=120,
+    ).stdout.split()
+    assert out == ["False", "False"]
+
+
+def _imported_modules(path: Path) -> set[str]:
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = "mixident." + base if base else "mixident"
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_only_oracles_imports_reference_routes():
+    offenders = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "oracles.py":
+            continue
+        hits = {
+            name for name in _imported_modules(path)
+            if any(name == ref or name.startswith(ref + ".") for ref in REFERENCE_MODULES)
+        }
+        if hits:
+            offenders[path.name] = sorted(hits)
+    assert offenders == {}

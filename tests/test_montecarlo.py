@@ -141,7 +141,7 @@ def test_single_observation_replication_by_hand():
 
     sample = draw_sample(s.m_a, 0.5, 1, root.child(0))
     g = float(
-        mixture_cdf_batch(s.m_b, 0.5, sample.points, method="closed")[0]
+        mixture_cdf_batch(s.m_b, 0.5, sample.points)[0]
     )
     assert got == pytest.approx(max(1.0 - g, g), abs=1e-12)
 

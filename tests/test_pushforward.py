@@ -12,9 +12,15 @@ from mixident.laws import (
     STANDARD_NORMAL,
     RngStream,
 )
+from mixident.oracles import (
+    QuadConfig,
+    oracle_cdf_mc,
+    oracle_cdf_quad2d,
+    quad_mixture_cdf,
+    quad_pure_cdf,
+)
 from mixident.pushforward import (
     MixingMatrix2,
-    QuadConfig,
     as_matrix,
     bvn_cdf,
     bvn_cdf_batch,
@@ -22,8 +28,6 @@ from mixident.pushforward import (
     mixture_cdf_batch,
     mixture_pushforward_cdf,
     mixture_weights,
-    oracle_cdf_mc,
-    oracle_cdf_quad2d,
     pure_cdf_batch,
     pure_pushforward_cdf,
 )
@@ -178,7 +182,10 @@ def test_identity_exponential_pair_factorizes():
 def test_worked_matrix_anchors(method):
     m = worked_matrix()
     for comps, want in WORKED_PURE.items():
-        got = pure_pushforward_cdf(m, comps, WORKED_X, method=method)
+        if method == "quad":
+            got = quad_pure_cdf(m, comps, WORKED_X)
+        else:
+            got = pure_pushforward_cdf(m, comps, WORKED_X)
         assert abs(got - want) < 1e-10, (comps, method)
 
 
@@ -207,8 +214,8 @@ def test_closed_matches_quad_random_matrices():
         m = random_invertible(rng)
         x = rng.normal(size=2) * 1.5
         for comps in LAW_PAIRS:
-            a = pure_pushforward_cdf(m, comps, x, method="closed")
-            b = pure_pushforward_cdf(m, comps, x, method="quad")
+            a = pure_pushforward_cdf(m, comps, x)
+            b = quad_pure_cdf(m, comps, x)
             worst = max(worst, abs(a - b))
     assert worst < 1e-9
 
@@ -227,8 +234,8 @@ def test_closed_matches_quad_extreme_scales():
         m = as_matrix(a)
         x = rng.normal(size=2) * np.abs(a).sum(axis=1)
         for comps in LAW_PAIRS[:4]:
-            va = pure_pushforward_cdf(m, comps, x, method="closed")
-            vb = pure_pushforward_cdf(m, comps, x, method="quad")
+            va = pure_pushforward_cdf(m, comps, x)
+            vb = quad_pure_cdf(m, comps, x)
             worst = max(worst, abs(va - vb))
     assert worst < 5e-8
 
@@ -239,8 +246,8 @@ def test_triangular_columns():
     for a in ([[1.0, 0.0], [0.4, 1.0]], [[0.7, 1.2], [0.5, 0.0]]):
         m = as_matrix(np.array(a))
         for comps in [(E, N), (N, E), (E, E)]:
-            va = pure_pushforward_cdf(m, comps, (0.4, -0.3), method="closed")
-            vb = pure_pushforward_cdf(m, comps, (0.4, -0.3), method="quad")
+            va = pure_pushforward_cdf(m, comps, (0.4, -0.3))
+            vb = quad_pure_cdf(m, comps, (0.4, -0.3))
             assert abs(va - vb) < 1e-10
 
 
@@ -249,9 +256,9 @@ def test_batch_equals_scalar_loop():
     m = random_invertible(rng)
     pts = rng.normal(size=(25, 2)) * 2.0
     for comps in LAW_PAIRS:
-        batch = pure_cdf_batch(m, comps, pts, method="closed")
+        batch = pure_cdf_batch(m, comps, pts)
         scalar = np.array(
-            [pure_pushforward_cdf(m, comps, p, method="closed") for p in pts]
+            [pure_pushforward_cdf(m, comps, p) for p in pts]
         )
         np.testing.assert_array_equal(batch, scalar)
 
@@ -282,8 +289,8 @@ def test_column_permutation_invariance():
         swapped = as_matrix(a[:, ::-1])
         x = rng.normal(size=2)
         for l1, l2 in [(E, N), (E, E), (U, N)]:
-            v1 = pure_pushforward_cdf(m, (l1, l2), x, method="closed")
-            v2 = pure_pushforward_cdf(swapped, (l2, l1), x, method="closed")
+            v1 = pure_pushforward_cdf(m, (l1, l2), x)
+            v2 = pure_pushforward_cdf(swapped, (l2, l1), x)
             assert abs(v1 - v2) < 1e-11
 
 
@@ -300,8 +307,7 @@ def test_mixture_weights_are_binomial():
 
 def test_mixture_anchor():
     m = worked_matrix()
-    for method in ("quad", "closed"):
-        got = mixture_pushforward_cdf(m, 0.3, WORKED_X, method=method)
+    for got in (quad_mixture_cdf(m, 0.3, WORKED_X), mixture_pushforward_cdf(m, 0.3, WORKED_X)):
         assert abs(got - WORKED_MIX_03) < 1e-10
 
 
@@ -309,8 +315,8 @@ def test_mixture_degenerate_levels_match_pure():
     m = worked_matrix()
     x = (0.5, -0.1)
     assert mixture_pushforward_cdf(m, 0.0, x) == pure_pushforward_cdf(m, (N, N), x)
-    got = mixture_pushforward_cdf(m, 1.0, x, method="closed")
-    want = pure_pushforward_cdf(m, (E, E), x, method="closed")
+    got = mixture_pushforward_cdf(m, 1.0, x)
+    want = pure_pushforward_cdf(m, (E, E), x)
     assert got == want
 
 
@@ -321,24 +327,46 @@ def test_mixture_validates_level():
         mixture_cdf_batch(worked_matrix(), -0.2, np.zeros((1, 2)))
 
 
+def test_mixture_at_level_zero_runs_only_background_pair(monkeypatch):
+    import mixident.pushforward as pushforward
+
+    seen = []
+    original = pushforward.pure_cdf_batch
+
+    def recording(m, comps, points):
+        seen.append(comps)
+        return original(m, comps, points)
+
+    monkeypatch.setattr(pushforward, "pure_cdf_batch", recording)
+    pts = np.array([[0.3, -0.2], [1.0, 0.5]])
+    got = mixture_cdf_batch(worked_matrix(), 0.0, pts)
+    assert seen == [(N, N)]
+    np.testing.assert_array_equal(got, original(worked_matrix(), (N, N), pts))
+
+
+def test_mixture_batch_rejects_quadrature_method():
+    with pytest.raises(ValueError, match="mixident.oracles"):
+        mixture_cdf_batch(worked_matrix(), 0.3, np.zeros((1, 2)), method="quad")
+
+
 def test_mixture_batch_matches_scalar():
     m = worked_matrix()
     rng = np.random.default_rng(55)
     pts = rng.normal(size=(15, 2))
-    batch = mixture_cdf_batch(m, 0.25, pts, method="closed")
+    batch = mixture_cdf_batch(m, 0.25, pts)
     scalar = np.array(
-        [mixture_pushforward_cdf(m, 0.25, p, method="closed") for p in pts]
+        [mixture_pushforward_cdf(m, 0.25, p) for p in pts]
     )
     np.testing.assert_array_equal(batch, scalar)
 
 
 def test_mixture_uncentered_variant_runs():
     m = worked_matrix()
-    got = mixture_pushforward_cdf(m, 0.3, WORKED_X, xi=U, method="closed")
-    ref = mixture_pushforward_cdf(m, 0.3, WORKED_X, xi=U, method="quad")
+    got = mixture_pushforward_cdf(m, 0.3, WORKED_X, xi=U)
+    ref = quad_mixture_cdf(m, 0.3, WORKED_X, xi=U)
     assert abs(got - ref) < 1e-10
     # uncentered contaminant shifts mass right, lowering the CDF here
-    assert got < mixture_pushforward_cdf(m, 0.3, WORKED_X, method="closed")
+    assert got < mixture_pushforward_cdf(m, 0.3, WORKED_X)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +377,7 @@ def test_agrees_with_2d_quadrature_oracle():
     m = worked_matrix()
     for beta, x in [(0.0, (0.3, -0.2)), (0.3, (0.3, -0.2)), (0.7, (-0.5, 1.0))]:
         want = oracle_cdf_quad2d(m, beta, x)
-        got = mixture_pushforward_cdf(m, beta, x, method="closed")
+        got = mixture_pushforward_cdf(m, beta, x)
         assert abs(got - want) < 5e-8
 
 
@@ -363,7 +391,7 @@ def test_agrees_with_monte_carlo_oracle():
     ]
     for i, (m, beta, x) in enumerate(cases):
         p_hat = oracle_cdf_mc(m, beta, x, n, rng_stream.child(i).generator())
-        p = mixture_pushforward_cdf(m, beta, x, method="closed")
+        p = mixture_pushforward_cdf(m, beta, x)
         sigma = math.sqrt(p * (1.0 - p) / n)
         assert abs(p_hat - p) < 5.0 * sigma
 
@@ -372,6 +400,6 @@ def test_quad_config_controls_accuracy():
     # a loose budget must not crash; the tight default stays close to it
     m = worked_matrix()
     loose = QuadConfig(abs_tol=1e-4, max_subdivisions=50)
-    a = pure_pushforward_cdf(m, (E, N), WORKED_X, method="quad", cfg=loose)
-    b = pure_pushforward_cdf(m, (E, N), WORKED_X, method="quad")
+    a = quad_pure_cdf(m, (E, N), WORKED_X, cfg=loose)
+    b = quad_pure_cdf(m, (E, N), WORKED_X)
     assert abs(a - b) < 1e-4
