@@ -487,7 +487,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-list", dest="n_list", type=_parse_ints)
     p.add_argument("--c", type=float)
     p.add_argument("--reps", type=int)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument(
+        "--workers", type=int, default=1,
+        help="worker processes, at least 1; clamped to --reps and to the CPUs"
+        " available, and 1 runs in-process (default: 1)",
+    )
     p.add_argument("--timing", action="store_true")
     _add_config_flags(p)
     p.set_defaults(func=cmd_experiment)

@@ -6,10 +6,13 @@ points when both the value and the lower limit of the empirical CDF are
 examined, so everything here reduces to dominance counts: how many sample
 points are componentwise below a query, weakly or strictly.
 
-Counting is exact at the integer level.  An offline sweep answers M
-queries against n points in O((n + M) log(n + M)) by sorting on the first
-coordinate and maintaining a cumulative count structure over ranks of the
-second; results match naive O(n M) counting exactly.
+Counting is exact at the integer level.  Queries are taken in blocks of at
+most B = 512.  Per block, the distinct query coordinates cut each axis into
+at most B + 1 cells; every sample point is bucketed into its cell once per
+axis, and a 2-D prefix sum over the (B + 1)^2 cell counts gives all the
+block's weak and strict counts.  M queries against n points cost
+O(ceil(M / B) * (n log B + B^2)) time and O(n + B^2) memory, about 4 MB of
+tables, whatever M is; results match naive O(n M) counting exactly.
 """
 
 from __future__ import annotations
@@ -79,50 +82,50 @@ def draw_sample(
     return Sample2D(pts, matrix=m, beta=beta, seed_path=path)
 
 
-class _Fenwick:
-    """Cumulative counts over ranks 0..size-1."""
+# queries per block of the count: two (_QUERY_BLOCK + 1)^2 int64 prefix tables,
+# about 4 MB together, whatever the number of queries
+_QUERY_BLOCK = 512
 
-    __slots__ = ("tree",)
 
-    def __init__(self, size: int):
-        self.tree = [0] * (size + 1)
+def _block_counts(
+    px: np.ndarray, py: np.ndarray, qx: np.ndarray, qy: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Weak and strict dominance counts of one block of queries.
 
-    def add(self, rank: int) -> None:
-        i = rank + 1
-        t = self.tree
-        n = len(t) - 1
-        while i <= n:
-            t[i] += 1
-            i += i & (-i)
-
-    def prefix(self, count: int) -> int:
-        # total over ranks 0..count-1
-        s = 0
-        t = self.tree
-        i = count
-        while i > 0:
-            s += t[i]
-            i -= i & (-i)
-        return s
+    Each sample point falls in the cell of the first distinct query
+    coordinate, per axis, that reaches it (weakly for the weak table,
+    strictly for the strict one); a 2-D prefix sum over those cells then
+    holds every count the block asks for.
+    """
+    ux, qa = np.unique(qx, return_inverse=True)
+    uy, qb = np.unique(qy, return_inverse=True)
+    lo_x = np.searchsorted(ux, px, side="left")
+    lo_y = np.searchsorted(uy, py, side="left")
+    # side="right" rank: one past lo exactly when the coordinate is a query value
+    hi_x = lo_x + (ux[np.minimum(lo_x, ux.size - 1)] == px)
+    hi_y = lo_y + (uy[np.minimum(lo_y, uy.size - 1)] == py)
+    shape = (ux.size + 1, uy.size + 1)
+    counts = []
+    for rx, ry in ((lo_x, lo_y), (hi_x, hi_y)):
+        table = np.bincount(rx * shape[1] + ry, minlength=shape[0] * shape[1])
+        table = table.reshape(shape)
+        np.cumsum(table, axis=0, out=table)
+        np.cumsum(table, axis=1, out=table)
+        counts.append(table[qa, qb])
+    return counts[0], counts[1]
 
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalCdf:
     """Immutable dominance-count index over one sample.
 
-    Queries are answered in batches by the offline sweep; construction
-    sorts once.  Safe for shared concurrent reads.
+    Queries are answered in blocks of ``_QUERY_BLOCK``: each block costs
+    O(n log B + B^2) for B distinct query coordinates per axis, and its
+    count tables take O(B^2) memory, bounded whatever the number of
+    queries.  Construction does no work.  Safe for shared concurrent reads.
     """
 
     sample: Sample2D
-
-    def __post_init__(self):
-        pts = self.sample.points
-        order = np.argsort(pts[:, 0], kind="stable")
-        ys = np.unique(pts[:, 1])
-        object.__setattr__(self, "_x_sorted", pts[order, 0])
-        object.__setattr__(self, "_y_ranks", np.searchsorted(ys, pts[order, 1]))
-        object.__setattr__(self, "_ys", ys)
 
     @property
     def n(self) -> int:
@@ -137,33 +140,14 @@ class EmpiricalCdf:
         q = np.asarray(queries, dtype=float)
         if q.ndim != 2 or q.shape[1] != 2:
             raise ValueError(f"queries must have shape (m, 2), got {q.shape}")
-        m_q = q.shape[0]
-        # insertion budget on the first coordinate: how many sorted sample
-        # points precede the query, inclusive or exclusive of ties
-        k_ins = np.concatenate(
-            [
-                np.searchsorted(self._x_sorted, q[:, 0], side="right"),
-                np.searchsorted(self._x_sorted, q[:, 0], side="left"),
-            ]
-        )
-        r_y = np.concatenate(
-            [
-                np.searchsorted(self._ys, q[:, 1], side="right"),
-                np.searchsorted(self._ys, q[:, 1], side="left"),
-            ]
-        )
-        order = np.argsort(k_ins, kind="stable")
-        out = np.zeros(2 * m_q, dtype=np.int64)
-        fw = _Fenwick(self._ys.size)
-        y_ranks = self._y_ranks
-        inserted = 0
-        for e in order:
-            k = k_ins[e]
-            while inserted < k:
-                fw.add(int(y_ranks[inserted]))
-                inserted += 1
-            out[e] = fw.prefix(int(r_y[e]))
-        return out[:m_q], out[m_q:]
+        px = self.sample.points[:, 0]
+        py = self.sample.points[:, 1]
+        weak = np.empty(q.shape[0], dtype=np.int64)
+        strict = np.empty(q.shape[0], dtype=np.int64)
+        for lo in range(0, q.shape[0], _QUERY_BLOCK):
+            block = slice(lo, lo + _QUERY_BLOCK)
+            weak[block], strict[block] = _block_counts(px, py, q[block, 0], q[block, 1])
+        return weak, strict
 
     def eval_batch(self, queries) -> np.ndarray:
         weak, _ = self.dominance_counts(queries)
@@ -176,7 +160,7 @@ def ecdf_eval_batch(ecdf: EmpiricalCdf, grid) -> np.ndarray:
 
 
 def naive_dominance_counts(points, queries) -> tuple[np.ndarray, np.ndarray]:
-    """Reference O(n m) counting; the sweep must match this exactly."""
+    """Reference O(n m) counting; the blocked count must match this exactly."""
     p = np.asarray(points, dtype=float)
     q = np.asarray(queries, dtype=float)
     weak = ((p[None, :, 0] <= q[:, 0, None]) & (p[None, :, 1] <= q[:, 1, None])).sum(1)

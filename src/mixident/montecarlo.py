@@ -11,13 +11,22 @@ of (master seed, scenario index, replication index, purpose), so results
 are identical no matter how replications are scheduled across workers.
 Scenario CSV output is byte-identical across worker counts; wall-clock
 timing is therefore kept out of the CSV unless explicitly requested.
+
+Parallelism: a sweep runs on one process pool, opened once and shared by
+its scenarios in order, so each scenario's wall time covers its own
+replications only.  The pool size is the requested worker count clamped
+to the largest scenario's replication count and to the CPUs available to
+the process; a count below one is rejected, and a size of one runs every
+replication in-process without a pool.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,19 +127,44 @@ def _rep_block(args) -> tuple[list[int], list[float]]:
     return indices, [run_replication(scenario, r) for r in indices]
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+@contextmanager
+def _rep_map(workers: int, n_reps: int):
+    """Yield (map, size): the map that runs replication blocks on ``size``
+    workers, clamped to the replications and to the CPUs available; one
+    worker maps in-process without a pool."""
+    if workers < 1:
+        raise ValueError(f"need at least one worker, got {workers}")
+    size = min(workers, n_reps, _usable_cpus())
+    if size == 1:
+        yield map, 1
+        return
+    with ProcessPoolExecutor(max_workers=size) as pool:
+        yield pool.map, size
+
+
+def _stats_via(scenario: Scenario, rep_map) -> np.ndarray:
+    run, size = rep_map
+    n_reps = scenario.n_reps
+    blocks = min(size, n_reps)
+    out = np.empty(n_reps)
+    for indices, values in run(
+        _rep_block, [(scenario, list(range(w, n_reps, blocks))) for w in range(blocks)]
+    ):
+        out[indices] = values
+    return out
+
+
 def replication_stats(scenario: Scenario, workers: int = 1) -> np.ndarray:
     """All replication statistics, ordered by replication index."""
-    n_reps = scenario.n_reps
-    if workers <= 1:
-        return np.array([run_replication(scenario, r) for r in range(n_reps)])
-    blocks = [
-        (scenario, list(range(w, n_reps, workers))) for w in range(workers)
-    ]
-    out = np.empty(n_reps)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for indices, values in pool.map(_rep_block, blocks):
-            out[indices] = values
-    return out
+    with _rep_map(workers, scenario.n_reps) as rep_map:
+        return _stats_via(scenario, rep_map)
 
 
 def probability_above(stats: np.ndarray, c: float) -> tuple[float, float]:
@@ -139,18 +173,23 @@ def probability_above(stats: np.ndarray, c: float) -> tuple[float, float]:
     return p_hat, math.sqrt(p_hat * (1.0 - p_hat) / stats.size)
 
 
-def estimate_probability(
-    scenario: Scenario,
-    workers: int = 1,
-    retain_stats: bool = False,
-) -> ScenarioResult:
+def _estimate_via(scenario: Scenario, rep_map, retain_stats: bool) -> ScenarioResult:
     t0 = time.perf_counter()
-    stats = replication_stats(scenario, workers=workers)
+    stats = _stats_via(scenario, rep_map)
     p_hat, se = probability_above(stats, scenario.c)
     wall_ms = (time.perf_counter() - t0) * 1e3
     return ScenarioResult(
         scenario, p_hat, se, wall_ms, stats if retain_stats else None
     )
+
+
+def estimate_probability(
+    scenario: Scenario,
+    workers: int = 1,
+    retain_stats: bool = False,
+) -> ScenarioResult:
+    with _rep_map(workers, scenario.n_reps) as rep_map:
+        return _estimate_via(scenario, rep_map, retain_stats)
 
 
 # ---------------------------------------------------------------------------
@@ -250,10 +289,10 @@ def run_sweep(
     workers: int = 1,
     retain_stats: bool = False,
 ) -> list[ScenarioResult]:
-    return [
-        estimate_probability(s, workers=workers, retain_stats=retain_stats)
-        for s in config.scenarios()
-    ]
+    """Every scenario's estimate, in scenario order, on one worker pool."""
+    scenarios = config.scenarios()
+    with _rep_map(workers, max(s.n_reps for s in scenarios)) as rep_map:
+        return [_estimate_via(s, rep_map, retain_stats) for s in scenarios]
 
 
 # ---------------------------------------------------------------------------
