@@ -199,29 +199,6 @@ def corner_grid(sample: Sample2D) -> np.ndarray:
     return np.column_stack([g1.ravel(), g2.ravel()])
 
 
-def _sample_pairs_without_replacement(
-    total: int, m: int, rng: np.random.Generator
-) -> np.ndarray:
-    # permutation is exact but O(total); switch to rejection when the
-    # index space is large and the draw is sparse
-    if total <= 1_000_000:
-        return rng.permutation(total)[:m]
-    chosen: set[int] = set()
-    out = np.empty(m, dtype=np.int64)
-    filled = 0
-    while filled < m:
-        draw = rng.integers(0, total, size=2 * (m - filled))
-        for v in draw:
-            iv = int(v)
-            if iv not in chosen:
-                chosen.add(iv)
-                out[filled] = iv
-                filled += 1
-                if filled == m:
-                    break
-    return out
-
-
 def build_eval_grid(
     sample: Sample2D,
     spec: EvalGridSpec,
@@ -243,7 +220,7 @@ def build_eval_grid(
             )
         if rng is None:
             raise ValueError("corner subsampling needs an rng")
-        flat = _sample_pairs_without_replacement(total, spec.m_points, rng)
+        flat = rng.choice(total, spec.m_points, replace=False)
         i = flat // n
         j = flat % n
         return np.column_stack([sample.points[i, 0], sample.points[j, 1]])

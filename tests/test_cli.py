@@ -106,6 +106,13 @@ def test_validation_errors_exit_one(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_experiment_rejects_workers_below_one(tmp_path, capsys):
+    out = tmp_path / "w.csv"
+    assert main(["experiment", "--workers", "0", "--out", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # cdf and gamma
 

@@ -1,12 +1,14 @@
 """Tests for empirical CDFs and the scaled uniform-distance statistic."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
 from mixident.empirical import (
+    _QUERY_BLOCK,
     EmpiricalCdf,
     EvalGridSpec,
     GridMode,
@@ -143,6 +145,55 @@ def test_sweep_matches_naive_exactly():
         weak_ref, strict_ref = naive_dominance_counts(pts, q)
         np.testing.assert_array_equal(weak, weak_ref)
         np.testing.assert_array_equal(strict, strict_ref)
+
+
+def _count_case(case, rng):
+    if case == "tie-lattice":
+        pts = rng.integers(-3, 4, size=(400, 2)).astype(float)
+        q = rng.integers(-4, 5, size=(300, 2)).astype(float)
+        return pts, np.concatenate([q, q[:40]])
+    if case == "outside":
+        pts = rng.normal(size=(300, 2))
+        lo, hi = pts.min(axis=0) - 1.0, pts.max(axis=0) + 1.0
+        q = np.array([
+            [lo[0], lo[1]], [lo[0], hi[1]], [hi[0], lo[1]], [hi[0], hi[1]],
+            [-np.inf, np.inf], [np.inf, -np.inf], [np.inf, np.inf], [-np.inf, -np.inf],
+        ])
+        return pts, q
+    if case == "single-point":
+        pts = np.array([[0.5, -1.0]])
+        q = np.array([[x, y] for x in (0.0, 0.5, 1.0) for y in (-2.0, -1.0, 0.0)])
+        return pts, q
+    # several query blocks; corner queries tie the sample in each coordinate
+    pts = rng.normal(size=(700, 2))
+    m = 3 * _QUERY_BLOCK + 7
+    q = np.column_stack([rng.choice(pts[:, 0], m), rng.choice(pts[:, 1], m)])
+    q[::5] = rng.normal(size=(len(q[::5]), 2))
+    return pts, q
+
+
+@pytest.mark.parametrize("case", ["tie-lattice", "outside", "single-point", "blocks"])
+def test_blocked_count_matches_naive(case):
+    pts, q = _count_case(case, np.random.default_rng(7))
+    weak, strict = EmpiricalCdf(Sample2D(pts)).dominance_counts(q)
+    weak_ref, strict_ref = naive_dominance_counts(pts, q)
+    assert weak.dtype == strict.dtype == np.int64
+    np.testing.assert_array_equal(weak, weak_ref)
+    np.testing.assert_array_equal(strict, strict_ref)
+
+
+def test_count_memory_is_bounded_in_the_queries():
+    # one unblocked (3001 x 3001) int64 table alone would take about 72 MB
+    rng = np.random.default_rng(8)
+    ecdf = EmpiricalCdf(Sample2D(rng.normal(size=(2000, 2))))
+    q = rng.normal(size=(3000, 2))
+    tracemalloc.start()
+    try:
+        ecdf.dominance_counts(q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_counts_validate_query_shape():

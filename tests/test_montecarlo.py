@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from mixident import montecarlo
 from mixident.empirical import EvalGridSpec
 from mixident.laws import RngStream
 from mixident.montecarlo import (
@@ -121,6 +122,74 @@ def test_worker_count_does_not_change_stats():
     assert serial.shape == (s.n_reps,)
     for workers in (2, 3):
         np.testing.assert_array_equal(replication_stats(s, workers=workers), serial)
+
+
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """An in-process stand-in for the process pool, on a 4-CPU budget.
+
+    Returns the list of ``max_workers`` of every pool built; no process starts.
+    """
+    built = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            built.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, blocks):
+            blocks = list(blocks)
+            assert all(indices for _, indices in blocks), "empty block submitted"
+            return map(fn, blocks)
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 4)
+    return built
+
+
+def pool_sweep(rho_list=(0.25,), n_reps=5):
+    return SweepConfig(
+        A_PAIR[0], A_PAIR[1], rho_list=rho_list, n_list=(40,), n_reps=n_reps,
+        grid=EvalGridSpec(m_points=16), master_seed=3,
+    )
+
+
+def test_sweep_runs_on_one_pool(fake_pool):
+    cfg = pool_sweep(rho_list=(0.25, 0.35, 0.5))
+    pooled = run_sweep(cfg, workers=2, retain_stats=True)
+    assert fake_pool == [2]
+    serial = run_sweep(cfg, workers=1, retain_stats=True)
+    assert fake_pool == [2]  # one worker runs in-process
+    assert len(pooled) == len(serial) == 3
+    for a, b in zip(pooled, serial):
+        assert a.scenario == b.scenario
+        assert (a.estimate, a.stderr) == (b.estimate, b.stderr)
+        np.testing.assert_array_equal(a.stats, b.stats)
+
+
+def test_worker_count_is_clamped(fake_pool):
+    run_sweep(pool_sweep(n_reps=6), workers=10_000)
+    assert fake_pool == [4]  # the CPUs available
+    replication_stats(tiny_scenario(n_reps=3), workers=10_000)
+    assert fake_pool == [4, 3]  # the replications
+    estimate_probability(tiny_scenario(n_reps=1), workers=10_000)
+    assert fake_pool == [4, 3]  # one replication runs in-process
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_worker_count_below_one_rejected(fake_pool, workers):
+    with pytest.raises(ValueError, match="worker"):
+        run_sweep(pool_sweep(), workers=workers)
+    with pytest.raises(ValueError, match="worker"):
+        replication_stats(tiny_scenario(), workers=workers)
+    with pytest.raises(ValueError, match="worker"):
+        estimate_probability(tiny_scenario(), workers=workers)
+    assert fake_pool == []
 
 
 def test_single_observation_replication_by_hand():
