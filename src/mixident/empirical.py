@@ -92,10 +92,10 @@ def _block_counts(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Weak and strict dominance counts of one block of queries.
 
-    Each sample point falls in the cell of the first distinct query
-    coordinate, per axis, that reaches it (weakly for the weak table,
-    strictly for the strict one); a 2-D prefix sum over those cells then
-    holds every count the block asks for.
+    Per axis, each sample point falls in the cell of the first distinct
+    query coordinate at or above it (weak table) or strictly above it
+    (strict table); after a 2-D prefix sum, cell (a, b) counts the points
+    dominated by the query coordinates (ux[a], uy[b]).
     """
     ux, qa = np.unique(qx, return_inverse=True)
     uy, qb = np.unique(qy, return_inverse=True)
@@ -107,8 +107,7 @@ def _block_counts(
     shape = (ux.size + 1, uy.size + 1)
     counts = []
     for rx, ry in ((lo_x, lo_y), (hi_x, hi_y)):
-        table = np.bincount(rx * shape[1] + ry, minlength=shape[0] * shape[1])
-        table = table.reshape(shape)
+        table = np.bincount(rx * shape[1] + ry, minlength=shape[0] * shape[1]).reshape(shape)
         np.cumsum(table, axis=0, out=table)
         np.cumsum(table, axis=1, out=table)
         counts.append(table[qa, qb])
