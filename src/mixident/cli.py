@@ -321,7 +321,9 @@ def cmd_limit(args) -> int:
         n_draws=config.reps,
         grid=EvalGridSpec(config.grid_mode, config.grid_points),
         master_seed=config.seed,
+        workers=args.workers,
     )
+    # worker count stays out of the metadata: output must not depend on it
     meta = _config_metadata(config, "limit", n0=str(args.n0))
     out = config.out if "out" in seen else "limit.csv"
     lines = limit_results_csv_lines(limit, args.c_list, meta)
@@ -477,6 +479,14 @@ def _add_config_flags(sub) -> None:
     sub.add_argument("--matrix-b", dest="matrix_b", type=_parse_matrix)
 
 
+def _add_workers_flag(sub) -> None:
+    sub.add_argument(
+        "--workers", type=int, default=1,
+        help="worker processes, at least 1; clamped to --reps and to the CPUs"
+        " available, and 1 runs in-process (default: 1)",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="mixident", description=__doc__)
     subs = parser.add_subparsers(dest="cmd", required=True)
@@ -487,11 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-list", dest="n_list", type=_parse_ints)
     p.add_argument("--c", type=float)
     p.add_argument("--reps", type=int)
-    p.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes, at least 1; clamped to --reps and to the CPUs"
-        " available, and 1 runs in-process (default: 1)",
-    )
+    _add_workers_flag(p)
     p.add_argument("--timing", action="store_true")
     _add_config_flags(p)
     p.set_defaults(func=cmd_experiment)
@@ -503,6 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--c-list", dest="c_list", type=_parse_floats, default=(0.5, 1.0, 1.5)
     )
+    _add_workers_flag(p)
     _add_config_flags(p)
     p.set_defaults(func=cmd_limit)
 

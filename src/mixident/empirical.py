@@ -6,13 +6,21 @@ points when both the value and the lower limit of the empirical CDF are
 examined, so everything here reduces to dominance counts: how many sample
 points are componentwise below a query, weakly or strictly.
 
-Counting is exact at the integer level.  Queries are taken in blocks of at
-most B = 512.  Per block, the distinct query coordinates cut each axis into
-at most B + 1 cells; every sample point is bucketed into its cell once per
-axis, and a 2-D prefix sum over the (B + 1)^2 cell counts gives all the
-block's weak and strict counts.  M queries against n points cost
-O(ceil(M / B) * (n log B + B^2)) time and O(n + B^2) memory, about 4 MB of
-tables, whatever M is; results match naive O(n M) counting exactly.
+Counting is exact at the integer level.  Each count call sorts the n
+sample points once per axis and takes the M queries in blocks of B: 512
+while n <= 512, else 2 isqrt(n) clamped to [128, 512], so that bucketing
+(O(n) per block) and tables (O(B^2) per block) stay balanced.  Per block,
+the distinct query coordinates cut each axis into at most B + 1 cells; the
+sorted keys of each axis are bucketed into their cells, the y cells are
+carried into x order through the two sorts, and a 2-D prefix sum over the
+(B + 1)^2 cell counts gives all the block's weak and strict counts.  A call costs
+O(n log n + ceil(M / B) * (n + B^2)) time and O(n + B^2) memory, at most
+about 4 MB of tables, whatever M is; results match naive O(n M) counting
+exactly.
+
+Replications batch the target: ``replication_statistics`` draws, grids
+and counts a chunk of replications, then evaluates the target CDF once on
+their concatenated grids.
 """
 
 from __future__ import annotations
@@ -82,46 +90,42 @@ def draw_sample(
     return Sample2D(pts, matrix=m, beta=beta, seed_path=path)
 
 
-# queries per block of the count: two (_QUERY_BLOCK + 1)^2 int64 prefix tables,
-# about 4 MB together, whatever the number of queries
-_QUERY_BLOCK = 512
+def _query_block(n: int) -> int:
+    """Queries per block of the count against n sample points.
 
-
-def _block_counts(
-    px: np.ndarray, py: np.ndarray, qx: np.ndarray, qy: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Weak and strict dominance counts of one block of queries.
-
-    Per axis, each sample point falls in the cell of the first distinct
-    query coordinate at or above it (weak table) or strictly above it
-    (strict table); after a 2-D prefix sum, cell (a, b) counts the points
-    dominated by the query coordinates (ux[a], uy[b]).
+    A block costs O(n) to bucket the sample plus O(B^2) for its tables, so B
+    grows like sqrt(n).  Up to n = 512 one block of 512 queries is cheapest:
+    corner queries then have at most n distinct values per axis.
     """
-    ux, qa = np.unique(qx, return_inverse=True)
-    uy, qb = np.unique(qy, return_inverse=True)
-    lo_x = np.searchsorted(ux, px, side="left")
-    lo_y = np.searchsorted(uy, py, side="left")
-    # side="right" rank: one past lo exactly when the coordinate is a query value
-    hi_x = lo_x + (ux[np.minimum(lo_x, ux.size - 1)] == px)
-    hi_y = lo_y + (uy[np.minimum(lo_y, uy.size - 1)] == py)
-    shape = (ux.size + 1, uy.size + 1)
-    counts = []
-    for rx, ry in ((lo_x, lo_y), (hi_x, hi_y)):
-        table = np.bincount(rx * shape[1] + ry, minlength=shape[0] * shape[1]).reshape(shape)
-        np.cumsum(table, axis=0, out=table)
-        np.cumsum(table, axis=1, out=table)
-        counts.append(table[qa, qb])
-    return counts[0], counts[1]
+    if n <= 512:
+        return 512
+    return min(512, max(128, 2 * math.isqrt(n)))
+
+
+def _ranks(u: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """#{u < s_i} and #{u <= s_i} for sorted distinct u and sorted keys s.
+
+    u_k < s_i exactly when i is at or past the number of keys <= u_k, so a
+    marker there for each k, summed up to i, gives the first rank.
+    """
+    n = s.size
+    lo = np.cumsum(np.bincount(np.searchsorted(s, u, side="right"), minlength=n + 1)[:n])
+    # the second rank is one past the first exactly when the key is a query value
+    return lo, lo + (u[np.minimum(lo, u.size - 1)] == s)
 
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalCdf:
     """Immutable dominance-count index over one sample.
 
-    Queries are answered in blocks of ``_QUERY_BLOCK``: each block costs
-    O(n log B + B^2) for B distinct query coordinates per axis, and its
-    count tables take O(B^2) memory, bounded whatever the number of
-    queries.  Construction does no work.  Safe for shared concurrent reads.
+    Each ``dominance_counts`` call sorts the sample once per axis, then
+    takes the M queries in blocks of B (``_query_block(n)``: 512 up to
+    n = 512, else 2 isqrt(n) clamped to [128, 512]).  Per block, the
+    distinct query coordinates cut each axis into at most B + 1 cells; the
+    sorted keys are bucketed into them, and a 2-D prefix sum over the cell
+    counts gives the block's weak and strict counts.  A call costs
+    O(n log n + ceil(M / B) (n + B^2)) time and O(n + B^2) memory, whatever
+    M is.  Construction does no work.  Safe for shared concurrent reads.
     """
 
     sample: Sample2D
@@ -139,13 +143,32 @@ class EmpiricalCdf:
         q = np.asarray(queries, dtype=float)
         if q.ndim != 2 or q.shape[1] != 2:
             raise ValueError(f"queries must have shape (m, 2), got {q.shape}")
+        n = self.n
         px = self.sample.points[:, 0]
         py = self.sample.points[:, 1]
+        ox = np.argsort(px)
+        oy = np.argsort(py)
+        sx = px[ox]
+        sy = py[oy]
+        # rank in y order of each point, listed in x order
+        ypos = np.empty(n, dtype=np.intp)
+        ypos[oy] = np.arange(n)
+        ypos = ypos[ox]
         weak = np.empty(q.shape[0], dtype=np.int64)
         strict = np.empty(q.shape[0], dtype=np.int64)
-        for lo in range(0, q.shape[0], _QUERY_BLOCK):
-            block = slice(lo, lo + _QUERY_BLOCK)
-            weak[block], strict[block] = _block_counts(px, py, q[block, 0], q[block, 1])
+        size = _query_block(n)
+        for lo in range(0, q.shape[0], size):
+            block = slice(lo, lo + size)
+            ux, qa = np.unique(q[block, 0], return_inverse=True)
+            uy, qb = np.unique(q[block, 1], return_inverse=True)
+            shape = (ux.size + 1, uy.size + 1)
+            # weak table from (left, left) ranks, strict from (right, right)
+            for out, rx, ry in zip((weak, strict), _ranks(ux, sx), _ranks(uy, sy)):
+                cells = rx * shape[1] + ry[ypos]
+                table = np.bincount(cells, minlength=shape[0] * shape[1]).reshape(shape)
+                np.cumsum(table, axis=0, out=table)
+                np.cumsum(table, axis=1, out=table)
+                out[block] = table[qa, qb]
         return weak, strict
 
     def eval_batch(self, queries) -> np.ndarray:
@@ -237,6 +260,14 @@ def build_eval_grid(
 # the scaled uniform-distance statistic
 
 
+def _scaled_sup(weak: np.ndarray, strict: np.ndarray, n: int, target: np.ndarray) -> float:
+    """sqrt(n) * max of |weak/n - target| and |strict/n - target|."""
+    if not np.all(np.isfinite(target)):
+        raise ValueError("target CDF returned non-finite values")
+    dev = np.maximum(np.abs(weak / n - target), np.abs(strict / n - target))
+    return math.sqrt(n) * float(np.max(dev))
+
+
 def sup_stat(sample: Sample2D, target_cdf, grid) -> float:
     """sqrt(n) * max over grid of the two-sided empirical deviation.
 
@@ -245,27 +276,54 @@ def sup_stat(sample: Sample2D, target_cdf, grid) -> float:
     the exact supremum over the plane needs the lower side of each jump.
     Thinned grids give a lower bound of the exact statistic.
 
-    ``target_cdf`` maps an (m, 2) point array to m probabilities.
+    ``target_cdf`` maps an (m, 2) point array to m probabilities; a
+    non-finite probability raises ``ValueError``.
     """
     g = np.asarray(grid, dtype=float)
     if g.ndim != 2 or g.shape[1] != 2 or g.shape[0] == 0:
         raise ValueError(f"grid must have shape (m >= 1, 2), got {g.shape}")
     ecdf = EmpiricalCdf(sample)
     weak, strict = ecdf.dominance_counts(g)
-    n = sample.n
     target = np.asarray(target_cdf(g), dtype=float)
     if target.shape != (g.shape[0],):
         raise ValueError("target_cdf must return one probability per grid point")
-    dev = np.maximum(np.abs(weak / n - target), np.abs(strict / n - target))
-    return math.sqrt(n) * float(np.max(dev))
+    return _scaled_sup(weak, strict, sample.n, target)
 
 
-def replication_statistic(
-    m_sample, m_target, beta: float, n: int, grid_spec: EvalGridSpec, stream: RngStream,
+# grid points per target-CDF call: the closed form pays numpy's per-call
+# overhead once per chunk of replications, not once per grid
+_TARGET_CHUNK = 4096
+
+
+def replication_statistics(
+    m_sample, m_target, beta: float, n: int, grid_spec: EvalGridSpec, streams,
     xi: ComponentLaw = CENTERED_EXPONENTIAL, zeta: ComponentLaw = STANDARD_NORMAL,
-) -> float:
-    """Statistic of n draws from m_sample at level beta against m_target's
-    mixture CDF; the draws use stream.child(0), the grid stream.child(1)."""
-    sample = draw_sample(m_sample, beta, n, stream.child(0), xi=xi, zeta=zeta)
-    grid = build_eval_grid(sample, grid_spec, stream.child(1).generator())
-    return sup_stat(sample, lambda pts: mixture_cdf_batch(m_target, beta, pts, xi, zeta), grid)
+) -> np.ndarray:
+    """One statistic per stream: n draws from m_sample at level beta against
+    m_target's mixture CDF, drawn from stream.child(0) on a grid built from
+    stream.child(1).
+
+    Replications go in chunks of at most ``_TARGET_CHUNK`` grid points (at
+    least one replication): each is drawn, gridded and counted, keeping
+    only its grid and counts, then one ``mixture_cdf_batch`` call evaluates
+    the target on the chunk's concatenated grids.  The closed form is
+    pointwise, so every statistic equals the one ``sup_stat`` gives alone.
+    """
+    streams = list(streams)
+    stats: list[float] = []
+    pending: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    points = 0
+    for i, stream in enumerate(streams):
+        sample = draw_sample(m_sample, beta, n, stream.child(0), xi=xi, zeta=zeta)
+        grid = build_eval_grid(sample, grid_spec, stream.child(1).generator())
+        pending.append((grid, *EmpiricalCdf(sample).dominance_counts(grid)))
+        points += len(grid)
+        if i + 1 < len(streams) and points + len(grid) <= _TARGET_CHUNK:
+            continue
+        grids = [g for g, _, _ in pending]
+        target = mixture_cdf_batch(m_target, beta, np.concatenate(grids), xi, zeta)
+        cuts = np.cumsum([len(g) for g in grids])[:-1]
+        for (_, weak, strict), part in zip(pending, np.split(target, cuts)):
+            stats.append(_scaled_sup(weak, strict, n, part))
+        pending, points = [], 0
+    return np.array(stats)

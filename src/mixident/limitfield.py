@@ -6,7 +6,10 @@ field with covariance F(x ^ y) - F(x) F(y).  That law has no closed form,
 so it is approximated the same way the experiment measures distances: draw
 a large uncontaminated sample, evaluate the scaled statistic on a thinned
 corner grid, repeat.  Grid thinning biases both the experiment and this
-reference equally, which keeps comparisons between them consistent.
+reference equally, which keeps comparisons between them consistent.  The
+draws go through the experiment's replication engine: strided blocks of
+draw indices on a process pool (``workers``), each block evaluating the
+target CDF once per chunk of draws.
 
 With contamination shrinking at the critical square-root rate with
 intensity k, the exceedance probability of the statistic is sandwiched
@@ -21,9 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .empirical import EvalGridSpec, replication_statistic
+from .empirical import EvalGridSpec, replication_statistics
 from .expansion import DEFAULT_MEASURE, P_DIM
 from .laws import RngStream
+from .montecarlo import _map_blocks, _rep_map
 from .pushforward import as_matrix
 
 
@@ -55,12 +59,20 @@ class LimitLawSample:
         return p, math.sqrt(p * (1.0 - p) / self.draws.size)
 
 
+def _limit_block(args) -> tuple[list[int], np.ndarray]:
+    (m, n0, grid, master_seed), indices = args
+    # draw r reads streams (r, 0) and (r, 1) of the master seed
+    root = RngStream(master_seed)
+    return indices, replication_statistics(m, m, 0.0, n0, grid, [root.child(r) for r in indices])
+
+
 def simulate_limit_sup(
     m,
     n0: int = 20_000,
     n_draws: int = 500,
     grid: EvalGridSpec | None = None,
     master_seed: int = 20260819,
+    workers: int = 1,
 ) -> LimitLawSample:
     """n_draws independent draws of the scaled statistic at level zero.
 
@@ -68,17 +80,18 @@ def simulate_limit_sup(
     measures sqrt(n0) times the grid supremum against the exact Gaussian
     pushforward CDF.  n0 defaults large enough that the remaining
     finite-sample error is below the Monte Carlo noise of the draws.
+
+    Draws run in strided blocks on a pool of ``workers`` processes, sized
+    and validated as for ``montecarlo.replication_stats``; draw r is a pure
+    function of (master_seed, r), so the draws do not depend on ``workers``.
     """
     if n_draws < 1:
         raise ValueError(f"need at least one draw, got {n_draws}")
     m = as_matrix(m)
     if grid is None:
         grid = EvalGridSpec(m_points=500)
-    # draw r reads streams (r, 0) and (r, 1) of the master seed
-    root = RngStream(master_seed)
-    draws = np.array([
-        replication_statistic(m, m, 0.0, n0, grid, root.child(r)) for r in range(n_draws)
-    ])
+    with _rep_map(workers, n_draws) as rep_map:
+        draws = _map_blocks(rep_map, _limit_block, (m, n0, grid, master_seed), n_draws)
     return LimitLawSample(draws, n0=n0, grid=grid)
 
 

@@ -17,7 +17,11 @@ its scenarios in order, so each scenario's wall time covers its own
 replications only.  The pool size is the requested worker count clamped
 to the largest scenario's replication count and to the CPUs available to
 the process; a count below one is rejected, and a size of one runs every
-replication in-process without a pool.
+replication in-process without a pool.  Each worker takes one strided
+block of replication indices and runs it through
+``empirical.replication_statistics``, which evaluates the target CDF once
+per chunk of replications rather than once per grid.  The limit law of
+``mixident.limitfield`` runs its draws on the same kind of pool.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .empirical import EvalGridSpec, replication_statistic
+from .empirical import EvalGridSpec, replication_statistics
 from .expansion import (
     DEFAULT_MEASURE,
     EvalGrid,
@@ -113,18 +117,22 @@ class ScenarioResult:
             raise ValueError("estimate must be a probability")
 
 
-def run_replication(scenario: Scenario, rep_index: int) -> float:
-    """Statistic of one replication; pure in (seed, index, rep_index)."""
-    return replication_statistic(
+def _scenario_stats(scenario: Scenario, indices) -> np.ndarray:
+    root = RngStream(scenario.master_seed)
+    return replication_statistics(
         scenario.m_a, scenario.m_b, scenario.beta_n, scenario.n, scenario.grid,
-        RngStream(scenario.master_seed).child(scenario.index, rep_index),
-        scenario.xi, scenario.zeta,
+        [root.child(scenario.index, r) for r in indices], scenario.xi, scenario.zeta,
     )
 
 
-def _rep_block(args) -> tuple[list[int], list[float]]:
+def run_replication(scenario: Scenario, rep_index: int) -> float:
+    """Statistic of one replication; pure in (seed, index, rep_index)."""
+    return float(_scenario_stats(scenario, [rep_index])[0])
+
+
+def _rep_block(args) -> tuple[list[int], np.ndarray]:
     scenario, indices = args
-    return indices, [run_replication(scenario, r) for r in indices]
+    return indices, _scenario_stats(scenario, indices)
 
 
 def _usable_cpus() -> int:
@@ -149,14 +157,13 @@ def _rep_map(workers: int, n_reps: int):
         yield pool.map, size
 
 
-def _stats_via(scenario: Scenario, rep_map) -> np.ndarray:
+def _map_blocks(rep_map, fn, job, n_reps: int) -> np.ndarray:
+    """Run ``fn((job, indices))`` over strided blocks of range(n_reps), one
+    block per worker, and gather the values by index."""
     run, size = rep_map
-    n_reps = scenario.n_reps
     blocks = min(size, n_reps)
     out = np.empty(n_reps)
-    for indices, values in run(
-        _rep_block, [(scenario, list(range(w, n_reps, blocks))) for w in range(blocks)]
-    ):
+    for indices, values in run(fn, [(job, list(range(w, n_reps, blocks))) for w in range(blocks)]):
         out[indices] = values
     return out
 
@@ -164,18 +171,24 @@ def _stats_via(scenario: Scenario, rep_map) -> np.ndarray:
 def replication_stats(scenario: Scenario, workers: int = 1) -> np.ndarray:
     """All replication statistics, ordered by replication index."""
     with _rep_map(workers, scenario.n_reps) as rep_map:
-        return _stats_via(scenario, rep_map)
+        return _map_blocks(rep_map, _rep_block, scenario, scenario.n_reps)
 
 
 def probability_above(stats: np.ndarray, c: float) -> tuple[float, float]:
-    """Indicator average of {stat > c} and its binomial standard error."""
+    """Indicator average of {stat > c} and its binomial standard error.
+
+    A non-finite statistic raises ``ValueError``: it would otherwise count
+    as no exceedance.
+    """
+    if not np.all(np.isfinite(stats)):
+        raise ValueError("non-finite replication statistics")
     p_hat = float(np.mean(stats > c))
     return p_hat, math.sqrt(p_hat * (1.0 - p_hat) / stats.size)
 
 
 def _estimate_via(scenario: Scenario, rep_map, retain_stats: bool) -> ScenarioResult:
     t0 = time.perf_counter()
-    stats = _stats_via(scenario, rep_map)
+    stats = _map_blocks(rep_map, _rep_block, scenario, scenario.n_reps)
     p_hat, se = probability_above(stats, scenario.c)
     wall_ms = (time.perf_counter() - t0) * 1e3
     return ScenarioResult(

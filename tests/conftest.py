@@ -1,0 +1,33 @@
+"""Fixtures shared by the test modules."""
+
+import pytest
+
+from mixident import montecarlo
+
+
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """An in-process stand-in for the process pool, on a 4-CPU budget.
+
+    Returns the list of ``max_workers`` of every pool built; no process starts.
+    """
+    built = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            built.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, blocks):
+            blocks = list(blocks)
+            assert all(indices for _, indices in blocks), "empty block submitted"
+            return map(fn, blocks)
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 4)
+    return built

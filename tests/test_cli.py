@@ -338,6 +338,13 @@ def test_limit_subcommand(tmp_path, capsys):
     assert int(first[3]) == 400 and int(first[4]) == 20
 
 
+def test_limit_rejects_workers_below_one(tmp_path, capsys):
+    out = tmp_path / "l.csv"
+    assert main(["limit", "--n0", "50", "--reps", "3", "--workers", "0", "--out", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_single_check(tmp_path, capsys):
     out = tmp_path / "checks.csv"
     assert main(["verify", "--check", "lem32", "--out", str(out)]) == 0

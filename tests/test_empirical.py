@@ -7,17 +7,20 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from mixident import empirical
 from mixident.empirical import (
-    _QUERY_BLOCK,
+    _TARGET_CHUNK,
     EmpiricalCdf,
     EvalGridSpec,
     GridMode,
     Sample2D,
+    _query_block,
     build_eval_grid,
     corner_grid,
     draw_sample,
     ecdf_eval_batch,
     naive_dominance_counts,
+    replication_statistics,
     sup_stat,
 )
 from mixident.laws import STANDARD_NORMAL, RngStream
@@ -164,15 +167,27 @@ def _count_case(case, rng):
         pts = np.array([[0.5, -1.0]])
         q = np.array([[x, y] for x in (0.0, 0.5, 1.0) for y in (-2.0, -1.0, 0.0)])
         return pts, q
-    # several query blocks; corner queries tie the sample in each coordinate
-    pts = rng.normal(size=(700, 2))
-    m = 3 * _QUERY_BLOCK + 7
+    # several query blocks ("blocks", or n on either side of the block-size
+    # rule); corner queries tie the sample in each coordinate
+    n = {"blocks": 700, "n512": 512, "n513": 513, "n3000": 3000}[case]
+    pts = rng.normal(size=(n, 2))
+    if case != "blocks":
+        pts = np.round(pts, 1)  # tied sample keys across the blocks
+    m = 3 * _query_block(n) + 7
     q = np.column_stack([rng.choice(pts[:, 0], m), rng.choice(pts[:, 1], m)])
     q[::5] = rng.normal(size=(len(q[::5]), 2))
     return pts, q
 
 
-@pytest.mark.parametrize("case", ["tie-lattice", "outside", "single-point", "blocks"])
+def test_query_block_rule():
+    assert [_query_block(n) for n in (1, 512, 513, 4096, 5000, 20_000, 70_000)] == [
+        512, 512, 128, 128, 140, 282, 512,
+    ]
+
+
+@pytest.mark.parametrize(
+    "case", ["tie-lattice", "outside", "single-point", "blocks", "n512", "n513", "n3000"]
+)
 def test_blocked_count_matches_naive(case):
     pts, q = _count_case(case, np.random.default_rng(7))
     weak, strict = EmpiricalCdf(Sample2D(pts)).dominance_counts(q)
@@ -314,3 +329,51 @@ def test_sup_stat_is_asymptotically_pivotal():
 
     res = ks_2samp(stats_at(2000, 0), stats_at(4000, 1))
     assert res.pvalue > 0.01
+
+
+def test_sup_stat_rejects_non_finite_target():
+    s = Sample2D(np.array([[0.0, 0.0], [1.0, 1.0]]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            sup_stat(s, lambda g, bad=bad: np.full(len(g), bad), corner_grid(s))
+
+
+# ---------------------------------------------------------------------------
+# replications
+
+
+def _rebuilt_statistic(m_sample, m_target, beta, n, spec, stream):
+    sample = draw_sample(m_sample, beta, n, stream.child(0))
+    grid = build_eval_grid(sample, spec, stream.child(1).generator())
+    return sup_stat(sample, lambda g: mixture_cdf_batch(m_target, beta, g), grid)
+
+
+@pytest.mark.parametrize(
+    "m_points, beta, reps",
+    [(300, 0.2, 30), (1000, 0.2, 9), (300, 0.0, 14), (1000, 0.0, 1)],
+)
+def test_replication_statistics_equal_per_stream_rebuild(m_points, beta, reps):
+    # 300-point grids go 13 to a chunk and 1000-point grids 4: several full
+    # chunks plus a partial last one, or a single replication
+    m_a, m_b = equal_product_pair(0.4)
+    spec = EvalGridSpec(m_points=m_points)
+    root = RngStream(17)
+    streams = [root.child(2, r) for r in range(reps)]
+    got = replication_statistics(m_a, m_b, beta, 150, spec, streams)
+    want = [_rebuilt_statistic(m_a, m_b, beta, 150, spec, s) for s in streams]
+    assert reps * m_points > _TARGET_CHUNK or reps == 1
+    assert got.tolist() == want
+
+
+def test_replication_statistics_reject_non_finite_target(monkeypatch):
+    m_a, m_b = equal_product_pair(0.4)
+
+    def broken(m, beta, pts, *args):
+        out = np.zeros(len(pts))
+        out[-1] = np.nan
+        return out
+
+    monkeypatch.setattr(empirical, "mixture_cdf_batch", broken)
+    streams = [RngStream(1).child(r) for r in range(3)]
+    with pytest.raises(ValueError, match="non-finite"):
+        replication_statistics(m_a, m_b, 0.1, 50, EvalGridSpec(m_points=40), streams)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mixident.empirical import EvalGridSpec
+from mixident.empirical import EvalGridSpec, build_eval_grid, draw_sample, sup_stat
 from mixident.expansion import DEFAULT_MEASURE, P_DIM
 from mixident.limitfield import (
     LimitLawSample,
@@ -12,7 +12,8 @@ from mixident.limitfield import (
     sandwich_bounds,
     simulate_limit_sup,
 )
-from mixident.pushforward import equal_product_pair
+from mixident.laws import RngStream
+from mixident.pushforward import equal_product_pair, mixture_cdf_batch
 
 A_MATRIX = equal_product_pair(0.4)[0]
 
@@ -53,6 +54,31 @@ def test_simulation_is_deterministic(small_limit):
         master_seed=6,
     )
     assert not np.array_equal(shifted.draws, small_limit.draws)
+
+
+def test_draw_reads_its_own_streams(small_limit):
+    # draw r is the statistic on streams (r, 0) and (r, 1) of the master seed
+    root = RngStream(5)
+    sample = draw_sample(A_MATRIX, 0.0, 300, root.child(3, 0))
+    grid = build_eval_grid(sample, EvalGridSpec(m_points=64), root.child(3, 1).generator())
+    want = sup_stat(sample, lambda g: mixture_cdf_batch(A_MATRIX, 0.0, g), grid)
+    assert small_limit.draws[3] == want
+
+
+def test_worker_count_does_not_change_draws(small_limit, fake_pool):
+    pooled = simulate_limit_sup(
+        A_MATRIX, n0=300, n_draws=40, grid=EvalGridSpec(m_points=64), master_seed=5,
+        workers=2,
+    )
+    assert fake_pool == [2]
+    np.testing.assert_array_equal(pooled.draws, small_limit.draws)
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_worker_count_below_one_rejected(fake_pool, workers):
+    with pytest.raises(ValueError, match="worker"):
+        simulate_limit_sup(A_MATRIX, n0=50, n_draws=3, workers=workers)
+    assert fake_pool == []
 
 
 def test_survival_monotone_and_bounded(small_limit):

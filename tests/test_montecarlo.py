@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from mixident import montecarlo
 from mixident.empirical import EvalGridSpec
 from mixident.laws import RngStream
 from mixident.montecarlo import (
@@ -116,40 +115,19 @@ def test_replications_differ_across_scenario_index():
     assert run_replication(s0, 0) != run_replication(s1, 0)
 
 
+def test_run_replication_equals_engine():
+    # 300-point grids: the engine evaluates 13 replications per target call
+    s = tiny_scenario(n_reps=20, grid=EvalGridSpec(m_points=300))
+    stats = replication_stats(s)
+    assert [run_replication(s, r) for r in range(s.n_reps)] == stats.tolist()
+
+
 def test_worker_count_does_not_change_stats():
     s = tiny_scenario()
     serial = replication_stats(s, workers=1)
     assert serial.shape == (s.n_reps,)
     for workers in (2, 3):
         np.testing.assert_array_equal(replication_stats(s, workers=workers), serial)
-
-
-@pytest.fixture
-def fake_pool(monkeypatch):
-    """An in-process stand-in for the process pool, on a 4-CPU budget.
-
-    Returns the list of ``max_workers`` of every pool built; no process starts.
-    """
-    built = []
-
-    class FakePool:
-        def __init__(self, max_workers):
-            built.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, blocks):
-            blocks = list(blocks)
-            assert all(indices for _, indices in blocks), "empty block submitted"
-            return map(fn, blocks)
-
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", FakePool)
-    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 4)
-    return built
 
 
 def pool_sweep(rho_list=(0.25,), n_reps=5):
@@ -227,6 +205,12 @@ def test_probability_above_by_hand():
     assert probability_above(stats, 3.0) == (0.0, 0.0)
     # threshold equal to a stat: strict exceedance excludes it
     assert probability_above(stats, 2.5)[0] == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_probability_above_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        probability_above(np.array([0.5, bad, 2.5]), 1.0)
 
 
 def test_probability_above_monotone_in_threshold():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import dblquad
 
 from mixident.laws import (
@@ -21,6 +23,7 @@ from mixident.oracles import (
 )
 from mixident.pushforward import (
     MixingMatrix2,
+    _j_exp_expfactor,
     as_matrix,
     bvn_cdf,
     bvn_cdf_batch,
@@ -238,6 +241,57 @@ def test_closed_matches_quad_extreme_scales():
             vb = quad_pure_cdf(m, comps, x)
             worst = max(worst, abs(va - vb))
     assert worst < 5e-8
+
+
+@st.composite
+def _steep_cases(draw):
+    """An invertible matrix with row scales 0.1 to 1e3 and row slopes
+    |a_i1 / a_i2| from 1e-3 to 1e3 (near-triangular rows at the ends), and
+    a threshold in [-6, 6]^2."""
+    sign = st.sampled_from([-1.0, 1.0])
+    rows = []
+    for _ in range(2):
+        a1 = draw(sign) * 10.0 ** draw(st.floats(-1.0, 3.0))
+        slope = draw(sign) * 10.0 ** draw(st.floats(-3.0, 3.0))
+        rows.append((a1, a1 / slope))
+    a = np.array(rows)
+    assume(np.linalg.cond(a) < 1e4)
+    return as_matrix(a), np.array([draw(st.floats(-6.0, 6.0)) for _ in range(2)])
+
+
+@settings(
+    max_examples=40, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(_steep_cases())
+def test_closed_matches_quad_on_steep_and_near_triangular_matrices(case):
+    m, x = case
+    axis = np.linspace(-6.0, 6.0, 9)
+    square = np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2)
+    for comps in [(E, N), (N, E), (E, E)]:
+        assert np.all(np.isfinite(pure_cdf_batch(m, comps, square)))
+        closed = pure_pushforward_cdf(m, comps, x)
+        assert abs(closed - quad_pure_cdf(m, comps, x)) < 1e-8
+
+
+def test_closed_form_finite_on_steep_rows():
+    # the exponential kernel once returned NaN when its leading factor
+    # underflowed while its growth factor overflowed
+    near = MixingMatrix2(1.0, 0.0, 0.4, 0.001)
+    axis = np.linspace(-6.0, 6.0, 41)
+    pts = np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2)
+    for m in (near, MixingMatrix2(1000.0, 1.0, 0.8, -1.4)):
+        for beta in (0.05, 0.3):
+            assert np.all(np.isfinite(mixture_cdf_batch(m, beta, pts)))
+    got = pure_pushforward_cdf(near, (E, E), (2.0, 2.0))
+    assert got == pytest.approx(quad_pure_cdf(near, (E, E), (2.0, 2.0)), abs=1e-10)
+
+
+def test_exp_factor_slopes_near_zero_use_the_flat_integrand():
+    # |w| < 1e-14 on either side of zero: the integrand is the constant e^{s1-c}
+    g = np.array([-1.0 - 4e-15, -1.0 + 4e-15])
+    got = _j_exp_expfactor(0.0, np.zeros(2), np.full(2, 2.0), np.full(2, 0.5), g)
+    np.testing.assert_array_equal(got, np.full(2, math.exp(-0.5) * 2.0))
 
 
 def test_triangular_columns():
