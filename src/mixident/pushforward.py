@@ -284,22 +284,17 @@ def _j_exp_expfactor(s1, t0, t1, c, g):
     if np.any(tiny):
         # degenerate slope: integrand constant e^{s1-c}
         out[tiny] = np.exp((s1 - c)[tiny] if c.shape else s1 - float(c)) * (t1 - t0)[tiny]
-    rising = ~tiny & (w < 0.0)
-    rest = ~tiny & ~rising
+    rest = ~tiny
     if np.any(rest):
+        # (e^lead - e^far) / w with far = lead - w d the exponent at t1, taken
+        # from the larger of the two so that no factor overflows (d = inf
+        # gives far = -inf and -expm1(-inf) = 1)
         wr = w[rest] if w.shape else np.full(rest.sum(), float(w))
         d = (t1 - t0)[rest]
+        top = np.maximum(lead[rest], lead[rest] - wr * d)
+        ar = np.abs(wr)
         with np.errstate(under="ignore", over="ignore", invalid="ignore"):
-            tail = np.where(np.isposinf(d), 1.0, -np.expm1(-wr * d))
-            out[rest] = np.exp(lead[rest]) * tail / wr
-    if np.any(rising):
-        # (e^far - e^lead) / |w| from the exponent at t1, far = lead - w d <= 0:
-        # e^lead may underflow while e^{-w d} overflows
-        wr = w[rising] if w.shape else np.full(rising.sum(), float(w))
-        d = (t1 - t0)[rising]
-        far = lead[rising] - wr * d
-        with np.errstate(under="ignore"):
-            out[rising] = np.exp(far) * -np.expm1(wr * d) / -wr
+            out[rest] = np.exp(top) * -np.expm1(-ar * d) / ar
     return np.maximum(out, 0.0)
 
 

@@ -169,7 +169,7 @@ def _count_case(case, rng):
         return pts, q
     # several query blocks ("blocks", or n on either side of the block-size
     # rule); corner queries tie the sample in each coordinate
-    n = {"blocks": 700, "n512": 512, "n513": 513, "n3000": 3000}[case]
+    n = {"blocks": 700, "n384": 384, "n385": 385, "n3000": 3000}[case]
     pts = rng.normal(size=(n, 2))
     if case != "blocks":
         pts = np.round(pts, 1)  # tied sample keys across the blocks
@@ -180,13 +180,13 @@ def _count_case(case, rng):
 
 
 def test_query_block_rule():
-    assert [_query_block(n) for n in (1, 512, 513, 4096, 5000, 20_000, 70_000)] == [
+    assert [_query_block(n) for n in (1, 384, 385, 4096, 5000, 20_000, 70_000)] == [
         512, 512, 128, 128, 140, 282, 512,
     ]
 
 
 @pytest.mark.parametrize(
-    "case", ["tie-lattice", "outside", "single-point", "blocks", "n512", "n513", "n3000"]
+    "case", ["tie-lattice", "outside", "single-point", "blocks", "n384", "n385", "n3000"]
 )
 def test_blocked_count_matches_naive(case):
     pts, q = _count_case(case, np.random.default_rng(7))
