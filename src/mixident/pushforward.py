@@ -8,6 +8,11 @@ analytically.  Gaussian pairs collapse to the bivariate normal CDF; pairs
 involving an exponential coordinate reduce to normal CDFs and
 exponentials, stabilized through erfcx so no intermediate overflows.
 
+Thresholds may be infinite: a -inf coordinate gives 0, and a +inf
+coordinate drops its row, leaving the marginal CDF of the other one.  A
+NaN threshold raises ``ValueError``, and so does any non-finite value the
+engine would return, so a bad value can never pass as a probability.
+
 The contaminated product law splits into four pure component
 assignments.  ``PureFields`` holds their CDF rows for one matrix and one
 point set; mixtures at any level (binomial weights) and the expansion
@@ -157,7 +162,12 @@ def _bvn_upper(dh: np.ndarray, dk: np.ndarray, r: float) -> np.ndarray:
         d = (12.0 - hk) / 16.0
         asr = -(bs / a_s + hk) / 2.0
         with np.errstate(under="ignore"):
-            e0 = np.exp(np.maximum(asr, -745.0))
+            # Lanes at or below the np.where threshold are dropped, so the
+            # exponent is clamped there rather than at the underflow edge:
+            # numpy's exp and the products after it run about 100 times
+            # slower on subnormal values, which near-triangular matrices
+            # produce on almost every lane.
+            e0 = np.exp(np.maximum(asr, -100.0))
             bvn = np.where(
                 asr > -100.0,
                 a * e0 * (1.0 - c * (bs - a_s) * (1.0 - d * bs / 5.0) / 3.0
@@ -182,7 +192,8 @@ def _bvn_upper(dh: np.ndarray, dk: np.ndarray, r: float) -> np.ndarray:
                     ep = np.exp(-hk * (1.0 - rs) / (2.0 * (1.0 + rs))) / rs
                     bvn = bvn + np.where(
                         asr1 > -100.0,
-                        a * w[i] * np.exp(np.maximum(asr1, -745.0)) * (ep - sp1),
+                        # clamped at the threshold, as e0 above
+                        a * w[i] * np.exp(np.maximum(asr1, -100.0)) * (ep - sp1),
                         0.0,
                     )
         bvn = -bvn / (2.0 * math.pi)
@@ -199,8 +210,14 @@ def bvn_cdf_batch(h, k, rho: float) -> np.ndarray:
         raise ValueError(f"correlation must lie strictly in (-1, 1), got {rho}")
     h = np.asarray(h, dtype=float)
     k = np.asarray(k, dtype=float)
-    p = _bvn_upper(-h, -k, rho)
-    return np.clip(p, 0.0, 1.0)
+    fin = np.isfinite(h) & np.isfinite(k)
+    if fin.all():
+        return np.clip(_bvn_upper(-h, -k, rho), 0.0, 1.0)
+    # infinite thresholds take their limits: 0 at -inf, the other margin at +inf
+    p = np.clip(_bvn_upper(-np.where(fin, h, 0.0), -np.where(fin, k, 0.0), rho), 0.0, 1.0)
+    edge = np.where(np.isneginf(h) | np.isneginf(k), 0.0,
+                    np.where(np.isposinf(h), ndtr(k), ndtr(h)))
+    return np.where(fin, p, edge)
 
 
 def bvn_cdf(h: float, k: float, rho: float) -> float:
@@ -402,13 +419,39 @@ def _gauss_pair_batch(m: MixingMatrix2, x: np.ndarray) -> np.ndarray:
     return bvn_cdf_batch(x[:, 0] / s1, x[:, 1] / s2, rho)
 
 
+# compare-exchange networks sorting 0-3 rows elementwise
+_NETWORKS = {0: (), 1: (), 2: ((0, 1),), 3: ((0, 1), (1, 2), (0, 1))}
+
+
+def _sort_rows(rows: list) -> list:
+    """Sort up to three equal-length, NaN-free rows elementwise, in place."""
+    for i, j in _NETWORKS[len(rows)]:
+        rows[i], rows[j] = np.minimum(rows[i], rows[j]), np.maximum(rows[i], rows[j])
+    return rows
+
+
 def _closed_pair_batch(m: MixingMatrix2, comps, x: np.ndarray) -> np.ndarray:
     law1, law2 = comps
     if law1.is_gaussian and law2.is_gaussian:
         return _gauss_pair_batch(m, x)
+    rows = _classify(m)
+    if np.isfinite(x).all():
+        return _pieces_batch(law1, law2, *rows, x)
+    # a -inf threshold empties the event; a +inf one drops its row's constraint
+    neg = np.isneginf(x).any(axis=1)
+    pos = np.isposinf(x)
+    out = np.where(~neg & pos.all(axis=1), 1.0, 0.0)
+    for drop in ((False, False), (True, False), (False, True)):
+        lanes = ~neg & (pos[:, 0] == drop[0]) & (pos[:, 1] == drop[1])
+        if lanes.any():
+            kept = ([e for e in group if not drop[e[-1]]] for group in rows)
+            out[lanes] = _pieces_batch(law1, law2, *kept, x[lanes])
+    return out
 
+
+def _pieces_batch(law1, law2, uppers, lowers, tcons, x: np.ndarray) -> np.ndarray:
+    """P(A e <= x) from the classified constraints of ``_classify``."""
     npts = x.shape[0]
-    uppers, lowers, tcons = _classify(m)
     tlo = np.full(npts, law1.support_lo)
     thi = np.full(npts, np.inf)
     for ai1, which in tcons:
@@ -447,29 +490,25 @@ def _closed_pair_batch(m: MixingMatrix2, comps, x: np.ndarray) -> np.ndarray:
         for p, q in ups + los:
             cands.append((s2 - p) / q if q != 0.0 else None)
 
-    rows = [tlo]
-    for cand in cands:
-        if cand is None:
-            rows.append(thi)
-        else:
-            rows.append(np.clip(cand, tlo, thi))
-    rows.append(thi)
-    grid = np.sort(np.stack(rows, axis=0), axis=0)
+    # every candidate lies in [tlo, thi], so only the interior rows need ordering
+    inner = [thi if cand is None else np.clip(cand, tlo, thi) for cand in cands]
+    grid = [tlo, *_sort_rows(inner), thi]
 
     total = np.zeros(npts)
-    for j in range(grid.shape[0] - 1):
-        g0 = grid[j]
-        g1 = grid[j + 1]
+    for g0, g1 in zip(grid[:-1], grid[1:]):
         live = g1 > g0
         if not np.any(live):
             continue
         t0 = g0[live]
         t1 = g1[live]
-        mid = np.where(
-            np.isneginf(t0) & np.isposinf(t1), 0.0,
-            np.where(np.isneginf(t0), t1 - 1.0,
-                     np.where(np.isposinf(t1), t0 + 1.0, 0.5 * (t0 + t1))),
-        )
+        # a one-row marginal can leave the piece (-inf, inf), where
+        # 0.5 * (t0 + t1) is NaN before the outer where replaces it
+        with np.errstate(invalid="ignore"):
+            mid = np.where(
+                np.isneginf(t0) & np.isposinf(t1), 0.0,
+                np.where(np.isneginf(t0), t1 - 1.0,
+                         np.where(np.isposinf(t1), t0 + 1.0, 0.5 * (t0 + t1))),
+            )
 
         def select(bounds, take_min):
             # active affine bound on this piece, chosen at the midpoint
@@ -530,11 +569,21 @@ def _closed_pair_batch(m: MixingMatrix2, comps, x: np.ndarray) -> np.ndarray:
 
 
 def pure_cdf_batch(m, comps: tuple[ComponentLaw, ComponentLaw], points) -> np.ndarray:
-    """Vectorized pure P(A e <= x) over an (n, 2) array of thresholds."""
+    """Vectorized pure P(A e <= x) over an (n, 2) array of thresholds.
+
+    Thresholds may be infinite; a NaN threshold, or a non-finite value
+    out of the engine, raises ``ValueError``.
+    """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError(f"points must have shape (n, 2), got {pts.shape}")
-    return _closed_pair_batch(as_matrix(m), comps, pts)
+    if np.isnan(pts).any():
+        raise ValueError(f"{int(np.isnan(pts).any(axis=1).sum())} threshold points are NaN")
+    m = as_matrix(m)
+    out = _closed_pair_batch(m, comps, pts)
+    if not np.isfinite(out).all():
+        raise ValueError(f"closed form gave {int(np.sum(~np.isfinite(out)))} non-finite values for {m}")
+    return out
 
 
 def pure_pushforward_cdf(m, comps: tuple[ComponentLaw, ComponentLaw], x) -> float:

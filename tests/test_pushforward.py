@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import dblquad
+from scipy.integrate import dblquad, quad
+from scipy.special import ndtr
 
 from mixident.laws import (
     CENTERED_EXPONENTIAL,
@@ -21,9 +22,11 @@ from mixident.oracles import (
     quad_mixture_cdf,
     quad_pure_cdf,
 )
+import mixident.pushforward as pushforward
 from mixident.pushforward import (
     MixingMatrix2,
     _j_exp_expfactor,
+    _sort_rows,
     as_matrix,
     bvn_cdf,
     bvn_cdf_batch,
@@ -150,6 +153,60 @@ def test_bvn_high_correlation_branch():
     for h, k, r in [(0.3, -0.2, 0.98), (0.0, 0.5, -0.97), (1.0, 1.2, 0.999)]:
         want, err = dblquad(density, -8.0, h, -8.0, k, args=(r,), epsabs=1e-12)
         assert abs(bvn_cdf(h, k, r) - want) < 1e-9
+
+
+def _bvn_quad(h: float, k: float, r: float) -> float:
+    """P(Z1 <= h, Z2 <= k) as the 1-D integral of phi(t) Phi((k - r t) / s)
+    over t <= h, with breakpoints across the step at t = k / r, whose width
+    is s / |r| for s = sqrt(1 - r^2): adaptive panels miss a thinner layer."""
+    s = math.sqrt((1.0 - r) * (1.0 + r))
+
+    def f(t):
+        return math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi) * ndtr((k - r * t) / s)
+
+    lo = -9.0  # phi mass below is under 1e-18
+    if h <= lo:
+        return 0.0
+    layer = k / r + np.arange(-10, 11) * (s / abs(r))
+    points = [t for t in layer if lo < t < h] or None
+    val, _ = quad(f, lo, h, points=points, epsabs=1e-13, epsrel=1e-12, limit=200)
+    return val
+
+
+BVN_AXIS = np.linspace(-6.0, 6.0, 41)
+BVN_GRID = np.stack(np.meshgrid(BVN_AXIS, BVN_AXIS), axis=-1).reshape(-1, 2)
+
+
+@pytest.mark.parametrize("r", [0.93, 0.9999, 0.999997, -0.999997])
+def test_bvn_high_correlation_grid_matches_quadrature(r):
+    # the branch drops lanes whose exponent sits below its np.where threshold;
+    # on this grid most lanes at |r| near 1 are dropped ones
+    got = bvn_cdf_batch(BVN_GRID[:, 0], BVN_GRID[:, 1], r)
+    want = np.array([_bvn_quad(h, k, r) for h, k in BVN_GRID])
+    assert np.max(np.abs(got - want)) < 1e-9
+
+
+def test_bvn_high_correlation_batch_equals_scalar():
+    r = 0.999997
+    batch = bvn_cdf_batch(BVN_GRID[:, 0], BVN_GRID[:, 1], r)
+    scalar = np.array([bvn_cdf(float(h), float(k), r) for h, k in BVN_GRID])
+    np.testing.assert_array_equal(batch, scalar)
+
+
+def test_bvn_infinite_thresholds_take_their_limits():
+    x = np.array([-1.3, 0.0, 0.7])
+    inf = np.full(3, np.inf)
+    for r in (0.4, -0.97):
+        np.testing.assert_array_equal(bvn_cdf_batch(inf, x, r), ndtr(x))
+        np.testing.assert_array_equal(bvn_cdf_batch(x, inf, r), ndtr(x))
+        np.testing.assert_array_equal(bvn_cdf_batch(-inf, x, r), np.zeros(3))
+        np.testing.assert_array_equal(bvn_cdf_batch(x, -inf, r), np.zeros(3))
+        assert bvn_cdf(np.inf, np.inf, r) == 1.0
+        assert bvn_cdf(np.inf, -np.inf, r) == 0.0
+        # finite lanes do not change when infinite lanes join the batch
+        h = np.array([0.3, np.inf, -0.2])
+        k = np.array([-0.4, 0.5, np.inf])
+        np.testing.assert_array_equal(bvn_cdf_batch(h, k, r)[0], bvn_cdf(0.3, -0.4, r))
 
 
 def test_bvn_batch_matches_scalar():
@@ -320,6 +377,101 @@ def test_batch_equals_scalar_loop():
 def test_batch_validates_shape():
     with pytest.raises(ValueError):
         pure_cdf_batch(worked_matrix(), (N, N), np.zeros(3))
+
+
+def _marginal_quad(a1: float, a2: float, comps, x: float) -> float:
+    """P(a1 e1 + a2 e2 <= x) by 1-D quadrature over e1."""
+    law1, law2 = comps
+    if a2 == 0.0:
+        p = law1.cdf(x / a1)
+        return p if a1 > 0.0 else 1.0 - p
+
+    def density(t):
+        if law1.is_gaussian:
+            return math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
+        return math.exp(-(t - law1.shift))
+
+    def f(t):
+        p = law2.cdf((x - a1 * t) / a2)
+        return density(t) * (p if a2 > 0.0 else 1.0 - p)
+
+    lo, hi = (-12.0, 12.0) if law1.is_gaussian else (law1.shift, law1.shift + 60.0)
+    # the kink of an exponential e2's CDF, where its argument meets the support
+    kink = None if law2.is_gaussian or a1 == 0.0 else (x - a2 * law2.shift) / a1
+    points = [kink] if kink is not None and lo < kink < hi else None
+    val, _ = quad(f, lo, hi, points=points, epsabs=1e-13, epsrel=1e-12, limit=200)
+    return val
+
+
+INF_MATRICES = [
+    worked_matrix(),
+    equal_product_pair(0.4)[1],
+    MixingMatrix2(0.7, -1.2, 0.5, 0.9),
+    MixingMatrix2(-0.7, 1.2, 0.5, -0.9),
+    MixingMatrix2(1.0, 0.0, 0.4, 0.001),
+]
+
+
+@pytest.mark.parametrize("m", INF_MATRICES, ids=["A", "B", "general", "flipped", "near-triangular"])
+@pytest.mark.parametrize("comps", [(N, N), (E, N), (N, E), (E, E)], ids=["NN", "EN", "NE", "EE"])
+def test_infinite_thresholds_give_the_marginals(m, comps):
+    inf = np.inf
+    xs = (-0.7, 0.3)
+    pts = [(inf, x) for x in xs] + [(x, inf) for x in xs]
+    pts += [(-inf, x) for x in xs] + [(x, -inf) for x in xs]
+    pts += [(inf, inf), (-inf, -inf), (inf, -inf), (-inf, inf)]
+    want = [_marginal_quad(m.a21, m.a22, comps, x) for x in xs]
+    want += [_marginal_quad(m.a11, m.a12, comps, x) for x in xs]
+    want += [0.0] * 4 + [1.0, 0.0, 0.0, 0.0]
+    got = pure_cdf_batch(m, comps, pts)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9)
+    assert np.all(got[4:8] == 0.0) and got[8] == 1.0
+    # finite lanes do not change when infinite lanes join the batch
+    finite = [(0.3, -0.2), (-1.1, 0.8)]
+    mixed = pure_cdf_batch(m, comps, [pts[0], finite[0], pts[5], finite[1], pts[8]])
+    np.testing.assert_array_equal(mixed[[1, 3]], pure_cdf_batch(m, comps, finite))
+
+
+@pytest.mark.parametrize("comps", [(N, N), (E, N), (N, E), (E, E)], ids=["NN", "EN", "NE", "EE"])
+def test_nan_threshold_raises(comps):
+    with pytest.raises(ValueError, match="NaN"):
+        pure_cdf_batch(worked_matrix(), comps, [[np.nan, 0.1]])
+    with pytest.raises(ValueError, match="NaN"):
+        pure_cdf_batch(worked_matrix(), comps, [[0.2, 0.3], [0.1, np.nan]])
+
+
+def test_mixture_rejects_nan_threshold():
+    with pytest.raises(ValueError, match="NaN"):
+        mixture_cdf_batch(worked_matrix(), 0.3, [[0.1, 0.2], [np.nan, 0.1]])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_engine_value_raises(monkeypatch, bad):
+    def broken(m, comps, x):
+        out = np.full(x.shape[0], 0.5)
+        out[-1] = bad
+        return out
+
+    monkeypatch.setattr(pushforward, "_closed_pair_batch", broken)
+    with pytest.raises(ValueError, match="non-finite"):
+        pure_cdf_batch(worked_matrix(), (E, N), [[0.1, 0.2], [0.3, 0.4]])
+    with pytest.raises(ValueError, match="non-finite"):
+        mixture_cdf_batch(worked_matrix(), 0.3, [[0.1, 0.2]])
+
+
+@pytest.mark.parametrize("n_inner", [0, 1, 2, 3])
+def test_interior_row_ordering_equals_sort(n_inner):
+    # the breakpoint rows of the closed form: tlo, the candidates clipped to
+    # [tlo, thi], thi; values from a small pool so that ties are common
+    rng = np.random.default_rng(40 + n_inner)
+    pool = np.array([-np.inf, -1.0, -0.0, 0.0, 0.5, 2.0, np.inf])
+    size = 4000
+    tlo = rng.choice(pool, size)
+    thi = np.maximum(rng.choice(pool, size), tlo)
+    inner = [np.clip(rng.choice(pool, size), tlo, thi) for _ in range(n_inner)]
+    want = np.sort(np.stack([tlo, *inner, thi]), axis=0)
+    got = np.stack([tlo, *_sort_rows(list(inner)), thi])
+    np.testing.assert_array_equal(got, want)
 
 
 def test_monotone_in_each_threshold_coordinate():
