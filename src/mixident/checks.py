@@ -16,11 +16,12 @@ from .expansion import (
     DEFAULT_MEASURE,
     P_DIM,
     EvalGrid,
-    NuMeasure,
     gamma_from_fields,
+    rate_constant_from_fields,
+    sup_gap_from_fields,
     sup_on_grid,
 )
-from .laws import kolmogorov_distance_univ
+from .laws import ContaminatedLaw, kolmogorov_distance_univ
 from .pushforward import PureFields, as_matrix, equal_product_pair
 
 # central tolerance table; acceptance criteria cite these entries
@@ -71,28 +72,21 @@ def _within(quantity: str, value: float, lo: float, hi: float) -> CheckRow:
     return CheckRow(quantity, float(value), "in", (lo, hi), lo <= value <= hi)
 
 
-def _default_pair():
-    return equal_product_pair(0.4)
+# every check runs on the worked pair, the default measure and the 101x101
+# tensor grid; lem33 adds ten random matrices drawn from this seed
+LEM33_SEED = 20260819
 
 
-def _fields(m, grid: EvalGrid, measure: NuMeasure) -> PureFields:
-    return PureFields(m, grid.points, measure.xi, measure.zeta)
-
-
-def _mixture_gap(fa: PureFields, fb: PureFields, beta: float) -> float:
-    """Grid sup of |F_A - F_B| at level beta, as expansion.mixture_sup_gap."""
-    return sup_on_grid(fa.mixture(beta) - fb.mixture(beta))
+def _fields(m) -> PureFields:
+    points = EvalGrid.tensor().points
+    return PureFields(m, points, DEFAULT_MEASURE.xi, DEFAULT_MEASURE.zeta)
 
 
 # ---------------------------------------------------------------------------
 # individual checks
 
 
-def check_thm31(
-    m=None,
-    grid: EvalGrid | None = None,
-    measure: NuMeasure = DEFAULT_MEASURE,
-) -> CheckReport:
+def check_thm31() -> CheckReport:
     """First-order convergence of the contamination expansion.
 
     The deviation between the finite-level slope (F_beta - F_0)/(beta c)
@@ -100,12 +94,10 @@ def check_thm31(
     should roughly halve the grid sup, and the raw gap F_beta - F_0 must
     shrink monotonically.
     """
-    m = as_matrix(m) if m is not None else _default_pair()[0]
-    grid = grid or EvalGrid.tensor()
-    c = measure.norm_c
-    fields = _fields(m, grid, measure)
+    c = DEFAULT_MEASURE.norm_c
+    fields = _fields(equal_product_pair(0.4)[0])
     base = fields.mixture(0.0)
-    first = gamma_from_fields(fields, 1, measure)
+    first = gamma_from_fields(fields, 1)
     betas = (0.02, 0.01, 0.005)
     devs = []
     raw_gaps = []
@@ -123,27 +115,20 @@ def check_thm31(
     return CheckReport("thm31", tuple(rows))
 
 
-def check_lem33_lemA1(
-    matrices=None,
-    grid: EvalGrid | None = None,
-    measure: NuMeasure = DEFAULT_MEASURE,
-    seed: int = 20260819,
-) -> CheckReport:
+def check_lem33_lemA1() -> CheckReport:
     """Norm bounds for the first-order field and its single placements."""
-    grid = grid or EvalGrid.tensor()
-    if matrices is None:
-        rng = np.random.default_rng(seed)
-        matrices = list(_default_pair())
-        while len(matrices) < 12:
-            a = rng.normal(size=(2, 2))
-            if abs(np.linalg.det(a)) > 0.05:
-                matrices.append(as_matrix(a))
+    rng = np.random.default_rng(LEM33_SEED)
+    matrices = list(equal_product_pair(0.4))
+    while len(matrices) < 12:
+        a = rng.normal(size=(2, 2))
+        if abs(np.linalg.det(a)) > 0.05:
+            matrices.append(as_matrix(a))
     worst_field = 0.0
     worst_single = 0.0
-    c = measure.norm_c
+    c = DEFAULT_MEASURE.norm_c
     for m in matrices:
-        fields = _fields(m, grid, measure)
-        worst_field = max(worst_field, sup_on_grid(gamma_from_fields(fields, 1, measure)))
+        fields = _fields(m)
+        worst_field = max(worst_field, sup_on_grid(gamma_from_fields(fields, 1)))
         # single placements: contaminant on one coordinate (rows EN, NE)
         for a in (1, 2):
             term = (fields.row(a) - fields.row(0)) / c
@@ -155,28 +140,20 @@ def check_lem33_lemA1(
     return CheckReport("lem33", tuple(rows))
 
 
-def check_lem35(
-    m_a=None,
-    m_b=None,
-    grid: EvalGrid | None = None,
-    measure: NuMeasure = DEFAULT_MEASURE,
-) -> CheckReport:
+def check_lem35() -> CheckReport:
     """Second-moment identifiability and its contaminated failure.
 
     Matrices with equal transpose products give identical models at level
     zero; strictly positive contamination separates them.  A column
     permutation never separates anything (i.i.d. coordinates).
     """
-    if m_a is None or m_b is None:
-        m_a, m_b = _default_pair()
-    m_a, m_b = as_matrix(m_a), as_matrix(m_b)
-    grid = grid or EvalGrid.tensor()
+    m_a, m_b = equal_product_pair(0.4)
     product_gap = float(np.max(np.abs(m_a.aat() - m_b.aat())))
-    fa, fb = _fields(m_a, grid, measure), _fields(m_b, grid, measure)
-    swapped = _fields(m_a.as_array()[:, ::-1], grid, measure)
-    null_gap = _mixture_gap(fa, fb, 0.0)
-    cont_gap = _mixture_gap(fa, fb, 0.5)
-    perm_gap = _mixture_gap(fa, swapped, 0.5)
+    fa, fb = _fields(m_a), _fields(m_b)
+    swapped = _fields(m_a.as_array()[:, ::-1])
+    null_gap = sup_gap_from_fields(fa, fb, 0.0)
+    cont_gap = sup_gap_from_fields(fa, fb, 0.5)
+    perm_gap = sup_gap_from_fields(fa, swapped, 0.5)
     tol = TOLERANCES["lem35.null_gap"]
     rows = [
         _le("transpose_product_gap", product_gap, 1e-12),
@@ -187,30 +164,20 @@ def check_lem35(
     return CheckReport("lem35", tuple(rows))
 
 
-def check_cor34(
-    m_a=None,
-    m_b=None,
-    grid: EvalGrid | None = None,
-    measure: NuMeasure = DEFAULT_MEASURE,
-) -> CheckReport:
+def check_cor34() -> CheckReport:
     """Linear small-level divergence rate and its bound.
 
     The ratio r(beta) = sup-grid |F_A - F_B| / beta is nearly constant in
-    beta and matches the first-order prediction; the same finite-grid
-    convention is used on both sides so the comparison tests linearity,
-    not grid resolution.  The rate never exceeds 4 p norm_c.
+    beta and matches the first-order prediction K of ``estimate_K``; the
+    same finite-grid convention is used on both sides so the comparison
+    tests linearity, not grid resolution.  The rate never exceeds 4 p
+    norm_c.
     """
-    if m_a is None or m_b is None:
-        m_a, m_b = _default_pair()
-    m_a, m_b = as_matrix(m_a), as_matrix(m_b)
-    grid = grid or EvalGrid.tensor()
-    fa, fb = _fields(m_a, grid, measure), _fields(m_b, grid, measure)
-    r1 = _mixture_gap(fa, fb, 0.01) / 0.01
-    r2 = _mixture_gap(fa, fb, 0.005) / 0.005
-    # the unrefined grid sup of estimate_sup_gap
-    sup = sup_on_grid(gamma_from_fields(fa, 1, measure) - gamma_from_fields(fb, 1, measure))
-    k_const = measure.norm_c * sup
-    rate_bound = 4.0 * P_DIM * measure.norm_c
+    fa, fb = (_fields(m) for m in equal_product_pair(0.4))
+    r1 = sup_gap_from_fields(fa, fb, 0.01) / 0.01
+    r2 = sup_gap_from_fields(fa, fb, 0.005) / 0.005
+    k_const = rate_constant_from_fields(fa, fb)
+    rate_bound = 4.0 * P_DIM * DEFAULT_MEASURE.norm_c
     rows = [
         _le("stability_rel", abs(r1 - r2) / max(r1, 1e-300), TOLERANCES["cor34.stability_rel"]),
         _le("match_rel", abs(r2 - k_const) / max(k_const, 1e-300), TOLERANCES["cor34.match_rel"]),
@@ -220,28 +187,27 @@ def check_cor34(
     return CheckReport("cor34", tuple(rows))
 
 
-def check_lem32(measure: NuMeasure = DEFAULT_MEASURE) -> CheckReport:
+def check_lem32() -> CheckReport:
     """Distance properties along the contamination segment.
 
     The mixture's distance to the background grows exactly linearly in
     the level, and the normalized direction of the difference never
     changes along the segment.
     """
-    from .laws import ContaminatedLaw
-
-    base = kolmogorov_distance_univ(measure.xi, measure.zeta)
+    xi, zeta = DEFAULT_MEASURE.xi, DEFAULT_MEASURE.zeta
+    laws = [ContaminatedLaw(beta, xi, zeta) for beta in (0.1, 0.3, 0.7)]
+    # norm_c is kolmogorov_distance_univ(xi, zeta)
+    worst_lin = max(
+        abs(kolmogorov_distance_univ(law, zeta) - law.beta * DEFAULT_MEASURE.norm_c)
+        for law in laws
+    )
+    zero = kolmogorov_distance_univ(ContaminatedLaw(0.0, xi, zeta), zeta)
     t = np.linspace(-20.0, 20.0, 100_001)
-    raw_dir = measure.xi.cdf_batch(t) - measure.zeta.cdf_batch(t)
-    worst_lin = 0.0
-    worst_dir = 0.0
-    for beta in (0.1, 0.3, 0.7):
-        law = ContaminatedLaw(beta, measure.xi, measure.zeta)
-        d = kolmogorov_distance_univ(law, measure.zeta)
-        worst_lin = max(worst_lin, abs(d - beta * base))
-        mix_dir = (law.cdf_batch(t) - measure.zeta.cdf_batch(t)) / beta
-        worst_dir = max(worst_dir, float(np.max(np.abs(mix_dir - raw_dir))))
-    zero = kolmogorov_distance_univ(
-        ContaminatedLaw(0.0, measure.xi, measure.zeta), measure.zeta
+    zeta_cdf = zeta.cdf_batch(t)
+    raw_dir = xi.cdf_batch(t) - zeta_cdf
+    worst_dir = max(
+        float(np.max(np.abs((law.cdf_batch(t) - zeta_cdf) / law.beta - raw_dir)))
+        for law in laws
     )
     rows = [
         _le("linearity_gap", worst_lin, TOLERANCES["lem32.linearity"]),

@@ -20,7 +20,7 @@ import numpy as np
 
 from .checks import CHECK_IDS, reports_csv_lines, run_checks
 from .empirical import EvalGridSpec
-from .expansion import EvalGrid, gamma_k_batch
+from .expansion import EvalGrid, NuMeasure, gamma_k_batch
 from .laws import CENTERED_EXPONENTIAL, STANDARD_EXPONENTIAL, ComponentLaw
 from .limitfield import limit_results_csv_lines, simulate_limit_sup
 from .montecarlo import (
@@ -363,7 +363,7 @@ def cmd_gamma(args) -> int:
     m = _single_matrix(args, config)
     lo, hi, n_side = args.grid
     grid = EvalGrid.tensor(lo, hi, n_side)
-    values = gamma_k_batch(m, args.order, grid.points)
+    values = gamma_k_batch(m, args.order, grid.points, NuMeasure(xi=config_xi(config)))
     meta = _config_metadata(config, "gamma", order=str(args.order))
     lines = [f"# {k}: {v}" for k, v in meta.items()]
     lines.append("x1,x2,value")

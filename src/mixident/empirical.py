@@ -1,10 +1,14 @@
 """Empirical CDFs of planar samples and the scaled uniform-distance statistic.
 
 The statistic of interest is sqrt(n) * sup_x |F_n(x) - G(x)| over lower
-orthants.  The exact supremum over the plane is attained at sample-corner
-points when both the value and the lower limit of the empirical CDF are
-examined, so everything here reduces to dominance counts: how many sample
-points are componentwise below a query, weakly or strictly.
+orthants.  When both the value and the lower limit of the empirical CDF
+are examined, the supremum over the plane is attained on the (n+1)^2
+lattice of sample coordinates with +inf appended to each axis: a cell
+with no sample above it or to its right reaches its supremum at
+(x_(i), +inf) or (+inf, y_(j)).  The n^2 finite corners miss those
+marginal terms, so corner grids, thinned or not, give lower bounds of the
+exact statistic.  Everything here reduces to dominance counts: how many
+sample points are componentwise below a query, weakly or strictly.
 
 Counting is exact at the integer level.  Each count call sorts the n
 sample points once per axis and takes the M queries in blocks of B: 512
@@ -184,11 +188,6 @@ class EmpiricalCdf:
         return weak / self.n
 
 
-def ecdf_eval_batch(ecdf: EmpiricalCdf, grid) -> np.ndarray:
-    """Empirical CDF values (weak dominance fraction) at each grid point."""
-    return ecdf.eval_batch(grid)
-
-
 def naive_dominance_counts(points, queries) -> tuple[np.ndarray, np.ndarray]:
     """Reference O(n m) counting; the blocked count must match this exactly."""
     p = np.asarray(points, dtype=float)
@@ -222,7 +221,8 @@ class EvalGridSpec:
 
 
 def corner_grid(sample: Sample2D) -> np.ndarray:
-    """All n^2 corner pairs (x_i^(1), x_j^(2)); exact but quadratic."""
+    """All n^2 corner pairs (x_i^(1), x_j^(2)); quadratic, and not the exact
+    set, which adds the +inf row and column of the (n+1)^2 lattice."""
     xs = sample.points[:, 0]
     ys = sample.points[:, 1]
     g1, g2 = np.meshgrid(xs, ys, indexing="ij")
@@ -281,8 +281,10 @@ def sup_stat(sample: Sample2D, target_cdf, grid) -> float:
 
     At each grid point both the empirical CDF value and its lower limit
     (strict dominance fraction) are compared against the target, since
-    the exact supremum over the plane needs the lower side of each jump.
-    Thinned grids give a lower bound of the exact statistic.
+    the supremum over the plane needs the lower side of each jump.  A grid
+    inside the (n+1)^2 lattice of sample coordinates and +inf, such as the
+    n^2 corners or a thinning of them, gives a lower bound of the exact
+    statistic.
 
     ``target_cdf`` maps an (m, 2) point array to m probabilities; a
     non-finite probability raises ``ValueError``.

@@ -3,8 +3,9 @@
 With coordinates i.i.d. ``beta * xi + (1 - beta) * zeta``, the orthant
 probability P(A e <= x) is an exact degree-2 polynomial in beta.  This
 module evaluates the coefficient fields of that polynomial, the pairwise
-difference of the first-order fields for two mixing matrices, and
-uniform-norm estimates of such fields on finite grids.
+difference of the first-order fields for two mixing matrices, and their
+grid sups: the mixture gap sup |F_A - F_B| at a level and its small-level
+slope K (``estimate_K``).
 
 Every coefficient field is a fixed weight vector (``GAMMA_WEIGHTS``) over
 the four pure-assignment CDF rows of ``pushforward.PureFields``, the rows
@@ -27,7 +28,7 @@ from .laws import (
     ComponentLaw,
     kolmogorov_distance_univ,
 )
-from .pushforward import PureFields, mixture_cdf_batch
+from .pushforward import PureFields
 
 P_DIM = 2  # the analytic engine is two-dimensional throughout
 
@@ -106,11 +107,6 @@ def gamma_k_batch(m, k: int, points, measure: NuMeasure = DEFAULT_MEASURE) -> np
     return gamma_from_fields(PureFields(m, points, measure.xi, measure.zeta), k, measure)
 
 
-def gamma_k_at(m, k: int, x, measure: NuMeasure = DEFAULT_MEASURE) -> float:
-    """Order-k expansion coefficient field at a single point."""
-    return float(gamma_k_batch(m, k, [x], measure)[0])
-
-
 def polynomial_reconstruct(m, beta: float, x, measure: NuMeasure = DEFAULT_MEASURE) -> float:
     """Rebuild the mixture CDF from the expansion coefficients.
 
@@ -127,11 +123,6 @@ def polynomial_reconstruct(m, beta: float, x, measure: NuMeasure = DEFAULT_MEASU
     )
 
 
-def gamma_diff_at(m_a, m_b, x, measure: NuMeasure = DEFAULT_MEASURE) -> float:
-    """First-order coefficient gap between two mixing matrices at x."""
-    return gamma_k_at(m_a, 1, x, measure) - gamma_k_at(m_b, 1, x, measure)
-
-
 def gamma_diff_batch(m_a, m_b, points, measure: NuMeasure = DEFAULT_MEASURE) -> np.ndarray:
     return gamma_k_batch(m_a, 1, points, measure) - gamma_k_batch(m_b, 1, points, measure)
 
@@ -144,81 +135,43 @@ def sup_on_grid(values) -> float:
     return float(np.max(np.abs(v)))
 
 
-def grid_argmax(values, grid: EvalGrid) -> np.ndarray:
-    v = np.asarray(values, dtype=float)
-    if v.size != len(grid):
-        raise ValueError("values and grid length differ")
-    return grid.points[int(np.argmax(np.abs(v)))].copy()
+def sup_gap_from_fields(fa: PureFields, fb: PureFields, beta: float) -> float:
+    """Grid sup of |F_A - F_B| at level beta, from the two matrices' pure
+    rows on one point set."""
+    return sup_on_grid(fa.mixture(beta) - fb.mixture(beta))
 
 
-def refine_sup(f, x0, step: float, shrink_tol: float = 1e-3, max_iter: int = 200):
-    """Compass search maximizing |f| from x0; returns (point, value).
-
-    Deterministic pattern search: probe the four axis directions, move to
-    the best improvement, halve the step when none improves, stop when
-    the step falls below shrink_tol.
-    """
-    x = np.asarray(x0, dtype=float).copy()
-    best = abs(f(x))
-    h = float(step)
-    for _ in range(max_iter):
-        if h < shrink_tol:
-            break
-        moved = False
-        for d in ((h, 0.0), (-h, 0.0), (0.0, h), (0.0, -h)):
-            cand = x + d
-            val = abs(f(cand))
-            if val > best:
-                x, best, moved = cand, val, True
-                break
-        if not moved:
-            h *= 0.5
-    return x, best
+def rate_constant_from_fields(
+    fa: PureFields, fb: PureFields, measure: NuMeasure = DEFAULT_MEASURE
+) -> float:
+    """norm_c * grid sup of the first-order field gap, the slope of
+    sup |F_A - F_B| at small contamination levels."""
+    gap = gamma_from_fields(fa, 1, measure) - gamma_from_fields(fb, 1, measure)
+    return measure.norm_c * sup_on_grid(gap)
 
 
-def estimate_sup_gap(
-    m_a,
-    m_b,
-    grid: EvalGrid | None = None,
-    measure: NuMeasure = DEFAULT_MEASURE,
-    refine: bool = True,
-):
-    """Grid estimate of sup |first-order gap| with local refinement.
-
-    Returns (sup_value, argmax_point).  The grid scan gives a lower
-    bound; compass-search refinement around the argmax tightens it.
-    """
-    if grid is None:
-        grid = EvalGrid.tensor()
-    vals = gamma_diff_batch(m_a, m_b, grid.points, measure)
-    x0 = grid_argmax(vals, grid)
-    best = sup_on_grid(vals)
-    if not refine:
-        return best, x0
-    step = float(np.max(grid.points[1:] - grid.points[:-1])) if len(grid) > 1 else 0.1
-
-    def f(x):
-        return gamma_diff_at(m_a, m_b, x, measure)
-
-    x_ref, val = refine_sup(f, x0, step=max(step, 1e-2))
-    if val > best:
-        return val, x_ref
-    return best, x0
-
-
-def divergence_rate_constant(
+def estimate_K(
     m_a,
     m_b,
     grid: EvalGrid | None = None,
     measure: NuMeasure = DEFAULT_MEASURE,
 ) -> float:
-    """Leading small-contamination rate of sup |F_A - F_B|.
+    """Leading slope K of sup |F_A - F_B| in the contamination level.
 
-    The mixtures drift apart linearly in the contamination level with
-    slope norm_c * sup |first-order gap|; this returns that slope.
+    Requires the uncontaminated models to coincide (same second-moment
+    structure); the value is the finite-grid estimate norm_c * sup of the
+    first-order field gap, matching the small-level slope convention.
     """
-    sup, _ = estimate_sup_gap(m_a, m_b, grid, measure)
-    return measure.norm_c * sup
+    if grid is None:
+        grid = EvalGrid.tensor()
+    fa = PureFields(m_a, grid.points, measure.xi, measure.zeta)
+    fb = PureFields(m_b, grid.points, measure.xi, measure.zeta)
+    base_gap = sup_gap_from_fields(fa, fb, 0.0)
+    if base_gap > 1e-8:
+        raise ValueError(
+            f"uncontaminated models differ by {base_gap:.2e}; K is undefined"
+        )
+    return rate_constant_from_fields(fa, fb, measure)
 
 
 def mixture_sup_gap(
@@ -232,6 +185,6 @@ def mixture_sup_gap(
     """Grid sup of |F_A - F_B| at contamination level beta."""
     if grid is None:
         grid = EvalGrid.tensor()
-    fa = mixture_cdf_batch(m_a, beta, grid.points, xi, zeta)
-    fb = mixture_cdf_batch(m_b, beta, grid.points, xi, zeta)
-    return sup_on_grid(fa - fb)
+    return sup_gap_from_fields(
+        PureFields(m_a, grid.points, xi, zeta), PureFields(m_b, grid.points, xi, zeta), beta
+    )

@@ -5,8 +5,10 @@ empirical and true CDFs converges to the supremum of a mean-zero Gaussian
 field with covariance F(x ^ y) - F(x) F(y).  That law has no closed form,
 so it is approximated the same way the experiment measures distances: draw
 a large uncontaminated sample, evaluate the scaled statistic on a thinned
-corner grid, repeat.  Grid thinning biases both the experiment and this
-reference equally, which keeps comparisons between them consistent.  The
+corner grid, repeat.  Grid thinning biases the experiment and this
+reference alike only in the large-n limit, where m corners subsampled
+from the n^2 behave like m draws from the product of the marginals; at
+finite n (the experiment's n against n0) the two biases differ.  The
 draws go through the experiment's replication engine: strided blocks of
 draw indices on a process pool (``workers``), each block evaluating the
 target CDF once per chunk of draws.
@@ -38,7 +40,6 @@ class LimitLawSample:
     draws: np.ndarray
     n0: int
     grid: EvalGridSpec
-    method: str = "empirical-large-n0"
 
     def __post_init__(self):
         d = np.asarray(self.draws, dtype=float)

@@ -36,20 +36,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .empirical import EvalGridSpec, replication_statistics
-from .expansion import (
-    DEFAULT_MEASURE,
-    EvalGrid,
-    NuMeasure,
-    gamma_from_fields,
-    sup_on_grid,
-)
 from .laws import (
     CENTERED_EXPONENTIAL,
     STANDARD_NORMAL,
     ComponentLaw,
     RngStream,
 )
-from .pushforward import PureFields, as_matrix, equal_product_pair
+from .pushforward import as_matrix, equal_product_pair
 
 
 @dataclass(frozen=True)
@@ -369,40 +362,15 @@ def write_results_csv(
 
 
 # ---------------------------------------------------------------------------
-# divergence-rate constant and the sample-size heuristic
-
-
-def estimate_K(
-    m_a,
-    m_b,
-    grid: EvalGrid | None = None,
-    measure: NuMeasure = DEFAULT_MEASURE,
-) -> float:
-    """Leading slope K of sup |F_A - F_B| in the contamination level.
-
-    Requires the uncontaminated models to coincide (same second-moment
-    structure); the value is the finite-grid estimate norm_c * sup of the
-    first-order field gap, matching the small-level slope convention.
-    """
-    if grid is None:
-        grid = EvalGrid.tensor()
-    fa = PureFields(m_a, grid.points, measure.xi, measure.zeta)
-    fb = PureFields(m_b, grid.points, measure.xi, measure.zeta)
-    base_gap = sup_on_grid(fa.mixture(0.0) - fb.mixture(0.0))
-    if base_gap > 1e-8:
-        raise ValueError(
-            f"uncontaminated models differ by {base_gap:.2e}; K is undefined"
-        )
-    # the unrefined grid sup of expansion.estimate_sup_gap
-    sup = sup_on_grid(gamma_from_fields(fa, 1, measure) - gamma_from_fields(fb, 1, measure))
-    return measure.norm_c * sup
+# the sample-size heuristic
 
 
 def predict_threshold_n(rho: float, c: float, k_const: float) -> float:
     """Heuristic sample size where divergence overtakes the threshold.
 
-    Solves sqrt(n) * K * n^(-rho) = c for n, i.e. the statistic's drift
-    reaches c once n exceeds exp(log(c/K) / (1/2 - rho)).
+    Solves sqrt(n) * K * n^(-rho) = c for n, with K from
+    ``expansion.estimate_K``: the statistic's drift reaches c once n
+    exceeds exp(log(c/K) / (1/2 - rho)).
     """
     if not 0.0 < rho < 0.5:
         raise ValueError(f"heuristic needs 0 < rho < 1/2, got {rho}")

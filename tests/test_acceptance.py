@@ -19,6 +19,7 @@ from mixident.empirical import EvalGridSpec
 from mixident.expansion import (
     DEFAULT_MEASURE,
     EvalGrid,
+    estimate_K,
     gamma_k_batch,
     mixture_sup_gap,
     polynomial_reconstruct,
@@ -27,7 +28,6 @@ from mixident.expansion import (
 from mixident.limitfield import sandwich_bounds, simulate_limit_sup
 from mixident.montecarlo import (
     Scenario,
-    estimate_K,
     estimate_probability,
     probability_above,
     replication_stats,

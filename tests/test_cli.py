@@ -13,6 +13,7 @@ from mixident.cli import (
     render_config,
     sweep_series,
 )
+from mixident.expansion import NuMeasure, gamma_k_batch
 from mixident.laws import CENTERED_EXPONENTIAL, STANDARD_EXPONENTIAL
 from mixident.montecarlo import CSV_HEADER
 from mixident.pushforward import equal_product_pair
@@ -157,6 +158,28 @@ def test_gamma_writes_field_table(tmp_path, capsys):
     x1, x2, value = body[1].split(",")
     assert float(x1) == -3.0 and float(x2) == -3.0
     assert abs(float(value)) <= 4.0
+
+
+def _gamma_table(path) -> np.ndarray:
+    body = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+    return np.array([[float(v) for v in ln.split(",")] for ln in body[1:]])
+
+
+def test_gamma_follows_center_xi(tmp_path, capsys):
+    cfg = tmp_path / "raw.cfg"
+    cfg.write_text("center_xi=false\n")
+    raw, centered = tmp_path / "raw.csv", tmp_path / "centered.csv"
+    args = ["gamma", "--order", "1", "--grid=-3:3:5"]
+    assert main(args + ["--config", str(cfg), "--out", str(raw)]) == 0
+    assert main(args + ["--out", str(centered)]) == 0
+    capsys.readouterr()
+    assert "# center_xi: false" in raw.read_text().splitlines()
+    table = _gamma_table(raw)
+    want = gamma_k_batch(
+        equal_product_pair(0.4)[0], 1, table[:, :2], NuMeasure(xi=STANDARD_EXPONENTIAL)
+    )
+    np.testing.assert_array_equal(table[:, 2], want)
+    assert np.max(np.abs(table[:, 2] - _gamma_table(centered)[:, 2])) > 1e-3
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from mixident.empirical import (
     build_eval_grid,
     corner_grid,
     draw_sample,
-    ecdf_eval_batch,
     naive_dominance_counts,
     replication_statistics,
     sup_stat,
@@ -107,23 +106,23 @@ def test_draw_sample_covariance_matches_mixing():
 
 def test_single_point_examples():
     ecdf = EmpiricalCdf(Sample2D(np.array([[0.0, 0.0]])))
-    assert ecdf_eval_batch(ecdf, np.array([[0.0, 0.0]]))[0] == 1.0
-    assert ecdf_eval_batch(ecdf, np.array([[-0.1, 0.0]]))[0] == 0.0
-    assert ecdf_eval_batch(ecdf, np.array([[0.0, -0.1]]))[0] == 0.0
+    assert ecdf.eval_batch(np.array([[0.0, 0.0]]))[0] == 1.0
+    assert ecdf.eval_batch(np.array([[-0.1, 0.0]]))[0] == 0.0
+    assert ecdf.eval_batch(np.array([[0.0, -0.1]]))[0] == 0.0
 
 
 def test_eval_at_infinity_is_one():
     rng = np.random.default_rng(2)
     ecdf = EmpiricalCdf(Sample2D(rng.normal(size=(37, 2))))
-    assert ecdf_eval_batch(ecdf, np.array([[np.inf, np.inf]]))[0] == 1.0
+    assert ecdf.eval_batch(np.array([[np.inf, np.inf]]))[0] == 1.0
 
 
 def test_eval_is_componentwise_monotone():
     rng = np.random.default_rng(3)
     ecdf = EmpiricalCdf(Sample2D(rng.normal(size=(200, 2))))
     xs = np.linspace(-3.0, 3.0, 61)
-    along1 = ecdf_eval_batch(ecdf, np.column_stack([xs, np.full(61, 0.5)]))
-    along2 = ecdf_eval_batch(ecdf, np.column_stack([np.full(61, 0.5), xs]))
+    along1 = ecdf.eval_batch(np.column_stack([xs, np.full(61, 0.5)]))
+    along2 = ecdf.eval_batch(np.column_stack([np.full(61, 0.5), xs]))
     assert np.all(np.diff(along1) >= 0.0)
     assert np.all(np.diff(along2) >= 0.0)
 

@@ -8,16 +8,11 @@ from mixident.expansion import (
     GAMMA_WEIGHTS,
     EvalGrid,
     NuMeasure,
-    divergence_rate_constant,
-    estimate_sup_gap,
-    gamma_diff_at,
+    estimate_K,
     gamma_diff_batch,
-    gamma_k_at,
     gamma_k_batch,
-    grid_argmax,
     mixture_sup_gap,
     polynomial_reconstruct,
-    refine_sup,
     sup_on_grid,
 )
 from mixident.laws import (
@@ -105,9 +100,9 @@ def test_grid_validates():
 def test_order_validation():
     m = MixingMatrix2.identity()
     with pytest.raises(ValueError):
-        gamma_k_at(m, 3, (0.0, 0.0))
+        gamma_k_batch(m, 3, [(0.0, 0.0)])
     with pytest.raises(ValueError):
-        gamma_k_at(m, -1, (0.0, 0.0))
+        gamma_k_batch(m, -1, [(0.0, 0.0)])
 
 
 def test_gamma_weights_rebuild_mixture_weights():
@@ -120,7 +115,7 @@ def test_gamma_weights_rebuild_mixture_weights():
 def test_order_zero_is_background_cdf():
     m = equal_product_pair(0.4)[0]
     x = (0.4, -0.7)
-    got = gamma_k_at(m, 0, x)
+    got = gamma_k_batch(m, 0, [x])[0]
     want = mixture_pushforward_cdf(m, 0.0, x)
     assert got == want
 
@@ -128,7 +123,7 @@ def test_order_zero_is_background_cdf():
 def test_identity_mixing_first_order_factorizes():
     # under identity mixing the two placements agree and each factorizes,
     # so the field at the origin is 2 * nu_cdf(0) * Phi(0) = nu_cdf(0)
-    got = gamma_k_at(MixingMatrix2.identity(), 1, (0.0, 0.0))
+    got = gamma_k_batch(MixingMatrix2.identity(), 1, [(0.0, 0.0)])[0]
     assert abs(got - NU_AT_ZERO) < 1e-12
 
 
@@ -144,18 +139,8 @@ def test_first_order_finite_difference_oracle():
             return (fb - f0) / (beta * c)
 
         rich = 2.0 * slope(0.01) - slope(0.02)
-        got = gamma_k_at(m, 1, x)
+        got = gamma_k_batch(m, 1, [x])[0]
         assert abs(got - rich) < 1e-4
-
-
-def test_batch_matches_scalar():
-    rng = np.random.default_rng(12)
-    m = random_invertible(rng)
-    pts = rng.normal(size=(10, 2))
-    for k in range(3):
-        batch = gamma_k_batch(m, k, pts)
-        scalar = np.array([gamma_k_at(m, k, p) for p in pts])
-        np.testing.assert_allclose(batch, scalar, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +157,7 @@ def test_reconstruct_matches_mixture_at_worked_point():
 def test_reconstruct_degenerate_levels():
     m = equal_product_pair(0.4)[0]
     x = (0.2, 0.1)
-    assert polynomial_reconstruct(m, 0.0, x) == gamma_k_at(m, 0, x)
+    assert polynomial_reconstruct(m, 0.0, x) == gamma_k_batch(m, 0, [x])[0]
     pure_cont = pure_pushforward_cdf(m, (CENTERED_EXPONENTIAL, CENTERED_EXPONENTIAL), x)
     assert abs(polynomial_reconstruct(m, 1.0, x) - pure_cont) < 1e-8
 
@@ -244,7 +229,7 @@ def test_single_placement_bound():
 
 def test_gap_vanishes_for_equal_matrices():
     m = equal_product_pair(0.4)[0]
-    assert gamma_diff_at(m, m, (0.3, 0.4)) == 0.0
+    assert gamma_diff_batch(m, m, [(0.3, 0.4)])[0] == 0.0
 
 
 def test_gap_vanishes_under_column_permutation():
@@ -277,28 +262,11 @@ def test_sup_on_grid_basics():
         sup_on_grid(np.array([]))
 
 
-def test_grid_argmax_validates_length():
-    g = EvalGrid.tensor(n=5)
-    with pytest.raises(ValueError):
-        grid_argmax(np.zeros(3), g)
-
-
-def test_refine_only_improves():
+def test_estimate_K_is_scaled_grid_sup_of_field_gap():
     m_a, m_b = equal_product_pair(0.4)
     g = EvalGrid.tensor(-6.0, 6.0, 41)
-    raw, _ = estimate_sup_gap(m_a, m_b, g, refine=False)
-    refined, _ = estimate_sup_gap(m_a, m_b, g, refine=True)
-    assert refined >= raw
-    assert raw == sup_on_grid(gamma_diff_batch(m_a, m_b, g.points))
-
-
-def test_refine_sup_finds_interior_peak():
-    def bump(p):
-        return 5.0 * np.exp(-((p[0] - 1.0) ** 2) - (p[1] + 2.0) ** 2)
-
-    x, val = refine_sup(bump, np.array([0.0, 0.0]), step=1.0)
-    assert abs(val - 5.0) < 1e-2
-    assert abs(x[0] - 1.0) < 5e-2 and abs(x[1] + 2.0) < 5e-2
+    sup = sup_on_grid(gamma_diff_batch(m_a, m_b, g.points))
+    assert estimate_K(m_a, m_b, g) == DEFAULT_MEASURE.norm_c * sup
 
 
 def test_divergence_rate_matches_small_level_slope():
@@ -306,21 +274,11 @@ def test_divergence_rate_matches_small_level_slope():
     # linearity of the gap in beta, not the grid resolution
     m_a, m_b = equal_product_pair(0.4)
     g = EvalGrid.tensor()
-    sup, _ = estimate_sup_gap(m_a, m_b, g, refine=False)
-    k_const = DEFAULT_MEASURE.norm_c * sup
+    k_const = estimate_K(m_a, m_b, g)
     r1 = mixture_sup_gap(m_a, m_b, 0.01, g) / 0.01
     r2 = mixture_sup_gap(m_a, m_b, 0.005, g) / 0.005
     assert abs(r1 - r2) / r1 < 0.05
     assert abs(r2 - k_const) / k_const < 0.05
-
-
-def test_divergence_rate_constant_scales_sup():
-    m_a, m_b = equal_product_pair(0.4)
-    g = EvalGrid.tensor(-6.0, 6.0, 21)
-    sup, _ = estimate_sup_gap(m_a, m_b, g, refine=False)
-    got = divergence_rate_constant(m_a, m_b, g)
-    # refinement can only raise the estimate above norm_c * grid sup
-    assert got >= DEFAULT_MEASURE.norm_c * sup - 1e-15
 
 
 def test_equal_product_pair_background_is_identical():

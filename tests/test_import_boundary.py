@@ -50,3 +50,11 @@ def test_only_oracles_imports_reference_routes():
         if hits:
             offenders[path.name] = sorted(hits)
     assert offenders == {}
+
+
+def test_every_export_resolves():
+    missing = [name for name in mixident.__all__ if not hasattr(mixident, name)]
+    assert missing == []
+    namespace = {}
+    exec("from mixident import *", namespace)
+    assert set(mixident.__all__) <= set(namespace)

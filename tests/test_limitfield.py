@@ -34,7 +34,6 @@ def test_draws_are_nonnegative_and_counted(small_limit):
     assert small_limit.draws.shape == (40,)
     assert np.all(small_limit.draws >= 0.0)
     assert small_limit.n0 == 300
-    assert small_limit.method == "empirical-large-n0"
 
 
 def test_simulation_is_deterministic(small_limit):

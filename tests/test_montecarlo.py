@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mixident.empirical import EvalGridSpec
+from mixident.expansion import estimate_K
 from mixident.laws import RngStream
 from mixident.montecarlo import (
     CSV_HEADER,
@@ -13,7 +14,6 @@ from mixident.montecarlo import (
     Scenario,
     ScenarioResult,
     SweepConfig,
-    estimate_K,
     estimate_probability,
     predict_threshold_n,
     preset_config,
