@@ -100,7 +100,11 @@ def _parse_floats(text: str) -> tuple[float, ...]:
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in _parse_floats(text))
+    vals = _parse_floats(text)
+    bad = [v for v in vals if not v.is_integer()]
+    if bad:
+        raise ValueError(f"expected whole numbers, got {', '.join(map(repr, bad))}")
+    return tuple(int(v) for v in vals)
 
 
 def _parse_matrix(text: str) -> tuple[float, float, float, float]:

@@ -98,10 +98,14 @@ class ContaminatedLaw:
             raise ValueError("contaminant and background must differ")
 
     def cdf(self, t: float) -> float:
-        return self.beta * self.xi.cdf(t) + (1.0 - self.beta) * self.zeta.cdf(t)
+        return self._mix(self.xi.cdf(t), self.zeta.cdf(t))
 
     def cdf_batch(self, t: np.ndarray) -> np.ndarray:
-        return self.beta * self.xi.cdf_batch(t) + (1.0 - self.beta) * self.zeta.cdf_batch(t)
+        return self._mix(self.xi.cdf_batch(t), self.zeta.cdf_batch(t))
+
+    def _mix(self, xi_cdf, zeta_cdf):
+        """The mixture CDF from the CDF values of its two components."""
+        return self.beta * xi_cdf + (1.0 - self.beta) * zeta_cdf
 
     def sample(self, rng: np.random.Generator, size=None) -> np.ndarray:
         # Latent Bernoulli(beta) picks the contaminant.  Draw order is
@@ -154,12 +158,18 @@ def _golden_max(f, lo: float, hi: float, tol: float = 1e-12) -> tuple[float, flo
     return t, f(t)
 
 
+# the default scan grid of kolmogorov_distance_univ, and the slice length
+# in which _distances_to_background scans it
+_SCAN_LO, _SCAN_HI, _SCAN_POINTS = -20.0, 20.0, 200_001
+_SCAN_SLICE = 1 << 14
+
+
 def kolmogorov_distance_univ(
     law_a,
     law_b,
-    lo: float = -20.0,
-    hi: float = 20.0,
-    grid_points: int = 200_001,
+    lo: float = _SCAN_LO,
+    hi: float = _SCAN_HI,
+    grid_points: int = _SCAN_POINTS,
 ) -> float:
     """Uniform-norm distance sup_t |F_a(t) - F_b(t)|.
 
@@ -173,13 +183,43 @@ def kolmogorov_distance_univ(
     t = np.linspace(lo, hi, grid_points)
     gap = np.abs(law_a.cdf_batch(t) - law_b.cdf_batch(t))
     i = int(np.argmax(gap))
-    best = float(gap[i])
+    return _refine(law_a, law_b, t, i, float(gap[i]))
+
+
+def _refine(law_a, law_b, t: np.ndarray, i: int, best: float) -> float:
+    """sup |F_a - F_b| from its grid maximum ``best`` at ``t[i]``, refined
+    by golden section in the cell around t[i]."""
 
     def f(x: float) -> float:
         xv = np.asarray([x], dtype=float)
         return float(abs(law_a.cdf_batch(xv) - law_b.cdf_batch(xv))[0])
 
     a = t[max(i - 1, 0)]
-    b = t[min(i + 1, grid_points - 1)]
+    b = t[min(i + 1, t.size - 1)]
     _, refined = _golden_max(f, float(a), float(b))
     return max(best, refined)
+
+
+def _distances_to_background(mixtures) -> list[float]:
+    """``kolmogorov_distance_univ(law, law.zeta)`` for each law of
+    ``mixtures``, which share one xi and one zeta.
+
+    One scan of the default grid serves every law: xi and zeta are
+    evaluated once per slice of the grid, each mixture's gap is formed
+    from those values, and only its running maximum is kept.
+    """
+    xi, zeta = mixtures[0].xi, mixtures[0].zeta
+    if any(law.xi != xi or law.zeta != zeta for law in mixtures):
+        raise ValueError("the mixtures must share their contaminant and background")
+    t = np.linspace(_SCAN_LO, _SCAN_HI, _SCAN_POINTS)
+    best = [(-1.0, 0)] * len(mixtures)  # (grid maximum, its first index)
+    for lo in range(0, t.size, _SCAN_SLICE):
+        part = t[lo:lo + _SCAN_SLICE]
+        xi_cdf = xi.cdf_batch(part)
+        zeta_cdf = zeta.cdf_batch(part)
+        for j, law in enumerate(mixtures):
+            gap = np.abs(law._mix(xi_cdf, zeta_cdf) - zeta_cdf)
+            k = int(np.argmax(gap))
+            if gap[k] > best[j][0]:
+                best[j] = (float(gap[k]), lo + k)
+    return [_refine(law, zeta, t, i, g) for law, (g, i) in zip(mixtures, best)]

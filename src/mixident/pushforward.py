@@ -19,6 +19,14 @@ point set; mixtures at any level (binomial weights) and the expansion
 fields of ``mixident.expansion`` are weight vectors over those rows.  The
 quadrature reference route and the independent oracles live in
 ``mixident.oracles``.
+
+What a call costs: a fixed part per call and per piece of the piecewise
+integral (Python and numpy dispatch, about 0.1 ms per assignment), plus
+a part per point.  The points are lanes of one array.  Lanes are compacted
+(gathered, then scattered back) only where a branch splits them; a
+branch that takes every lane runs on the arrays as they are.  Every lane
+goes through the same expressions in any batch, so a value does not
+depend on the batch it is evaluated in, bit for bit.
 """
 
 from __future__ import annotations
@@ -96,6 +104,51 @@ def equal_product_pair(alpha: float = 0.4) -> tuple[MixingMatrix2, MixingMatrix2
 
 
 # ===========================================================================
+# lanes: the points of one kernel call
+# ===========================================================================
+
+# every lane of a kernel call: indexing with it gathers and scatters nothing
+_ALL = slice(None)
+
+
+def _lanes(mask):
+    """The lanes where ``mask`` holds: None for none, ``_ALL`` for every
+    lane, else their indices.  A scalar mask is one flag for every lane."""
+    if not isinstance(mask, np.ndarray):
+        return _ALL if mask else None
+    n = np.count_nonzero(mask)
+    if n == 0:
+        return None
+    return _ALL if n == mask.size else np.flatnonzero(mask)
+
+
+def _at(v, lanes):
+    """v on the selected lanes; a scalar stays a scalar."""
+    return v[lanes] if isinstance(v, np.ndarray) else v
+
+
+def _branches(n: int, cases, args) -> np.ndarray:
+    """Each (mask, fn) case evaluated as fn(*args) on its own lanes.
+
+    The masks are disjoint; lanes that no mask selects are zero.  A case
+    that selects every lane runs on the arrays as they are.
+    """
+    out = np.zeros(n)
+    for mask, fn in cases:
+        lanes = _lanes(mask)
+        if lanes is _ALL:
+            return fn(*args)
+        if lanes is not None:
+            out[lanes] = fn(*(_at(v, lanes) for v in args))
+    return out
+
+
+def _fill(mask, fill, values):
+    """np.where(mask, fill, values), without a pass when no lane is masked."""
+    return np.where(mask, fill, values) if np.count_nonzero(mask) else values
+
+
+# ===========================================================================
 # bivariate normal CDF
 # ===========================================================================
 
@@ -134,11 +187,9 @@ def _gl_rule(r: float):
     return _GL20_W, _GL20_X
 
 
-def _bvn_upper(dh: np.ndarray, dk: np.ndarray, r: float) -> np.ndarray:
-    """P(X > dh, Y > dk) for standard bivariate normal with correlation r."""
+def _bvn_upper(h: np.ndarray, k: np.ndarray, r: float) -> np.ndarray:
+    """P(X > h, Y > k) for standard bivariate normal with correlation r."""
     w, gx = _gl_rule(r)
-    h = dh.copy()
-    k = dk.copy()
     hk = h * k
     if abs(r) < 0.925:
         hs = (h * h + k * k) / 2.0
@@ -183,19 +234,28 @@ def _bvn_upper(dh: np.ndarray, dk: np.ndarray, r: float) -> np.ndarray:
                 0.0,
             )
             a = a / 2.0
-            for i in range(w.size):
-                for sgn in (-1.0, 1.0):
-                    xs = (a * (sgn * gx[i] + 1.0)) ** 2
-                    rs = math.sqrt(1.0 - xs)
-                    asr1 = -(bs / xs + hk) / 2.0
-                    sp1 = 1.0 + c * xs * (1.0 + d * xs)
-                    ep = np.exp(-hk * (1.0 - rs) / (2.0 * (1.0 + rs))) / rs
-                    bvn = bvn + np.where(
-                        asr1 > -100.0,
-                        # clamped at the threshold, as e0 above
-                        a * w[i] * np.exp(np.maximum(asr1, -100.0)) * (ep - sp1),
-                        0.0,
-                    )
+            # asr1 below is at most asr on every lane (xs < a_s), so the
+            # lanes with asr <= -100 only ever add +0.0, which leaves them as
+            # they are (they hold 0 - Y, never -0.0): the nodes run on the
+            # others
+            lanes = _lanes(asr > -100.0)
+            if lanes is not None:
+                bs, hk, c, d = bs[lanes], hk[lanes], c[lanes], d[lanes]
+                part = bvn[lanes]
+                for i in range(w.size):
+                    for sgn in (-1.0, 1.0):
+                        xs = (a * (sgn * gx[i] + 1.0)) ** 2
+                        rs = math.sqrt(1.0 - xs)
+                        asr1 = -(bs / xs + hk) / 2.0
+                        sp1 = 1.0 + c * xs * (1.0 + d * xs)
+                        ep = np.exp(-hk * (1.0 - rs) / (2.0 * (1.0 + rs))) / rs
+                        part = part + np.where(
+                            asr1 > -100.0,
+                            # clamped at the threshold, as e0 above
+                            a * w[i] * np.exp(np.maximum(asr1, -100.0)) * (ep - sp1),
+                            0.0,
+                        )
+                bvn[lanes] = part
         bvn = -bvn / (2.0 * math.pi)
     if r > 0.0:
         bvn = bvn + ndtr(-np.maximum(h, k))
@@ -212,12 +272,11 @@ def bvn_cdf_batch(h, k, rho: float) -> np.ndarray:
     k = np.asarray(k, dtype=float)
     fin = np.isfinite(h) & np.isfinite(k)
     if fin.all():
-        return np.clip(_bvn_upper(-h, -k, rho), 0.0, 1.0)
+        return np.minimum(np.maximum(_bvn_upper(-h, -k, rho), 0.0), 1.0)
     # infinite thresholds take their limits: 0 at -inf, the other margin at +inf
-    p = np.clip(_bvn_upper(-np.where(fin, h, 0.0), -np.where(fin, k, 0.0), rho), 0.0, 1.0)
-    edge = np.where(np.isneginf(h) | np.isneginf(k), 0.0,
-                    np.where(np.isposinf(h), ndtr(k), ndtr(h)))
-    return np.where(fin, p, edge)
+    p = _bvn_upper(-np.where(fin, h, 0.0), -np.where(fin, k, 0.0), rho)
+    edge = np.where((h == -np.inf) | (k == -np.inf), 0.0, np.where(h == np.inf, ndtr(k), ndtr(h)))
+    return np.where(fin, np.minimum(np.maximum(p, 0.0), 1.0), edge)
 
 
 def bvn_cdf(h: float, k: float, rho: float) -> float:
@@ -241,31 +300,24 @@ def _phi_diff_scaled(a, b, ea, eb, mexp):
     In the branch where [a, b] straddles zero, mexp itself is <= 0 by the
     caller's piece construction, so the direct term cannot overflow.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    ea = np.asarray(ea, dtype=float)
-    eb = np.asarray(eb, dtype=float)
-    mexp = np.asarray(mexp, dtype=float)
-    out = np.zeros(np.broadcast(a, b).shape)
 
     def term(y, e):
         # 0.5 * erfcx(y) * exp(e) with the e = -inf lanes forced to zero
-        y = np.where(np.isfinite(e), y, np.inf)
-        with np.errstate(under="ignore"):
-            return 0.5 * erfcx(y) * np.exp(e)
+        return 0.5 * erfcx(_fill(~np.isfinite(e), np.inf, y)) * np.exp(e)
 
-    right = a >= 0.0
-    left = (~right) & (b <= 0.0)
-    mid = (~right) & (~left)
-    if np.any(right):
-        out[right] = term(a[right] / _SQRT2, ea[right]) - term(b[right] / _SQRT2, eb[right])
-    if np.any(left):
-        out[left] = term(-b[left] / _SQRT2, eb[left]) - term(-a[left] / _SQRT2, ea[left])
-    if np.any(mid):
-        with np.errstate(under="ignore"):
-            direct = np.exp(mexp[mid] if mexp.shape else np.full(mid.sum(), float(mexp)))
-        out[mid] = direct - term(-a[mid] / _SQRT2, ea[mid]) - term(b[mid] / _SQRT2, eb[mid])
-    return np.maximum(out, 0.0)
+    def right(a, b, ea, eb, mexp):
+        return term(a / _SQRT2, ea) - term(b / _SQRT2, eb)
+
+    def left(a, b, ea, eb, mexp):
+        return term(-b / _SQRT2, eb) - term(-a / _SQRT2, ea)
+
+    def straddle(a, b, ea, eb, mexp):
+        return np.exp(mexp) - term(-a / _SQRT2, ea) - term(b / _SQRT2, eb)
+
+    is_right = a >= 0.0
+    is_left = ~is_right & (b <= 0.0)
+    cases = ((is_right, right), (is_left, left), (~(is_right | is_left), straddle))
+    return np.maximum(_branches(a.shape[0], cases, (a, b, ea, eb, mexp)), 0.0)
 
 
 def _j_gauss_expfactor(t0, t1, c, g):
@@ -276,12 +328,12 @@ def _j_gauss_expfactor(t0, t1, c, g):
     """
     a = t0 + g
     b = t1 + g
-    lo_inf = np.isneginf(t0)
-    hi_inf = np.isposinf(t1)
-    t0f = np.where(lo_inf, 0.0, t0)
-    t1f = np.where(hi_inf, 0.0, t1)
-    ea = np.where(lo_inf, -np.inf, -(c + g * t0f) - 0.5 * t0f * t0f)
-    eb = np.where(hi_inf, -np.inf, -(c + g * t1f) - 0.5 * t1f * t1f)
+    lo_inf = t0 == -np.inf
+    hi_inf = t1 == np.inf
+    t0f = _fill(lo_inf, 0.0, t0)
+    t1f = _fill(hi_inf, 0.0, t1)
+    ea = _fill(lo_inf, -np.inf, -(c + g * t0f) - 0.5 * t0f * t0f)
+    eb = _fill(hi_inf, -np.inf, -(c + g * t1f) - 0.5 * t1f * t1f)
     return _phi_diff_scaled(a, b, ea, eb, 0.5 * g * g - c)
 
 
@@ -290,112 +342,104 @@ def _j_exp_expfactor(s1, t0, t1, c, g):
 
     Requires c + g t >= 0 on the interval.
     """
-    t0 = np.asarray(t0, dtype=float)
-    t1 = np.asarray(t1, dtype=float)
-    c = np.asarray(c, dtype=float)
-    g = np.asarray(g, dtype=float)
     w = 1.0 + g
     lead = s1 - c - w * t0  # (s1 - t0) - (c + g t0) <= 0
-    out = np.zeros(np.broadcast(t0, t1, c, g).shape)
-    tiny = np.abs(w) < 1e-14
-    if np.any(tiny):
+
+    def flat(t0, t1, c, w, lead):
         # degenerate slope: integrand constant e^{s1-c}
-        out[tiny] = np.exp((s1 - c)[tiny] if c.shape else s1 - float(c)) * (t1 - t0)[tiny]
-    rest = ~tiny
-    if np.any(rest):
+        return np.exp(s1 - c) * (t1 - t0)
+
+    def sloped(t0, t1, c, w, lead):
         # (e^lead - e^far) / w with far = lead - w d the exponent at t1, taken
         # from the larger of the two so that no factor overflows (d = inf
         # gives far = -inf and -expm1(-inf) = 1)
-        wr = w[rest] if w.shape else np.full(rest.sum(), float(w))
-        d = (t1 - t0)[rest]
-        top = np.maximum(lead[rest], lead[rest] - wr * d)
-        ar = np.abs(wr)
+        d = t1 - t0
+        top = np.maximum(lead, lead - w * d)
+        ar = np.abs(w)
         with np.errstate(under="ignore", over="ignore", invalid="ignore"):
-            out[rest] = np.exp(top) * -np.expm1(-ar * d) / ar
+            return np.exp(top) * -np.expm1(-ar * d) / ar
+
+    tiny = np.abs(w) < 1e-14
+    out = _branches(t0.shape[0], ((tiny, flat), (~tiny, sloped)), (t0, t1, c, w, lead))
     return np.maximum(out, 0.0)
 
 
 def _j_exp_phi(s1, t0, t1, alpha, g):
     """integral of e^{-(t-s1)} * Phi(alpha + g t) over [t0, t1], t0 >= s1."""
-    t0 = np.asarray(t0, dtype=float)
-    t1 = np.asarray(t1, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    g = np.asarray(g, dtype=float)
-    shape = np.broadcast(t0, t1, alpha, g).shape
-    t0, t1, alpha, g = (np.broadcast_to(v, shape).astype(float) for v in (t0, t1, alpha, g))
+    hi_inf = t1 == np.inf
+    t1f = _fill(hi_inf, t0, t1)
+    e0 = np.exp(-(t0 - s1))
+    e1 = _fill(hi_inf, 0.0, np.exp(-(t1f - s1)))
 
-    hi_inf = np.isposinf(t1)
-    t1f = np.where(hi_inf, t0, t1)
-    u0 = alpha + g * t0
-    u1 = alpha + g * t1f
-    with np.errstate(under="ignore"):
-        e0 = np.exp(-(t0 - s1))
-        e1 = np.where(hi_inf, 0.0, np.exp(-(t1f - s1)))
-    boundary = e0 * ndtr(u0) - e1 * ndtr(u1)
-
-    out = np.array(boundary, dtype=float)
-    flat = np.abs(g) < 1e-300
-    if np.any(flat):
+    def flat(t0, t1, t1f, hi_inf, alpha, g, e0, e1):
         # no t-dependence inside Phi: plain exponential mass times Phi(alpha)
-        out[flat] = (ndtr(alpha[flat]) * (e0[flat] - e1[flat]))
-        if np.all(flat):
-            return np.maximum(out, 0.0)
-    act = ~flat
-    ga = g[act]
-    z0 = u0[act] + 1.0 / ga
-    # branch arguments keep the true +-inf sign (ga never zero here)
-    z1 = alpha[act] + ga * t1[act] + 1.0 / ga
-    ea = s1 - t0[act] - 0.5 * u0[act] ** 2
-    eb = np.where(hi_inf[act], -np.inf, s1 - t1f[act] - 0.5 * u1[act] ** 2)
-    mexp = s1 + alpha[act] / ga + 0.5 / (ga * ga)
-    # orientation: z is increasing in t iff g > 0
-    pos = ga > 0.0
-    diff = np.zeros(ga.shape)
-    if np.any(pos):
-        diff[pos] = _phi_diff_scaled(z0[pos], z1[pos], ea[pos], eb[pos], mexp[pos])
-    if np.any(~pos):
-        diff[~pos] = -_phi_diff_scaled(z1[~pos], z0[~pos], eb[~pos], ea[~pos], mexp[~pos])
-    out[act] = boundary[act] + diff
+        return ndtr(alpha) * (e0 - e1)
+
+    def sloped(t0, t1, t1f, hi_inf, alpha, g, e0, e1):
+        u0 = alpha + g * t0
+        u1 = alpha + g * t1f
+        # e1 * ndtr(u1) is 0 where t1 = inf, so ndtr is not evaluated there
+        upper = _branches(t0.shape[0], ((~hi_inf, lambda e1, u1: e1 * ndtr(u1)),), (e1, u1))
+        boundary = e0 * ndtr(u0) - upper
+        z0 = u0 + 1.0 / g
+        # branch arguments keep the true +-inf sign (g never zero here)
+        z1 = alpha + g * t1 + 1.0 / g
+        ea = s1 - t0 - 0.5 * u0 ** 2
+        eb = _fill(hi_inf, -np.inf, s1 - t1f - 0.5 * u1 ** 2)
+        mexp = s1 + alpha / g + 0.5 / (g * g)
+        # orientation: z is increasing in t iff g > 0
+        pos = g > 0.0
+        cases = (
+            (pos, _phi_diff_scaled),
+            (~pos, lambda z0, z1, ea, eb, mexp: -_phi_diff_scaled(z1, z0, eb, ea, mexp)),
+        )
+        return boundary + _branches(t0.shape[0], cases, (z0, z1, ea, eb, mexp))
+
+    flat_g = np.abs(g) < 1e-300
+    cases = ((flat_g, flat), (~flat_g, sloped))
+    out = _branches(t0.shape[0], cases, (t0, t1, t1f, hi_inf, alpha, g, e0, e1))
     return np.maximum(out, 0.0)
+
+
+def _ndtr(t):
+    """ndtr(t), set directly to its limits 0 and 1 on the infinite lanes."""
+    cases = ((np.isfinite(t), ndtr), (t == np.inf, np.ones_like))
+    return _branches(t.shape[0], cases, (t,))
 
 
 def _f1_mass(law1: ComponentLaw, t0, t1):
     """integral of the law1 density over [t0, t1] (t0 >= support edge)."""
-    t0 = np.asarray(t0, dtype=float)
-    t1 = np.asarray(t1, dtype=float)
     if law1.is_gaussian:
-        return ndtr(t1) - ndtr(t0)
+        return _ndtr(t1) - _ndtr(t0)
     s1 = law1.shift
-    with np.errstate(under="ignore"):
-        lo = np.exp(-(np.maximum(t0, s1) - s1))
-        hi = np.where(np.isposinf(t1), 0.0, np.exp(-(np.maximum(np.minimum(t1, 746.0 + s1), s1) - s1)))
+    lo = np.exp(-(np.maximum(t0, s1) - s1))
+    hi = _fill(t1 == np.inf, 0.0, np.exp(-(np.maximum(np.minimum(t1, 746.0 + s1), s1) - s1)))
     return np.maximum(lo - hi, 0.0)
 
 
-def _cdf_term(law1: ComponentLaw, law2: ComponentLaw, t0, t1, p, q, active):
-    """integral of f1(t) * F2(p + q t) over [t0, t1] lanes marked active.
+def _cdf_term(law1: ComponentLaw, law2: ComponentLaw, t0, t1, p, q, bound_mid, mass):
+    """integral of f1(t) * F2(p + q t) over the pieces [t0, t1].
 
-    For exponential F2 the caller guarantees p + q t >= shift on active
-    lanes.  Inactive lanes (argument below the support) contribute zero.
+    ``mass`` is ``_f1_mass(law1, t0, t1)``, which an exponential F2 needs.
+    For exponential F2 only the lanes whose bound sits at or above the
+    support at the piece midpoint ``bound_mid`` carry mass, and there
+    p + q t >= shift holds on the whole piece; the other lanes are zero.
     """
-    out = np.zeros(t0.shape)
-    if not np.any(active):
-        return out
-    idx = active
     if law2.is_gaussian:
         if law1.is_gaussian:
             raise AssertionError("Gaussian-Gaussian pairs use the direct bvn path")
-        out[idx] = _j_exp_phi(law1.shift, t0[idx], t1[idx], p[idx], q[idx])
-        return out
+        return _j_exp_phi(law1.shift, t0, t1, p, q)
     s2 = law2.shift
-    c = p - s2
-    full = _f1_mass(law1, t0, t1)
-    if law1.is_gaussian:
-        drop = _j_gauss_expfactor(t0[idx], t1[idx], c[idx], q[idx])
-    else:
-        drop = _j_exp_expfactor(law1.shift, t0[idx], t1[idx], c[idx], q[idx])
-    out[idx] = np.maximum(full[idx] - drop, 0.0)
-    return out
+
+    def in_support(t0, t1, p, q, mass):
+        c = p - s2
+        if law1.is_gaussian:
+            drop = _j_gauss_expfactor(t0, t1, c, q)
+        else:
+            drop = _j_exp_expfactor(law1.shift, t0, t1, c, q)
+        return np.maximum(mass - drop, 0.0)
+
+    return _branches(t0.shape[0], ((bound_mid >= s2, in_support),), (t0, t1, p, q, mass))
 
 
 def _classify(m: MixingMatrix2):
@@ -432,21 +476,57 @@ def _sort_rows(rows: list) -> list:
 
 def _closed_pair_batch(m: MixingMatrix2, comps, x: np.ndarray) -> np.ndarray:
     law1, law2 = comps
-    if law1.is_gaussian and law2.is_gaussian:
-        return _gauss_pair_batch(m, x)
-    rows = _classify(m)
-    if np.isfinite(x).all():
-        return _pieces_batch(law1, law2, *rows, x)
-    # a -inf threshold empties the event; a +inf one drops its row's constraint
-    neg = np.isneginf(x).any(axis=1)
-    pos = np.isposinf(x)
-    out = np.where(~neg & pos.all(axis=1), 1.0, 0.0)
-    for drop in ((False, False), (True, False), (False, True)):
-        lanes = ~neg & (pos[:, 0] == drop[0]) & (pos[:, 1] == drop[1])
-        if lanes.any():
-            kept = ([e for e in group if not drop[e[-1]]] for group in rows)
-            out[lanes] = _pieces_batch(law1, law2, *kept, x[lanes])
-    return out
+    # exponents that underflow give the 0 they stand for, in every kernel
+    with np.errstate(under="ignore"):
+        if law1.is_gaussian and law2.is_gaussian:
+            return _gauss_pair_batch(m, x)
+        rows = _classify(m)
+        if np.isfinite(x).all():
+            return _pieces_batch(law1, law2, *rows, x)
+        # a -inf threshold empties the event; a +inf one drops its row's constraint
+        neg = (x == -np.inf).any(axis=1)
+        pos = x == np.inf
+        out = np.where(~neg & pos.all(axis=1), 1.0, 0.0)
+        for drop in ((False, False), (True, False), (False, True)):
+            lanes = ~neg & (pos[:, 0] == drop[0]) & (pos[:, 1] == drop[1])
+            if lanes.any():
+                kept = ([e for e in group if not drop[e[-1]]] for group in rows)
+                out[lanes] = _pieces_batch(law1, law2, *kept, x[lanes])
+        return out
+
+
+def _midpoint(t0, t1):
+    """A finite point inside each piece [t0, t1]: 0 on (-inf, inf), which
+    a one-row marginal can leave."""
+    lo_inf = t0 == -np.inf
+    hi_inf = t1 == np.inf
+    cases = (
+        (~(lo_inf | hi_inf), lambda t0, t1: 0.5 * (t0 + t1)),
+        (lo_inf & ~hi_inf, lambda t0, t1: t1 - 1.0),
+        (hi_inf & ~lo_inf, lambda t0, t1: t0 + 1.0),
+    )
+    return _branches(t0.shape[0], cases, (t0, t1))
+
+
+def _select(bounds, lanes, mid, take_min: bool):
+    """The affine bound (p, q) active on each selected lane of a piece,
+    chosen at its midpoint; q stays a scalar while one bound is active."""
+    if not bounds:
+        return None
+    if len(bounds) == 1:
+        p, q = bounds[0]
+        return p[lanes], q
+    (pa, qa), (pb, qb) = bounds
+    pa, pb = pa[lanes], pb[lanes]
+    va = pa + qa * mid
+    vb = pb + qb * mid
+    pick_a = (va <= vb) if take_min else (va >= vb)
+    n_a = np.count_nonzero(pick_a)
+    if n_a == pick_a.size:
+        return pa, qa
+    if n_a == 0:
+        return pb, qb
+    return np.where(pick_a, pa, pb), np.where(pick_a, qa, qb)
 
 
 def _pieces_batch(law1, law2, uppers, lowers, tcons, x: np.ndarray) -> np.ndarray:
@@ -465,7 +545,7 @@ def _pieces_batch(law1, law2, uppers, lowers, tcons, x: np.ndarray) -> np.ndarra
 
     def affine(entry):
         ai1, ai2, which = entry
-        return x[:, which] / ai2, -ai1 / ai2  # p array, q scalar
+        return x[:, which] / ai2, np.float64(-ai1 / ai2)  # p array, q scalar
 
     ups = [affine(e) for e in uppers]
     los = [affine(e) for e in lowers]
@@ -491,44 +571,19 @@ def _pieces_batch(law1, law2, uppers, lowers, tcons, x: np.ndarray) -> np.ndarra
             cands.append((s2 - p) / q if q != 0.0 else None)
 
     # every candidate lies in [tlo, thi], so only the interior rows need ordering
-    inner = [thi if cand is None else np.clip(cand, tlo, thi) for cand in cands]
+    inner = [thi if cand is None else np.minimum(np.maximum(cand, tlo), thi) for cand in cands]
     grid = [tlo, *_sort_rows(inner), thi]
 
     total = np.zeros(npts)
     for g0, g1 in zip(grid[:-1], grid[1:]):
-        live = g1 > g0
-        if not np.any(live):
+        live = _lanes(g1 > g0)
+        if live is None:
             continue
         t0 = g0[live]
         t1 = g1[live]
-        # a one-row marginal can leave the piece (-inf, inf), where
-        # 0.5 * (t0 + t1) is NaN before the outer where replaces it
-        with np.errstate(invalid="ignore"):
-            mid = np.where(
-                np.isneginf(t0) & np.isposinf(t1), 0.0,
-                np.where(np.isneginf(t0), t1 - 1.0,
-                         np.where(np.isposinf(t1), t0 + 1.0, 0.5 * (t0 + t1))),
-            )
-
-        def select(bounds, take_min):
-            # active affine bound on this piece, chosen at the midpoint
-            if not bounds:
-                return None
-            if len(bounds) == 1:
-                p, q = bounds[0]
-                pv = p[live]
-                return pv, np.full(pv.shape, q)
-            (pa, qa), (pb, qb) = bounds
-            va = pa[live] + qa * mid
-            vb = pb[live] + qb * mid
-            pick_a = (va <= vb) if take_min else (va >= vb)
-            return (
-                np.where(pick_a, pa[live], pb[live]),
-                np.where(pick_a, qa, qb),
-            )
-
-        up = select(ups, take_min=True)
-        lo = select(los, take_min=False)
+        mid = _midpoint(t0, t1)
+        up = _select(ups, live, mid, take_min=True)
+        lo = _select(los, live, mid, take_min=False)
 
         # Positivity of the interval mass is decided on the bound values,
         # never on CDF differences: F2(u) - F2(l) underflows to zero in
@@ -536,31 +591,32 @@ def _pieces_batch(law1, law2, uppers, lowers, tcons, x: np.ndarray) -> np.ndarra
         # though the piece carries real mass.
         u_mid = up[0] + up[1] * mid if up is not None else None
         l_mid = lo[0] + lo[1] * mid if lo is not None else None
-        keep = np.ones(mid.shape, dtype=bool)
+        keep = True
         if u_mid is not None and l_mid is not None:
-            keep &= u_mid > l_mid
+            keep = keep & (u_mid > l_mid)
         if u_mid is not None and not law2.is_gaussian:
-            keep &= u_mid > law2.shift
-        if not np.any(keep):
+            keep = keep & (u_mid > law2.shift)
+        keep = _lanes(keep)
+        if keep is None:
             continue
+        t0, t1, u_mid, l_mid = (_at(v, keep) for v in (t0, t1, u_mid, l_mid))
+        if up is not None:
+            up = tuple(_at(v, keep) for v in up)
+        if lo is not None:
+            lo = tuple(_at(v, keep) for v in lo)
 
-        def active(bound_mid):
-            if law2.is_gaussian:
-                return keep
-            return keep & (bound_mid >= law2.shift)
+        mass = _f1_mass(law1, t0, t1) if up is None or not law2.is_gaussian else None
+        piece = mass if up is None else _cdf_term(law1, law2, t0, t1, *up, u_mid, mass)
+        if lo is not None:
+            piece = piece - _cdf_term(law1, law2, t0, t1, *lo, l_mid, mass)
 
-        if up is None:
-            upper_int = np.where(keep, _f1_mass(law1, t0, t1), 0.0)
+        lanes = keep if live is _ALL else live if keep is _ALL else live[keep]
+        if lanes is _ALL:
+            total += piece
         else:
-            upper_int = _cdf_term(law1, law2, t0, t1, up[0], up[1], active(u_mid))
-        if lo is None:
-            lower_int = np.zeros(t0.shape)
-        else:
-            lower_int = _cdf_term(law1, law2, t0, t1, lo[0], lo[1], active(l_mid))
+            total[lanes] += piece
 
-        total[live] += np.where(keep, upper_int - lower_int, 0.0)
-
-    return np.clip(total, 0.0, 1.0)
+    return np.minimum(np.maximum(total, 0.0), 1.0)
 
 
 # ===========================================================================

@@ -107,6 +107,20 @@ def test_validation_errors_exit_one(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_fractional_sample_sizes_exit_one(tmp_path, capsys):
+    out = tmp_path / "n.csv"
+    small = ["--rho", "0.3", "--reps", "2", "--grid-points", "16", "--out", str(out)]
+    assert main(["experiment", "--n-list", "100,250.7", *small]) == 1
+    assert "250.7" in capsys.readouterr().err
+    cfg = tmp_path / "n.cfg"
+    cfg.write_text("n_list=250.7\n")
+    assert main(["experiment", "--config", str(cfg), *small]) == 1
+    assert "250.7" in capsys.readouterr().err
+    assert not out.exists()
+    # whole numbers written as floats still parse
+    assert parse_config("n_list=100,2.5e2").n_list == (100, 250)
+
+
 def test_experiment_rejects_workers_below_one(tmp_path, capsys):
     out = tmp_path / "w.csv"
     assert main(["experiment", "--workers", "0", "--out", str(out)]) == 1

@@ -13,6 +13,7 @@ from mixident.laws import (
     ComponentLaw,
     ContaminatedLaw,
     RngStream,
+    _distances_to_background,
     kolmogorov_distance_univ,
 )
 
@@ -236,6 +237,14 @@ def test_distance_scales_linearly_in_contamination():
     for beta in (0.1, 0.25, 0.5):
         d = kolmogorov_distance_univ(ContaminatedLaw(beta), STANDARD_NORMAL)
         assert abs(d - beta * base) < 1e-9
+
+
+def test_shared_scan_equals_each_distance_bit_for_bit():
+    mixtures = [ContaminatedLaw(beta) for beta in (0.0, 0.1, 0.3, 0.7)]
+    want = [kolmogorov_distance_univ(law, STANDARD_NORMAL) for law in mixtures]
+    assert _distances_to_background(mixtures) == want
+    with pytest.raises(ValueError, match="share"):
+        _distances_to_background([ContaminatedLaw(0.1), ContaminatedLaw(0.1, xi=STANDARD_EXPONENTIAL)])
 
 
 def test_distance_rejects_coarse_grids():

@@ -362,10 +362,30 @@ def test_triangular_columns():
             assert abs(va - vb) < 1e-10
 
 
-def test_batch_equals_scalar_loop():
+# matrices reaching every branch of the piecewise closed form; None stands
+# for a random matrix
+BRANCH_MATRICES = {
+    "random": None,
+    "A": worked_matrix(),  # a zero-entry row plus one upper bound
+    "B": equal_product_pair(0.4)[1],  # two upper bounds, one with slope 0
+    "upper-lower": MixingMatrix2(0.7, 1.2, 0.5, -0.9),
+    "two-lower": MixingMatrix2(0.7, -1.2, -0.5, -0.9),
+    "near-triangular": MixingMatrix2(1.0, 0.0, 0.4, 0.001),
+    "steep": MixingMatrix2(1000.0, 1.0, 0.8, -1.4),
+}
+
+
+@pytest.mark.parametrize("name", list(BRANCH_MATRICES))
+def test_batch_equals_scalar_loop(name):
+    # a lane's value does not depend on the batch it is evaluated in
     rng = np.random.default_rng(31337)
     m = random_invertible(rng)
-    pts = rng.normal(size=(25, 2)) * 2.0
+    m = BRANCH_MATRICES[name] or m
+    inf = np.inf
+    pts = np.vstack([
+        rng.normal(size=(25, 2)) * 2.0,
+        [(inf, 0.3), (-0.4, inf), (-inf, 0.2), (0.5, -inf), (inf, inf), (-inf, inf), (inf, -inf)],
+    ])
     for comps in LAW_PAIRS:
         batch = pure_cdf_batch(m, comps, pts)
         scalar = np.array(
