@@ -35,7 +35,6 @@ config = SweepConfig(
     n_reps=60,
     grid=EvalGridSpec(m_points=200),
     master_seed=20260819,
-    label="demo",
 )
 
 print("running", len(config.scenarios()), "scenarios x", config.n_reps, "replications")

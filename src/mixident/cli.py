@@ -5,6 +5,11 @@ on success, 1 on a validation or usage error, 2 when a numerical check
 fails.  Every CSV the tool writes starts with '#'-prefixed metadata
 lines echoing the resolved configuration and seed so a result file is
 self-describing.
+
+A run's settings resolve in layers, each overriding the one before:
+the command's base (for experiment, the --preset's rho_list, n_list, c,
+reps, grid_mode, grid_points and seed; limit and gamma write to
+limit.csv and gamma.csv), then the --config file, then the flags.
 """
 
 from __future__ import annotations
@@ -26,9 +31,10 @@ from .limitfield import limit_results_csv_lines, simulate_limit_sup
 from .montecarlo import (
     PRESET_NAMES,
     SweepConfig,
+    _whole_numbers,
     preset_config,
+    results_csv_lines,
     run_sweep,
-    write_results_csv,
 )
 from .pushforward import as_matrix, equal_product_pair, mixture_pushforward_cdf
 from .svgplot import AxesSpec, Series, render_line_chart
@@ -74,7 +80,7 @@ class Config:
             if m is not None and len(m) != 4:
                 raise ValueError(f"{name} needs 4 row-major entries, got {len(m)}")
         object.__setattr__(self, "rho_list", tuple(float(r) for r in self.rho_list))
-        object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
+        object.__setattr__(self, "n_list", _whole_numbers(self.n_list))
         if not self.rho_list or not self.n_list:
             raise ValueError("rho_list and n_list must be nonempty")
         if self.c < 0.0:
@@ -100,11 +106,7 @@ def _parse_floats(text: str) -> tuple[float, ...]:
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
-    vals = _parse_floats(text)
-    bad = [v for v in vals if not v.is_integer()]
-    if bad:
-        raise ValueError(f"expected whole numbers, got {', '.join(map(repr, bad))}")
-    return tuple(int(v) for v in vals)
+    return _whole_numbers(_parse_floats(text))
 
 
 def _parse_matrix(text: str) -> tuple[float, float, float, float]:
@@ -211,24 +213,9 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-_CONFIG_FLAG_KEYS = (
-    "alpha",
-    "matrix_a",
-    "matrix_b",
-    "n_list",
-    "c",
-    "reps",
-    "grid_mode",
-    "grid_points",
-    "seed",
-    "out",
-    "center_xi",
-)
-
-
-def _resolve_config(args) -> tuple[Config, set]:
-    """Merge config file and explicit flags; returns the seen-key set."""
-    items = {}
+def _resolve_config(args, **base) -> Config:
+    """Base items, then the --config file, then explicit flags."""
+    items = dict(base)
     path = getattr(args, "config", None)
     if path:
         try:
@@ -236,13 +223,11 @@ def _resolve_config(args) -> tuple[Config, set]:
         except OSError as exc:
             raise CliError(f"cannot read config: {exc}") from exc
         items.update(_parse_items(text))
-    for key in _CONFIG_FLAG_KEYS:
+    for key in _KEY_PARSERS:
         value = getattr(args, key, None)
         if value is not None:
             items[key] = value
-    if getattr(args, "rho", None):
-        items["rho_list"] = tuple(args.rho)
-    return Config(**items), set(items)
+    return Config(**items)
 
 
 def _write_text(path, text: str) -> None:
@@ -257,54 +242,40 @@ def _write_text(path, text: str) -> None:
 # subcommands
 
 
-def cmd_experiment(args) -> int:
-    config, seen = _resolve_config(args)
-    if args.preset:
-        overrides = {}
-        if "rho_list" in seen:
-            overrides["rho_list"] = config.rho_list
-        if "n_list" in seen:
-            overrides["n_list"] = config.n_list
-        if "c" in seen:
-            overrides["c"] = config.c
-        if "reps" in seen:
-            overrides["n_reps"] = config.reps
-        if {"grid_mode", "grid_points"} & seen:
-            overrides["grid"] = EvalGridSpec(config.grid_mode, config.grid_points)
-        if "seed" in seen:
-            overrides["master_seed"] = config.seed
-        if {"alpha", "matrix_a"} & seen:
-            overrides["m_a"], overrides["m_b"] = config_matrices(config)
-        if "center_xi" in seen:
-            overrides["xi"] = config_xi(config)
-        sweep = preset_config(args.preset, **overrides)
-    else:
-        m_a, m_b = config_matrices(config)
-        sweep = SweepConfig(
-            m_a,
-            m_b,
-            config.rho_list,
-            config.n_list,
-            c=config.c,
-            n_reps=config.reps,
-            grid=EvalGridSpec(config.grid_mode, config.grid_points),
-            master_seed=config.seed,
-            xi=config_xi(config),
-        )
-    results = run_sweep(sweep, workers=args.workers)
-    # worker count stays out of the metadata: output must not depend on it
-    meta = _config_metadata(
-        config, "experiment", **({"preset": args.preset} if args.preset else {})
+def _preset_items(name: str) -> dict:
+    """A preset's settings as config items."""
+    sweep = preset_config(name)
+    return dict(
+        rho_list=sweep.rho_list,
+        n_list=sweep.n_list,
+        c=sweep.c,
+        reps=sweep.n_reps,
+        grid_mode=sweep.grid.mode.value,
+        grid_points=sweep.grid.m_points,
+        seed=sweep.master_seed,
     )
-    # echo the sweep actually run, which a preset may have changed
-    meta["rho_list"] = _render_value(sweep.rho_list)
-    meta["n_list"] = _render_value(sweep.n_list)
-    meta["c"] = _render_value(sweep.c)
-    meta["reps"] = str(sweep.n_reps)
-    meta["grid_mode"] = sweep.grid.mode.value
-    meta["grid_points"] = str(sweep.grid.m_points)
-    meta["seed"] = str(sweep.master_seed)
-    write_results_csv(results, config.out, meta, timing=args.timing)
+
+
+def _sweep_config(config: Config) -> SweepConfig:
+    return SweepConfig(
+        *config_matrices(config),
+        config.rho_list,
+        config.n_list,
+        c=config.c,
+        n_reps=config.reps,
+        grid=EvalGridSpec(config.grid_mode, config.grid_points),
+        master_seed=config.seed,
+        xi=config_xi(config),
+    )
+
+
+def cmd_experiment(args) -> int:
+    preset = {"preset": args.preset} if args.preset else {}
+    config = _resolve_config(args, **(_preset_items(args.preset) if preset else {}))
+    results = run_sweep(_sweep_config(config), workers=args.workers)
+    # worker count stays out of the metadata: output must not depend on it
+    meta = _config_metadata(config, "experiment", **preset)
+    _write_text(config.out, "\n".join(results_csv_lines(results, meta, args.timing)) + "\n")
     print(f"wrote {len(results)} scenario rows to {config.out}")
     return 0
 
@@ -317,7 +288,7 @@ def _single_matrix(args, config: Config):
 
 
 def cmd_limit(args) -> int:
-    config, seen = _resolve_config(args)
+    config = _resolve_config(args, out="limit.csv")
     m = _single_matrix(args, config)
     limit = simulate_limit_sup(
         m,
@@ -329,10 +300,9 @@ def cmd_limit(args) -> int:
     )
     # worker count stays out of the metadata: output must not depend on it
     meta = _config_metadata(config, "limit", n0=str(args.n0))
-    out = config.out if "out" in seen else "limit.csv"
     lines = limit_results_csv_lines(limit, args.c_list, meta)
-    _write_text(out, "\n".join(lines) + "\n")
-    print(f"wrote {len(args.c_list)} threshold rows to {out}")
+    _write_text(config.out, "\n".join(lines) + "\n")
+    print(f"wrote {len(args.c_list)} threshold rows to {config.out}")
     return 0
 
 
@@ -353,7 +323,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_cdf(args) -> int:
-    config, _ = _resolve_config(args)
+    config = _resolve_config(args)
     m = _single_matrix(args, config)
     if len(args.x) != 2:
         raise CliError(f"--x needs 2 coordinates, got {len(args.x)}")
@@ -363,7 +333,7 @@ def cmd_cdf(args) -> int:
 
 
 def cmd_gamma(args) -> int:
-    config, seen = _resolve_config(args)
+    config = _resolve_config(args, out="gamma.csv")
     m = _single_matrix(args, config)
     lo, hi, n_side = args.grid
     grid = EvalGrid.tensor(lo, hi, n_side)
@@ -373,9 +343,8 @@ def cmd_gamma(args) -> int:
     lines.append("x1,x2,value")
     for (x1, x2), v in zip(grid.points, values):
         lines.append(f"{float(x1)!r},{float(x2)!r},{float(v)!r}")
-    out = config.out if "out" in seen else "gamma.csv"
-    _write_text(out, "\n".join(lines) + "\n")
-    print(f"wrote {len(values)} field values to {out}")
+    _write_text(config.out, "\n".join(lines) + "\n")
+    print(f"wrote {len(values)} field values to {config.out}")
     return 0
 
 
@@ -497,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("experiment", help="run a contamination-schedule sweep")
     p.add_argument("--preset", choices=PRESET_NAMES)
-    p.add_argument("--rho", type=float, action="append")
+    p.add_argument("--rho", dest="rho_list", type=float, action="append")
     p.add_argument("--n-list", dest="n_list", type=_parse_ints)
     p.add_argument("--c", type=float)
     p.add_argument("--reps", type=int)

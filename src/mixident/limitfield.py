@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .empirical import EvalGridSpec, replication_statistics
+from .empirical import EvalGridSpec
 from .expansion import DEFAULT_MEASURE, P_DIM
-from .laws import RngStream
+from .laws import CENTERED_EXPONENTIAL, STANDARD_NORMAL, RngStream
 from .montecarlo import _map_blocks, _rep_map
 from .pushforward import as_matrix
 
@@ -60,13 +60,6 @@ class LimitLawSample:
         return p, math.sqrt(p * (1.0 - p) / self.draws.size)
 
 
-def _limit_block(args) -> tuple[list[int], np.ndarray]:
-    (m, n0, grid, master_seed), indices = args
-    # draw r reads streams (r, 0) and (r, 1) of the master seed
-    root = RngStream(master_seed)
-    return indices, replication_statistics(m, m, 0.0, n0, grid, [root.child(r) for r in indices])
-
-
 def simulate_limit_sup(
     m,
     n0: int = 20_000,
@@ -92,7 +85,9 @@ def simulate_limit_sup(
     if grid is None:
         grid = EvalGridSpec(m_points=500)
     with _rep_map(workers, n_draws) as rep_map:
-        draws = _map_blocks(rep_map, _limit_block, (m, n0, grid, master_seed), n_draws)
+        # draw r reads streams (r, 0) and (r, 1) of the master seed
+        job = (m, m, 0.0, n0, grid, CENTERED_EXPONENTIAL, STANDARD_NORMAL, RngStream(master_seed))
+        draws = _map_blocks(rep_map, job, n_draws)
     return LimitLawSample(draws, n0=n0, grid=grid)
 
 

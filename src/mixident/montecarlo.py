@@ -110,22 +110,23 @@ class ScenarioResult:
             raise ValueError("estimate must be a probability")
 
 
-def _scenario_stats(scenario: Scenario, indices) -> np.ndarray:
-    root = RngStream(scenario.master_seed)
-    return replication_statistics(
-        scenario.m_a, scenario.m_b, scenario.beta_n, scenario.n, scenario.grid,
-        [root.child(scenario.index, r) for r in indices], scenario.xi, scenario.zeta,
+def _rep_block(args) -> tuple[list[int], np.ndarray]:
+    """Statistics of replications ``indices`` of a job; replication r reads
+    the streams under ``root.child(r)``."""
+    (m_sample, m_target, beta, n, grid, xi, zeta, root), indices = args
+    return indices, replication_statistics(
+        m_sample, m_target, beta, n, grid, [root.child(r) for r in indices], xi, zeta
     )
+
+
+def _scenario_job(s: Scenario) -> tuple:
+    root = RngStream(s.master_seed).child(s.index)
+    return (s.m_a, s.m_b, s.beta_n, s.n, s.grid, s.xi, s.zeta, root)
 
 
 def run_replication(scenario: Scenario, rep_index: int) -> float:
     """Statistic of one replication; pure in (seed, index, rep_index)."""
-    return float(_scenario_stats(scenario, [rep_index])[0])
-
-
-def _rep_block(args) -> tuple[list[int], np.ndarray]:
-    scenario, indices = args
-    return indices, _scenario_stats(scenario, indices)
+    return float(_rep_block((_scenario_job(scenario), [rep_index]))[1][0])
 
 
 def _usable_cpus() -> int:
@@ -150,13 +151,14 @@ def _rep_map(workers: int, n_reps: int):
         yield pool.map, size
 
 
-def _map_blocks(rep_map, fn, job, n_reps: int) -> np.ndarray:
-    """Run ``fn((job, indices))`` over strided blocks of range(n_reps), one
-    block per worker, and gather the values by index."""
+def _map_blocks(rep_map, job, n_reps: int) -> np.ndarray:
+    """Run ``_rep_block((job, indices))`` over strided blocks of
+    range(n_reps), one block per worker, and gather the values by index."""
     run, size = rep_map
     blocks = min(size, n_reps)
     out = np.empty(n_reps)
-    for indices, values in run(fn, [(job, list(range(w, n_reps, blocks))) for w in range(blocks)]):
+    jobs = [(job, list(range(w, n_reps, blocks))) for w in range(blocks)]
+    for indices, values in run(_rep_block, jobs):
         out[indices] = values
     return out
 
@@ -164,7 +166,7 @@ def _map_blocks(rep_map, fn, job, n_reps: int) -> np.ndarray:
 def replication_stats(scenario: Scenario, workers: int = 1) -> np.ndarray:
     """All replication statistics, ordered by replication index."""
     with _rep_map(workers, scenario.n_reps) as rep_map:
-        return _map_blocks(rep_map, _rep_block, scenario, scenario.n_reps)
+        return _map_blocks(rep_map, _scenario_job(scenario), scenario.n_reps)
 
 
 def probability_above(stats: np.ndarray, c: float) -> tuple[float, float]:
@@ -181,7 +183,7 @@ def probability_above(stats: np.ndarray, c: float) -> tuple[float, float]:
 
 def _estimate_via(scenario: Scenario, rep_map, retain_stats: bool) -> ScenarioResult:
     t0 = time.perf_counter()
-    stats = _map_blocks(rep_map, _rep_block, scenario, scenario.n_reps)
+    stats = _map_blocks(rep_map, _scenario_job(scenario), scenario.n_reps)
     p_hat, se = probability_above(stats, scenario.c)
     wall_ms = (time.perf_counter() - t0) * 1e3
     return ScenarioResult(
@@ -202,6 +204,14 @@ def estimate_probability(
 # sweeps and presets
 
 
+def _whole_numbers(values) -> tuple[int, ...]:
+    """Sample sizes as ints; a non-integral entry raises ``ValueError``."""
+    bad = [v for v in values if not float(v).is_integer()]
+    if bad:
+        raise ValueError(f"expected whole numbers, got {', '.join(map(repr, bad))}")
+    return tuple(int(v) for v in values)
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Cross product of contamination schedules and sample sizes."""
@@ -216,13 +226,12 @@ class SweepConfig:
     master_seed: int = 20260819
     xi: ComponentLaw = CENTERED_EXPONENTIAL
     zeta: ComponentLaw = STANDARD_NORMAL
-    label: str = "custom"
 
     def __post_init__(self):
         object.__setattr__(self, "m_a", as_matrix(self.m_a))
         object.__setattr__(self, "m_b", as_matrix(self.m_b))
         object.__setattr__(self, "rho_list", tuple(float(r) for r in self.rho_list))
-        object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
+        object.__setattr__(self, "n_list", _whole_numbers(self.n_list))
         if not self.rho_list:
             raise ValueError("empty rho list")
         if not self.n_list:
@@ -245,49 +254,33 @@ class SweepConfig:
         return out
 
 
-def _preset(name: str, **overrides) -> SweepConfig:
-    m_a, m_b = equal_product_pair(0.4)
-    base = dict(m_a=m_a, m_b=m_b, c=1.0, label=name)
-    if name == "fig1-left":
-        base.update(
-            rho_list=(0.25, 0.35, 0.50, 0.75),
-            n_list=(100, 250, 500, 1000, 2000, 3500, 5000),
-            n_reps=1000,
-            grid=EvalGridSpec(m_points=1000),
-        )
-    elif name == "fig1-left-desk":
-        base.update(
-            rho_list=(0.25, 0.35, 0.50, 0.75),
-            n_list=(100, 250, 500, 1000, 2000, 3500, 5000),
-            n_reps=200,
-            grid=EvalGridSpec(m_points=500),
-        )
-    elif name == "fig1-right":
-        base.update(
-            rho_list=tuple(np.round(np.arange(0.25, 0.7501, 0.05), 2)),
-            n_list=(50_000,),
-            n_reps=1000,
-            grid=EvalGridSpec(m_points=1000),
-        )
-    elif name == "fig1-right-desk":
-        base.update(
-            rho_list=tuple(np.round(np.arange(0.25, 0.7501, 0.05), 2)),
-            n_list=(20_000,),
-            n_reps=200,
-            grid=EvalGridSpec(m_points=500),
-        )
-    else:
-        raise ValueError(f"unknown preset {name!r}")
-    base.update(overrides)
-    return SweepConfig(**base)
+_LEFT_N = (100, 250, 500, 1000, 2000, 3500, 5000)
+_RIGHT_RHO = (0.25, 0.3, 0.35, 0.4, 0.45, 0.5, 0.55, 0.6, 0.65, 0.7, 0.75)
 
+# name -> (rho list, n list, replications, grid points)
+_PRESETS = {
+    "fig1-left": ((0.25, 0.35, 0.50, 0.75), _LEFT_N, 1000, 1000),
+    "fig1-left-desk": ((0.25, 0.35, 0.50, 0.75), _LEFT_N, 200, 500),
+    "fig1-right": (_RIGHT_RHO, (50_000,), 1000, 1000),
+    "fig1-right-desk": (_RIGHT_RHO, (20_000,), 200, 500),
+}
 
-PRESET_NAMES = ("fig1-left", "fig1-left-desk", "fig1-right", "fig1-right-desk")
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def preset_config(name: str, **overrides) -> SweepConfig:
-    """Named experiment configurations; *-desk variants shrink the run."""
-    return _preset(name, **overrides)
+    """Named experiment configurations; *-desk variants shrink the run.
+    Each is the equal-product pair at alpha = 0.4 with threshold 1."""
+    if name not in _PRESETS:
+        raise ValueError(f"unknown preset {name!r}")
+    rho_list, n_list, n_reps, m_points = _PRESETS[name]
+    m_a, m_b = equal_product_pair(0.4)
+    base = dict(
+        m_a=m_a, m_b=m_b, rho_list=rho_list, n_list=n_list, n_reps=n_reps,
+        grid=EvalGridSpec(m_points=m_points),
+    )
+    base.update(overrides)
+    return SweepConfig(**base)
 
 
 def run_sweep(

@@ -1,10 +1,14 @@
 """Command-line surface: config files, subcommands, exit codes, outputs."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from mixident.cli import (
     Config,
+    _preset_items,
+    _sweep_config,
     config_matrices,
     config_xi,
     main,
@@ -15,7 +19,7 @@ from mixident.cli import (
 )
 from mixident.expansion import NuMeasure, gamma_k_batch
 from mixident.laws import CENTERED_EXPONENTIAL, STANDARD_EXPONENTIAL
-from mixident.montecarlo import CSV_HEADER
+from mixident.montecarlo import CSV_HEADER, PRESET_NAMES, SweepConfig, preset_config
 from mixident.pushforward import equal_product_pair
 
 # ---------------------------------------------------------------------------
@@ -119,6 +123,8 @@ def test_fractional_sample_sizes_exit_one(tmp_path, capsys):
     assert not out.exists()
     # whole numbers written as floats still parse
     assert parse_config("n_list=100,2.5e2").n_list == (100, 250)
+    with pytest.raises(ValueError, match="250.7"):
+        Config(n_list=(100, 250.7))
 
 
 def test_experiment_rejects_workers_below_one(tmp_path, capsys):
@@ -301,6 +307,64 @@ def test_experiment_preset_override_runs_small(tmp_path, capsys):
     rows = read_results_csv(out)
     # all four schedule exponents of the preset survive the override
     assert [r["rho"] for r in rows] == ["0.25", "0.35", "0.5", "0.75"]
+
+
+def _meta(path) -> dict:
+    pairs = (ln[2:].split(": ", 1) for ln in path.read_text().splitlines() if ln.startswith("# "))
+    return dict(pairs)
+
+
+def test_preset_config_items_rebuild_the_preset():
+    for name in PRESET_NAMES:
+        got, want = _sweep_config(Config(**_preset_items(name))), preset_config(name)
+        for f in fields(SweepConfig):
+            assert getattr(got, f.name) == getattr(want, f.name), (name, f.name)
+
+
+def test_preset_then_config_file_then_flags(tmp_path, capsys):
+    out = tmp_path / "layers.csv"
+    cfg = tmp_path / "layers.cfg"
+    cfg.write_text("reps=3\nseed=5\nrho_list=0.3,0.6\nn_list=40\n")
+    args = ["experiment", "--preset", "fig1-left", "--config", str(cfg)]
+    assert main(args + ["--reps", "2", "--rho", "0.5", "--out", str(out)]) == 0
+    capsys.readouterr()
+    meta = _meta(out)
+    # grid_points from the preset, seed from the file, reps and rho_list from flags
+    assert meta["grid_points"] == "1000"
+    assert meta["seed"] == "5"
+    assert (meta["reps"], meta["rho_list"]) == ("2", "0.5")
+    (row,) = read_results_csv(out)
+    assert (row["grid_points"], row["seed"], row["N"], row["rho"]) == ("1000", "5", "2", "0.5")
+
+
+def test_lone_grid_flag_keeps_the_presets_other_grid_value(tmp_path, capsys):
+    out = tmp_path / "grid.csv"
+    args = ["experiment", "--preset", "fig1-left", "--grid-mode", "corner-subsample"]
+    assert main(args + ["--rho", "0.5", "--n-list", "40", "--reps", "2", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert _meta(out)["grid_points"] == "1000"
+    assert [r["grid_points"] for r in read_results_csv(out)] == ["1000"]
+
+
+def test_experiment_unwritable_out_exits_one(tmp_path, capsys):
+    out = tmp_path / "no" / "such" / "x.csv"
+    args = ["experiment", "--rho", "0.3", "--n-list", "40", "--reps", "2", "--grid-points", "16"]
+    assert main(args + ["--out", str(out)]) == 1
+    assert "error: cannot write" in capsys.readouterr().err
+
+
+def test_limit_and_gamma_default_outputs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["limit", "--n0", "50", "--reps", "2", "--grid-points", "16"]) == 0
+    assert main(["gamma", "--order", "1", "--grid=-3:3:2"]) == 0
+    assert "limit.csv" in capsys.readouterr().out
+    assert (tmp_path / "limit.csv").is_file() and (tmp_path / "gamma.csv").is_file()
+    # an out= in the config file still wins over the command's default
+    cfg = tmp_path / "out.cfg"
+    cfg.write_text("out=mine.csv\n")
+    assert main(["gamma", "--order", "1", "--grid=-3:3:2", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "mine.csv").is_file()
 
 
 def test_plot_groups_series_by_schedule(sweep_csv, tmp_path, capsys):

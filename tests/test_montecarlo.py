@@ -258,6 +258,11 @@ def test_sweep_rejects_empty_lists():
         SweepConfig(A_PAIR[0], A_PAIR[1], rho_list=(0.25,), n_list=())
 
 
+def test_sweep_rejects_fractional_sample_sizes():
+    with pytest.raises(ValueError, match="250.7"):
+        SweepConfig(A_PAIR[0], A_PAIR[1], rho_list=(0.25,), n_list=(100, 250.7))
+
+
 def test_presets_match_published_settings():
     full = preset_config("fig1-left")
     assert full.rho_list == (0.25, 0.35, 0.50, 0.75)
