@@ -24,14 +24,13 @@ from pathlib import Path
 import numpy as np
 
 from .checks import CHECK_IDS, reports_csv_lines, run_checks
-from .empirical import EvalGridSpec
+from .empirical import EvalGridSpec, _whole_fields, _whole_numbers
 from .expansion import EvalGrid, NuMeasure, gamma_k_batch
 from .laws import CENTERED_EXPONENTIAL, STANDARD_EXPONENTIAL, ComponentLaw
 from .limitfield import limit_results_csv_lines, simulate_limit_sup
 from .montecarlo import (
     PRESET_NAMES,
     SweepConfig,
-    _whole_numbers,
     preset_config,
     results_csv_lines,
     run_sweep,
@@ -81,6 +80,7 @@ class Config:
                 raise ValueError(f"{name} needs 4 row-major entries, got {len(m)}")
         object.__setattr__(self, "rho_list", tuple(float(r) for r in self.rho_list))
         object.__setattr__(self, "n_list", _whole_numbers(self.n_list))
+        _whole_fields(self, "reps", "grid_points", "seed")
         if not self.rho_list or not self.n_list:
             raise ValueError("rho_list and n_list must be nonempty")
         if self.c < 0.0:

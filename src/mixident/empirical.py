@@ -201,6 +201,26 @@ def naive_dominance_counts(points, queries) -> tuple[np.ndarray, np.ndarray]:
 # evaluation grids
 
 
+def _whole_numbers(values) -> tuple[int, ...]:
+    """Counts, sizes and seeds as ints; a non-integral entry raises
+    ``ValueError``."""
+    bad = [v for v in values if not float(v).is_integer()]
+    if bad:
+        raise ValueError(f"expected whole numbers, got {', '.join(map(repr, bad))}")
+    return tuple(int(v) for v in values)
+
+
+def _whole_fields(obj, *names: str) -> None:
+    """Make the named fields of frozen dataclass ``obj`` ints, by
+    ``_whole_numbers``; the error names the field."""
+    for name in names:
+        try:
+            (value,) = _whole_numbers((getattr(obj, name),))
+        except ValueError as err:
+            raise ValueError(f"{name}: {err}") from None
+        object.__setattr__(obj, name, value)
+
+
 class GridMode(enum.Enum):
     CORNER_SUBSAMPLE = "corner-subsample"
     QUANTILE_TENSOR = "quantile-tensor"
@@ -216,6 +236,7 @@ class EvalGridSpec:
     def __post_init__(self):
         if isinstance(self.mode, str):
             object.__setattr__(self, "mode", GridMode(self.mode))
+        _whole_fields(self, "m_points")
         if self.m_points < 1:
             raise ValueError(f"need at least one grid point, got {self.m_points}")
 

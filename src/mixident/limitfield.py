@@ -9,9 +9,9 @@ corner grid, repeat.  Grid thinning biases the experiment and this
 reference alike only in the large-n limit, where m corners subsampled
 from the n^2 behave like m draws from the product of the marginals; at
 finite n (the experiment's n against n0) the two biases differ.  The
-draws go through the experiment's replication engine: strided blocks of
-draw indices on a process pool (``workers``), each block evaluating the
-target CDF once per chunk of draws.
+draws go through the experiment's replication engine and job queue:
+contiguous blocks of draw indices on a process pool (``workers``), each
+block evaluating the target CDF once per chunk of draws.
 
 With contamination shrinking at the critical square-root rate with
 intensity k, the exceedance probability of the statistic is sandwiched
@@ -26,10 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .empirical import EvalGridSpec
+from .empirical import EvalGridSpec, _whole_numbers
 from .expansion import DEFAULT_MEASURE, P_DIM
 from .laws import CENTERED_EXPONENTIAL, STANDARD_NORMAL, RngStream
-from .montecarlo import _map_blocks, _rep_map
+from .montecarlo import _run_jobs
 from .pushforward import as_matrix
 
 
@@ -75,19 +75,20 @@ def simulate_limit_sup(
     pushforward CDF.  n0 defaults large enough that the remaining
     finite-sample error is below the Monte Carlo noise of the draws.
 
-    Draws run in strided blocks on a pool of ``workers`` processes, sized
-    and validated as for ``montecarlo.replication_stats``; draw r is a pure
-    function of (master_seed, r), so the draws do not depend on ``workers``.
+    Draws run through the job queue of ``montecarlo.replication_stats``,
+    in contiguous blocks on a pool of ``workers`` processes sized and
+    validated as there; draw r is a pure function of (master_seed, r), so
+    the draws do not depend on ``workers``.
     """
+    n0, n_draws, master_seed = _whole_numbers((n0, n_draws, master_seed))
     if n_draws < 1:
         raise ValueError(f"need at least one draw, got {n_draws}")
     m = as_matrix(m)
     if grid is None:
         grid = EvalGridSpec(m_points=500)
-    with _rep_map(workers, n_draws) as rep_map:
-        # draw r reads streams (r, 0) and (r, 1) of the master seed
-        job = (m, m, 0.0, n0, grid, CENTERED_EXPONENTIAL, STANDARD_NORMAL, RngStream(master_seed))
-        draws = _map_blocks(rep_map, job, n_draws)
+    # draw r reads streams (r, 0) and (r, 1) of the master seed
+    job = (m, m, 0.0, n0, grid, CENTERED_EXPONENTIAL, STANDARD_NORMAL, RngStream(master_seed))
+    ((draws, _),) = _run_jobs([(job, n_draws)], workers)
     return LimitLawSample(draws, n0=n0, grid=grid)
 
 

@@ -12,16 +12,21 @@ are identical no matter how replications are scheduled across workers.
 Scenario CSV output is byte-identical across worker counts; wall-clock
 timing is therefore kept out of the CSV unless explicitly requested.
 
-Parallelism: a sweep runs on one process pool, opened once and shared by
-its scenarios in order, so each scenario's wall time covers its own
-replications only.  The pool size is the requested worker count clamped
+Parallelism: a call runs every replication it needs as one job queue on
+one process pool.  The pool size is the requested worker count clamped
 to the largest scenario's replication count and to the CPUs available to
 the process; a count below one is rejected, and a size of one runs every
-replication in-process without a pool.  Each worker takes one strided
-block of replication indices and runs it through
+job in-process without a pool.  A job is a contiguous block of one
+scenario's replication indices, run through
 ``empirical.replication_statistics``, which evaluates the target CDF once
-per chunk of replications rather than once per grid.  The limit law of
-``mixident.limitfield`` runs its draws on the same kind of pool.
+per chunk of replications rather than once per grid.  A block holds at
+most one such chunk, and is cut smaller only where the pool would
+otherwise have idle workers.  All jobs of a call, across every scenario
+of a sweep, go to the pool in one batch, so a free worker takes the next
+job instead of waiting for the rest of a scenario.  A scenario's
+``wall_ms`` is therefore not an elapsed time: it sums the time its blocks
+spent running in their workers.  The limit law of ``mixident.limitfield``
+runs its draws through the same queue.
 """
 
 from __future__ import annotations
@@ -35,7 +40,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .empirical import EvalGridSpec, replication_statistics
+from .empirical import (
+    _TARGET_CHUNK,
+    EvalGridSpec,
+    _whole_fields,
+    _whole_numbers,
+    replication_statistics,
+)
 from .laws import (
     CENTERED_EXPONENTIAL,
     STANDARD_NORMAL,
@@ -65,6 +76,7 @@ class Scenario:
     def __post_init__(self):
         object.__setattr__(self, "m_a", as_matrix(self.m_a))
         object.__setattr__(self, "m_b", as_matrix(self.m_b))
+        _whole_fields(self, "n", "n_reps", "master_seed", "index")
         if self.n < 1:
             raise ValueError(f"need n >= 1, got {self.n}")
         if self.n_reps < 1:
@@ -97,7 +109,11 @@ class Scenario:
 
 @dataclass(frozen=True)
 class ScenarioResult:
-    """Exceedance estimate with its binomial standard error."""
+    """Exceedance estimate with its binomial standard error.
+
+    ``wall_ms`` sums the in-worker times of the scenario's replication
+    blocks; with workers shared across scenarios it is not elapsed time.
+    """
 
     scenario: Scenario
     estimate: float
@@ -110,13 +126,15 @@ class ScenarioResult:
             raise ValueError("estimate must be a probability")
 
 
-def _rep_block(args) -> tuple[list[int], np.ndarray]:
-    """Statistics of replications ``indices`` of a job; replication r reads
-    the streams under ``root.child(r)``."""
+def _rep_block(args) -> tuple[np.ndarray, float]:
+    """Statistics of replications ``indices`` of a job, and the milliseconds
+    they took; replication r reads the streams under ``root.child(r)``."""
     (m_sample, m_target, beta, n, grid, xi, zeta, root), indices = args
-    return indices, replication_statistics(
+    t0 = time.perf_counter()
+    stats = replication_statistics(
         m_sample, m_target, beta, n, grid, [root.child(r) for r in indices], xi, zeta
     )
+    return stats, (time.perf_counter() - t0) * 1e3
 
 
 def _scenario_job(s: Scenario) -> tuple:
@@ -126,7 +144,7 @@ def _scenario_job(s: Scenario) -> tuple:
 
 def run_replication(scenario: Scenario, rep_index: int) -> float:
     """Statistic of one replication; pure in (seed, index, rep_index)."""
-    return float(_rep_block((_scenario_job(scenario), [rep_index]))[1][0])
+    return float(_rep_block((_scenario_job(scenario), [rep_index]))[0][0])
 
 
 def _usable_cpus() -> int:
@@ -141,6 +159,7 @@ def _rep_map(workers: int, n_reps: int):
     """Yield (map, size): the map that runs replication blocks on ``size``
     workers, clamped to the replications and to the CPUs available; one
     worker maps in-process without a pool."""
+    (workers,) = _whole_numbers((workers,))
     if workers < 1:
         raise ValueError(f"need at least one worker, got {workers}")
     size = min(workers, n_reps, _usable_cpus())
@@ -151,22 +170,36 @@ def _rep_map(workers: int, n_reps: int):
         yield pool.map, size
 
 
-def _map_blocks(rep_map, job, n_reps: int) -> np.ndarray:
-    """Run ``_rep_block((job, indices))`` over strided blocks of
-    range(n_reps), one block per worker, and gather the values by index."""
-    run, size = rep_map
-    blocks = min(size, n_reps)
-    out = np.empty(n_reps)
-    jobs = [(job, list(range(w, n_reps, blocks))) for w in range(blocks)]
-    for indices, values in run(_rep_block, jobs):
-        out[indices] = values
-    return out
+def _run_jobs(jobs, workers: int) -> list[tuple[np.ndarray, float]]:
+    """Run ``n_reps`` replications of each ``(job, n_reps)`` through one
+    queue of contiguous blocks on one pool; give each job's statistics,
+    ordered by replication index, and the in-worker milliseconds of its
+    blocks.
+
+    A block holds at most one target chunk of replications, and at most
+    an even share of all replications per worker, so every worker of the
+    pool has a block to run.
+    """
+    with _rep_map(workers, max(n for _, n in jobs)) as (run, size):
+        share = math.ceil(sum(n for _, n in jobs) / size)
+        blocks, owners = [], []
+        for k, (job, n) in enumerate(jobs):
+            grid = job[4]  # the job's EvalGridSpec
+            step = max(1, min(_TARGET_CHUNK // grid.m_points, share))
+            for lo in range(0, n, step):
+                blocks.append((job, range(lo, min(lo + step, n))))
+                owners.append(k)
+        stats = [np.empty(n) for _, n in jobs]
+        wall_ms = [0.0] * len(jobs)
+        for k, (_, indices), (values, ms) in zip(owners, blocks, run(_rep_block, blocks)):
+            stats[k][indices.start:indices.stop] = values
+            wall_ms[k] += ms
+        return list(zip(stats, wall_ms))
 
 
 def replication_stats(scenario: Scenario, workers: int = 1) -> np.ndarray:
     """All replication statistics, ordered by replication index."""
-    with _rep_map(workers, scenario.n_reps) as rep_map:
-        return _map_blocks(rep_map, _scenario_job(scenario), scenario.n_reps)
+    return _run_jobs([(_scenario_job(scenario), scenario.n_reps)], workers)[0][0]
 
 
 def probability_above(stats: np.ndarray, c: float) -> tuple[float, float]:
@@ -181,14 +214,13 @@ def probability_above(stats: np.ndarray, c: float) -> tuple[float, float]:
     return p_hat, math.sqrt(p_hat * (1.0 - p_hat) / stats.size)
 
 
-def _estimate_via(scenario: Scenario, rep_map, retain_stats: bool) -> ScenarioResult:
-    t0 = time.perf_counter()
-    stats = _map_blocks(rep_map, _scenario_job(scenario), scenario.n_reps)
-    p_hat, se = probability_above(stats, scenario.c)
-    wall_ms = (time.perf_counter() - t0) * 1e3
-    return ScenarioResult(
-        scenario, p_hat, se, wall_ms, stats if retain_stats else None
-    )
+def _estimates(scenarios, workers: int, retain_stats: bool) -> list[ScenarioResult]:
+    runs = _run_jobs([(_scenario_job(s), s.n_reps) for s in scenarios], workers)
+    out = []
+    for s, (stats, wall_ms) in zip(scenarios, runs):
+        p_hat, se = probability_above(stats, s.c)
+        out.append(ScenarioResult(s, p_hat, se, wall_ms, stats if retain_stats else None))
+    return out
 
 
 def estimate_probability(
@@ -196,20 +228,11 @@ def estimate_probability(
     workers: int = 1,
     retain_stats: bool = False,
 ) -> ScenarioResult:
-    with _rep_map(workers, scenario.n_reps) as rep_map:
-        return _estimate_via(scenario, rep_map, retain_stats)
+    return _estimates([scenario], workers, retain_stats)[0]
 
 
 # ---------------------------------------------------------------------------
 # sweeps and presets
-
-
-def _whole_numbers(values) -> tuple[int, ...]:
-    """Sample sizes as ints; a non-integral entry raises ``ValueError``."""
-    bad = [v for v in values if not float(v).is_integer()]
-    if bad:
-        raise ValueError(f"expected whole numbers, got {', '.join(map(repr, bad))}")
-    return tuple(int(v) for v in values)
 
 
 @dataclass(frozen=True)
@@ -232,6 +255,7 @@ class SweepConfig:
         object.__setattr__(self, "m_b", as_matrix(self.m_b))
         object.__setattr__(self, "rho_list", tuple(float(r) for r in self.rho_list))
         object.__setattr__(self, "n_list", _whole_numbers(self.n_list))
+        _whole_fields(self, "n_reps", "master_seed")
         if not self.rho_list:
             raise ValueError("empty rho list")
         if not self.n_list:
@@ -288,10 +312,9 @@ def run_sweep(
     workers: int = 1,
     retain_stats: bool = False,
 ) -> list[ScenarioResult]:
-    """Every scenario's estimate, in scenario order, on one worker pool."""
-    scenarios = config.scenarios()
-    with _rep_map(workers, max(s.n_reps for s in scenarios)) as rep_map:
-        return [_estimate_via(s, rep_map, retain_stats) for s in scenarios]
+    """Every scenario's estimate, in scenario order, from one job queue on
+    one worker pool."""
+    return _estimates(config.scenarios(), workers, retain_stats)
 
 
 # ---------------------------------------------------------------------------

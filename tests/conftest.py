@@ -9,9 +9,16 @@ from mixident import montecarlo
 def fake_pool(monkeypatch):
     """An in-process stand-in for the process pool, on a 4-CPU budget.
 
-    Returns the list of ``max_workers`` of every pool built; no process starts.
+    Returns the list of ``max_workers`` of every pool built; its ``maps``
+    attribute lists, for each ``map`` call, the sizes of the blocks it was
+    given.  No process starts.
     """
-    built = []
+
+    class Built(list):
+        maps: list[list[int]]
+
+    built = Built()
+    built.maps = []
 
     class FakePool:
         def __init__(self, max_workers):
@@ -26,6 +33,7 @@ def fake_pool(monkeypatch):
         def map(self, fn, blocks):
             blocks = list(blocks)
             assert all(indices for _, indices in blocks), "empty block submitted"
+            built.maps.append([len(indices) for _, indices in blocks])
             return map(fn, blocks)
 
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", FakePool)

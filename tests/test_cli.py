@@ -127,6 +127,15 @@ def test_fractional_sample_sizes_exit_one(tmp_path, capsys):
         Config(n_list=(100, 250.7))
 
 
+def test_config_rejects_fractional_counts():
+    for key in ("reps", "grid_points", "seed"):
+        with pytest.raises(ValueError, match=f"{key}: expected whole numbers"):
+            Config(**{key: 2.5})
+    cfg = Config(reps=3.0, grid_points=16.0, seed=7.0)
+    assert (cfg.reps, cfg.grid_points, cfg.seed) == (3, 16, 7)
+    assert type(cfg.reps) is int and type(cfg.seed) is int
+
+
 def test_experiment_rejects_workers_below_one(tmp_path, capsys):
     out = tmp_path / "w.csv"
     assert main(["experiment", "--workers", "0", "--out", str(out)]) == 1

@@ -80,6 +80,18 @@ def test_worker_count_below_one_rejected(fake_pool, workers):
     assert fake_pool == []
 
 
+def test_whole_float_sizes_accepted_fractional_rejected(small_limit):
+    floats = simulate_limit_sup(
+        A_MATRIX, n0=300.0, n_draws=40.0, grid=EvalGridSpec(m_points=64.0),
+        master_seed=5.0,
+    )
+    assert floats.n0 == 300 and type(floats.n0) is int
+    np.testing.assert_array_equal(floats.draws, small_limit.draws)
+    for bad in (dict(n_draws=2.5), dict(n0=300.5), dict(master_seed=1.5), dict(workers=1.5)):
+        with pytest.raises(ValueError, match="whole number"):
+            simulate_limit_sup(A_MATRIX, **{"n0": 50, "n_draws": 3, **bad})
+
+
 def test_survival_monotone_and_bounded(small_limit):
     cs = (0.0, 0.5, 1.0, 1.5, 2.0, 10.0)
     ps = [small_limit.survival(c)[0] for c in cs]

@@ -159,6 +159,54 @@ def test_worker_count_is_clamped(fake_pool):
     assert fake_pool == [4, 3]  # one replication runs in-process
 
 
+def test_replications_run_as_one_job_queue(fake_pool):
+    # every cell of a sweep goes to the pool in one map call, one block each
+    run_sweep(pool_sweep(rho_list=(0.25, 0.35, 0.5)), workers=2)
+    assert fake_pool.maps == [[5, 5, 5]]
+    # blocks are cut smaller only to give every worker one
+    replication_stats(tiny_scenario(n_reps=3), workers=3)
+    assert fake_pool == [2, 3]
+    assert fake_pool.maps[1:] == [[1, 1, 1]]
+
+
+def spanning_sweep():
+    # 300 grid points put 13 replications in one target chunk
+    return SweepConfig(
+        A_PAIR[0], A_PAIR[1], rho_list=(0.25, 0.5), n_list=(60,), n_reps=30,
+        grid=EvalGridSpec(m_points=300), master_seed=11,
+    )
+
+
+def test_cells_spanning_several_jobs(fake_pool):
+    cfg = spanning_sweep()
+    runs = {w: run_sweep(cfg, workers=w, retain_stats=True) for w in (1, 2, 3)}
+    assert fake_pool.maps == [[13, 13, 4] * 2] * 2
+    csv = results_csv_lines(runs[1])
+    for results in runs.values():
+        assert results_csv_lines(results) == csv
+        for res, ref in zip(results, runs[1]):
+            np.testing.assert_array_equal(res.stats, ref.stats)
+            assert np.isfinite(res.wall_ms) and res.wall_ms > 0.0
+    for res in runs[1]:
+        want = [run_replication(res.scenario, r) for r in range(res.scenario.n_reps)]
+        assert res.stats.tolist() == want
+    split = replication_stats(cfg.scenarios()[1], workers=3)
+    assert fake_pool.maps[-1] == [10, 10, 10]
+    np.testing.assert_array_equal(split, runs[1][1].stats)
+
+
+def test_cells_spanning_several_jobs_on_a_process_pool():
+    cfg = spanning_sweep()
+    serial = run_sweep(cfg, workers=1, retain_stats=True)
+    pooled = run_sweep(cfg, workers=2, retain_stats=True)
+    assert results_csv_lines(pooled) == results_csv_lines(serial)
+    timed = results_csv_lines(pooled, timing=True)
+    for a, b, line in zip(pooled, serial, timed[1:]):
+        np.testing.assert_array_equal(a.stats, b.stats)
+        wall_ms = float(line.split(",")[-1])
+        assert wall_ms == a.wall_ms and np.isfinite(wall_ms) and wall_ms > 0.0
+
+
 @pytest.mark.parametrize("workers", [0, -2])
 def test_worker_count_below_one_rejected(fake_pool, workers):
     with pytest.raises(ValueError, match="worker"):
@@ -261,6 +309,38 @@ def test_sweep_rejects_empty_lists():
 def test_sweep_rejects_fractional_sample_sizes():
     with pytest.raises(ValueError, match="250.7"):
         SweepConfig(A_PAIR[0], A_PAIR[1], rho_list=(0.25,), n_list=(100, 250.7))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: tiny_scenario(n_reps=2.5),
+        lambda: tiny_scenario(n=200.5),
+        lambda: tiny_scenario(master_seed=1.5),
+        lambda: SweepConfig(A_PAIR[0], A_PAIR[1], rho_list=(0.25,), n_list=(50,), n_reps=2.5),
+        lambda: SweepConfig(A_PAIR[0], A_PAIR[1], rho_list=(0.25,), n_list=(50,), master_seed=1.5),
+        lambda: EvalGridSpec(m_points=16.5),
+        lambda: replication_stats(tiny_scenario(), workers=2.5),
+    ],
+    ids=["scenario-reps", "scenario-n", "scenario-seed", "sweep-reps", "sweep-seed",
+         "grid-points", "workers"],
+)
+def test_fractional_counts_rejected(build):
+    with pytest.raises(ValueError, match="whole number"):
+        build()
+
+
+def test_whole_float_counts_become_ints():
+    cfg = SweepConfig(
+        A_PAIR[0], A_PAIR[1], rho_list=(0.25,), n_list=(40,), n_reps=3.0,
+        grid=EvalGridSpec(m_points=16.0), master_seed=3.0,
+    )
+    values = (cfg.n_reps, cfg.master_seed, cfg.grid.m_points, cfg.scenarios()[0].n_reps)
+    assert values == (3, 3, 16, 3)
+    assert all(type(v) is int for v in values)
+    # the same draws as the sweep built from ints
+    stats = replication_stats(cfg.scenarios()[0], workers=1.0)
+    np.testing.assert_array_equal(stats, replication_stats(pool_sweep(n_reps=3).scenarios()[0]))
 
 
 def test_presets_match_published_settings():
