@@ -112,6 +112,7 @@ def sweep_estimates(path):
     return by_cell
 
 
+@pytest.mark.slow
 def test_cdf_engine_matches_independent_oracles():
     rng = np.random.default_rng(314159)
     t0 = time.perf_counter()

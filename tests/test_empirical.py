@@ -166,6 +166,20 @@ def _count_case(case, rng):
         pts = np.array([[0.5, -1.0]])
         q = np.array([[x, y] for x in (0.0, 0.5, 1.0) for y in (-2.0, -1.0, 0.0)])
         return pts, q
+    if case in ("x-tied", "y-tied"):
+        # one x value shared by all 3000 points and 3 y values, or the
+        # mirror: a few large tie groups across several query blocks
+        pts = np.column_stack([np.full(3000, 0.5), rng.integers(0, 3, 3000).astype(float)])
+        q = np.column_stack([rng.choice([0.0, 0.5, 1.0], 400), rng.integers(-1, 4, 400)])
+        assert len(q) >= 3 * _query_block(len(pts))
+        if case == "y-tied":
+            pts, q = pts[:, ::-1], q[:, ::-1]
+        return pts, q
+    if case == "n20000":
+        # the right-desk sample size with 500 corner queries, as the
+        # replications draw them
+        sample = Sample2D(rng.normal(size=(20_000, 2)))
+        return sample.points, build_eval_grid(sample, EvalGridSpec(m_points=500), rng)
     # several query blocks ("blocks", or n on either side of the block-size
     # rule); corner queries tie the sample in each coordinate
     n = {"blocks": 700, "n384": 384, "n385": 385, "n3000": 3000}[case]
@@ -185,7 +199,11 @@ def test_query_block_rule():
 
 
 @pytest.mark.parametrize(
-    "case", ["tie-lattice", "outside", "single-point", "blocks", "n384", "n385", "n3000"]
+    "case",
+    [
+        "tie-lattice", "outside", "single-point", "blocks", "n384", "n385", "n3000",
+        "x-tied", "y-tied", "n20000",
+    ],
 )
 def test_blocked_count_matches_naive(case):
     pts, q = _count_case(case, np.random.default_rng(7))
@@ -197,23 +215,36 @@ def test_blocked_count_matches_naive(case):
 
 
 def test_count_memory_is_bounded_in_the_queries():
-    # one unblocked (3001 x 3001) int64 table alone would take about 72 MB
+    # one unblocked (3001 x 3001) int64 table alone would take about 72 MB;
+    # on a tied sample the tie-group terms must stay O(n + M) as well
     rng = np.random.default_rng(8)
-    ecdf = EmpiricalCdf(Sample2D(rng.normal(size=(2000, 2))))
+    pts = rng.normal(size=(2000, 2))
     q = rng.normal(size=(3000, 2))
-    tracemalloc.start()
-    try:
-        ecdf.dominance_counts(q)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20
+    for sample, queries in ((pts, q), (np.round(pts), np.round(q))):
+        ecdf = EmpiricalCdf(Sample2D(sample))
+        tracemalloc.start()
+        try:
+            ecdf.dominance_counts(queries)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 def test_counts_validate_query_shape():
     ecdf = EmpiricalCdf(Sample2D(np.zeros((1, 2))))
     with pytest.raises(ValueError):
         ecdf.dominance_counts(np.zeros(4))
+
+
+@pytest.mark.parametrize("query", [[np.nan, 0.0], [0.0, np.nan], [np.nan, np.nan]])
+def test_counts_reject_nan_queries(query):
+    ecdf = EmpiricalCdf(Sample2D(np.random.default_rng(9).normal(size=(50, 2))))
+    q = np.array([[np.inf, 0.0], query])
+    with pytest.raises(ValueError, match="NaN"):
+        ecdf.dominance_counts(q)
+    with pytest.raises(ValueError, match="NaN"):
+        ecdf.eval_batch(q)
 
 
 # ---------------------------------------------------------------------------
