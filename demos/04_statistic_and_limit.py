@@ -42,7 +42,9 @@ print(f"n = {n}, beta_n = n^(-1/4) = {beta:.4f}")
 print(f"scaled uniform distance over {grid.shape[0]} grid points: {stat:.4f}")
 
 # the library one-liner agrees bit for bit
-scenario = Scenario(m_a, m_b, n, rho=0.25, master_seed=20260819)
+scenario = Scenario(
+    m_a, m_b, n, rho=0.25, grid=EvalGridSpec(m_points=500), master_seed=20260819
+)
 assert run_replication(scenario, 0) == stat
 print("run_replication reproduces the hand-assembled value exactly")
 print()

@@ -83,7 +83,7 @@ class Config:
         _whole_fields(self, "reps", "grid_points", "seed")
         if not self.rho_list or not self.n_list:
             raise ValueError("rho_list and n_list must be nonempty")
-        if self.c < 0.0:
+        if not self.c >= 0.0:
             raise ValueError(f"threshold must be nonnegative, got {self.c}")
         if self.reps < 1 or self.grid_points < 1:
             raise ValueError("reps and grid_points must be positive")

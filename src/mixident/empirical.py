@@ -51,12 +51,9 @@ from .pushforward import as_matrix, mixture_cdf_batch
 
 @dataclass(frozen=True, eq=False)
 class Sample2D:
-    """n planar observations plus provenance of how they were drawn."""
+    """n planar observations."""
 
     points: np.ndarray
-    matrix: object = None
-    beta: float | None = None
-    seed_path: tuple[int, ...] | None = None
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -81,21 +78,13 @@ def draw_sample(
 ) -> Sample2D:
     """n i.i.d. draws of A e with coordinates i.i.d. beta*xi + (1-beta)*zeta.
 
-    ``rng`` is either a reproducible stream (its path is recorded as
-    provenance) or a bare numpy Generator.
+    ``rng`` is either a reproducible stream or a bare numpy Generator.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    m = as_matrix(m)
-    if isinstance(rng, RngStream):
-        path = rng.path
-        gen = rng.generator()
-    else:
-        path = None
-        gen = rng
+    gen = rng.generator() if isinstance(rng, RngStream) else rng
     eps = ContaminatedLaw(beta, xi, zeta).sample(gen, (n, 2))
-    pts = eps @ m.as_array().T
-    return Sample2D(pts, matrix=m, beta=beta, seed_path=path)
+    return Sample2D(eps @ as_matrix(m).as_array().T)
 
 
 def _query_block(n: int) -> int:
@@ -233,11 +222,6 @@ class EmpiricalCdf:
         strict_x, on_x = _tie_groups(sx, ypos, qx, kx, ky)
         _, on_y = _tie_groups(sy, xpos, qy, ky, strict_x)
         return weak, weak - on_x - on_y
-
-    def eval_batch(self, queries) -> np.ndarray:
-        """Empirical CDF at each query point: weak counts / n."""
-        weak, _ = self.dominance_counts(queries)
-        return weak / self.n
 
 
 def naive_dominance_counts(points, queries) -> tuple[np.ndarray, np.ndarray]:

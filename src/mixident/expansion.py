@@ -2,10 +2,10 @@
 
 With coordinates i.i.d. ``beta * xi + (1 - beta) * zeta``, the orthant
 probability P(A e <= x) is an exact degree-2 polynomial in beta.  This
-module evaluates the coefficient fields of that polynomial, the pairwise
-difference of the first-order fields for two mixing matrices, and their
-grid sups: the mixture gap sup |F_A - F_B| at a level and its small-level
-slope K (``estimate_K``).
+module evaluates the coefficient fields of that polynomial and two grid
+sups for a pair of mixing matrices: the mixture gap sup |F_A - F_B| at a
+level, and its small-level slope K (``estimate_K``), norm_c times the sup
+of the difference of the two first-order fields.
 
 Every coefficient field is a fixed weight vector (``GAMMA_WEIGHTS``) over
 the four pure-assignment CDF rows of ``pushforward.PureFields``, the rows
@@ -38,28 +38,18 @@ class NuMeasure:
     """Normalized signed difference between contaminant and background.
 
     The raw difference of the two CDFs is rescaled by its uniform norm
-    ``norm_c``, so the resulting signed measure has uniform norm one.
+    ``norm_c``, computed from xi and zeta at construction, so the resulting
+    signed measure has uniform norm one.
     """
 
     xi: ComponentLaw = CENTERED_EXPONENTIAL
     zeta: ComponentLaw = STANDARD_NORMAL
-    norm_c: float = field(default=0.0)
+    norm_c: float = field(init=False)
 
     def __post_init__(self):
         if self.xi == self.zeta:
             raise ValueError("contaminant and background must differ")
-        if self.norm_c == 0.0:
-            object.__setattr__(
-                self, "norm_c", kolmogorov_distance_univ(self.xi, self.zeta)
-            )
-        if not self.norm_c > 0.0:
-            raise ValueError("norm_c must be positive")
-
-    def nu_cdf(self, t: float) -> float:
-        return (self.xi.cdf(t) - self.zeta.cdf(t)) / self.norm_c
-
-    def nu_cdf_batch(self, t: np.ndarray) -> np.ndarray:
-        return (self.xi.cdf_batch(t) - self.zeta.cdf_batch(t)) / self.norm_c
+        object.__setattr__(self, "norm_c", kolmogorov_distance_univ(self.xi, self.zeta))
 
 
 DEFAULT_MEASURE = NuMeasure()
@@ -107,7 +97,7 @@ def gamma_k_batch(m, k: int, points, measure: NuMeasure = DEFAULT_MEASURE) -> np
     return gamma_from_fields(PureFields(m, points, measure.xi, measure.zeta), k, measure)
 
 
-def polynomial_reconstruct(m, beta: float, x, measure: NuMeasure = DEFAULT_MEASURE) -> float:
+def polynomial_reconstruct(m, beta: float, x) -> float:
     """Rebuild the mixture CDF from the expansion coefficients.
 
     Evaluates sum_k beta^k * norm_c^k * coefficient_k(x).  Must agree
@@ -116,15 +106,9 @@ def polynomial_reconstruct(m, beta: float, x, measure: NuMeasure = DEFAULT_MEASU
     """
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must lie in [0, 1], got {beta}")
-    fields = PureFields(m, [x], measure.xi, measure.zeta)
-    c = measure.norm_c
-    return float(
-        sum(beta**k * c**k * gamma_from_fields(fields, k, measure) for k in range(P_DIM + 1))[0]
-    )
-
-
-def gamma_diff_batch(m_a, m_b, points, measure: NuMeasure = DEFAULT_MEASURE) -> np.ndarray:
-    return gamma_k_batch(m_a, 1, points, measure) - gamma_k_batch(m_b, 1, points, measure)
+    fields = PureFields(m, [x])
+    c = DEFAULT_MEASURE.norm_c
+    return float(sum(beta**k * c**k * gamma_from_fields(fields, k) for k in range(P_DIM + 1))[0])
 
 
 def sup_on_grid(values) -> float:
@@ -141,21 +125,14 @@ def sup_gap_from_fields(fa: PureFields, fb: PureFields, beta: float) -> float:
     return sup_on_grid(fa.mixture(beta) - fb.mixture(beta))
 
 
-def rate_constant_from_fields(
-    fa: PureFields, fb: PureFields, measure: NuMeasure = DEFAULT_MEASURE
-) -> float:
+def rate_constant_from_fields(fa: PureFields, fb: PureFields) -> float:
     """norm_c * grid sup of the first-order field gap, the slope of
     sup |F_A - F_B| at small contamination levels."""
-    gap = gamma_from_fields(fa, 1, measure) - gamma_from_fields(fb, 1, measure)
-    return measure.norm_c * sup_on_grid(gap)
+    gap = gamma_from_fields(fa, 1) - gamma_from_fields(fb, 1)
+    return DEFAULT_MEASURE.norm_c * sup_on_grid(gap)
 
 
-def estimate_K(
-    m_a,
-    m_b,
-    grid: EvalGrid | None = None,
-    measure: NuMeasure = DEFAULT_MEASURE,
-) -> float:
+def estimate_K(m_a, m_b, grid: EvalGrid | None = None) -> float:
     """Leading slope K of sup |F_A - F_B| in the contamination level.
 
     Requires the uncontaminated models to coincide (same second-moment
@@ -164,27 +141,18 @@ def estimate_K(
     """
     if grid is None:
         grid = EvalGrid.tensor()
-    fa = PureFields(m_a, grid.points, measure.xi, measure.zeta)
-    fb = PureFields(m_b, grid.points, measure.xi, measure.zeta)
+    fa = PureFields(m_a, grid.points)
+    fb = PureFields(m_b, grid.points)
     base_gap = sup_gap_from_fields(fa, fb, 0.0)
     if base_gap > 1e-8:
         raise ValueError(
             f"uncontaminated models differ by {base_gap:.2e}; K is undefined"
         )
-    return rate_constant_from_fields(fa, fb, measure)
+    return rate_constant_from_fields(fa, fb)
 
 
-def mixture_sup_gap(
-    m_a,
-    m_b,
-    beta: float,
-    grid: EvalGrid | None = None,
-    xi: ComponentLaw = CENTERED_EXPONENTIAL,
-    zeta: ComponentLaw = STANDARD_NORMAL,
-) -> float:
+def mixture_sup_gap(m_a, m_b, beta: float, grid: EvalGrid | None = None) -> float:
     """Grid sup of |F_A - F_B| at contamination level beta."""
     if grid is None:
         grid = EvalGrid.tensor()
-    return sup_gap_from_fields(
-        PureFields(m_a, grid.points, xi, zeta), PureFields(m_b, grid.points, xi, zeta), beta
-    )
+    return sup_gap_from_fields(PureFields(m_a, grid.points), PureFields(m_b, grid.points), beta)

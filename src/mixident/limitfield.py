@@ -54,7 +54,10 @@ class LimitLawSample:
         return self.draws.size
 
     def survival(self, c: float, strict: bool = True) -> tuple[float, float]:
-        """P(draw > c) (or >= c) with its binomial standard error."""
+        """P(draw > c) (or >= c) with its binomial standard error; a
+        negative or NaN threshold raises ``ValueError``."""
+        if not c >= 0.0:
+            raise ValueError(f"threshold must be nonnegative, got {c}")
         hits = self.draws > c if strict else self.draws >= c
         p = float(np.mean(hits))
         return p, math.sqrt(p * (1.0 - p) / self.draws.size)
@@ -75,10 +78,11 @@ def simulate_limit_sup(
     pushforward CDF.  n0 defaults large enough that the remaining
     finite-sample error is below the Monte Carlo noise of the draws.
 
-    Draws run through the job queue of ``montecarlo.replication_stats``,
-    in contiguous blocks on a pool of ``workers`` processes sized and
-    validated as there; draw r is a pure function of (master_seed, r), so
-    the draws do not depend on ``workers``.
+    Draws run through the replication job queue of ``mixident.montecarlo``
+    (the one ``estimate_probability`` and ``run_sweep`` use), in contiguous
+    blocks on a pool of ``workers`` processes sized and validated as there;
+    draw r is a pure function of (master_seed, r), so the draws do not
+    depend on ``workers``.
     """
     n0, n_draws, master_seed = _whole_numbers((n0, n_draws, master_seed))
     if n_draws < 1:
@@ -107,25 +111,21 @@ class SandwichBounds:
             raise ValueError("bounds out of order")
 
 
-def sandwich_bounds(
-    k: float,
-    c: float,
-    limit: LimitLawSample,
-    norm_c: float = DEFAULT_MEASURE.norm_c,
-) -> SandwichBounds:
+def sandwich_bounds(k: float, c: float, limit: LimitLawSample) -> SandwichBounds:
     """Bracket P(statistic > c) under square-root-rate contamination.
 
     The exceedance probability is at least the limit law's survival
     strictly above c + 4 p k norm_c and at most its survival weakly
-    above c - 4 p k norm_c.
+    above c - 4 p k norm_c, with norm_c of the default measure.  The
+    draws are nonnegative, so a lower threshold below zero reads as zero.
     """
-    if k < 0.0:
+    if not k >= 0.0:
         raise ValueError(f"intensity must be nonnegative, got {k}")
-    if c < 0.0:
+    if not c >= 0.0:
         raise ValueError(f"threshold must be nonnegative, got {c}")
-    shift = 4.0 * P_DIM * k * norm_c
+    shift = 4.0 * P_DIM * k * DEFAULT_MEASURE.norm_c
     lower, lo_se = limit.survival(c + shift, strict=True)
-    upper, up_se = limit.survival(c - shift, strict=False)
+    upper, up_se = limit.survival(max(c - shift, 0.0), strict=False)
     return SandwichBounds(lower, upper, lo_se, up_se, shift)
 
 

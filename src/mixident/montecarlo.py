@@ -81,7 +81,7 @@ class Scenario:
             raise ValueError(f"need n >= 1, got {self.n}")
         if self.n_reps < 1:
             raise ValueError(f"need at least one replication, got {self.n_reps}")
-        if self.c < 0.0:
+        if not self.c >= 0.0:
             raise ValueError(f"threshold must be nonnegative, got {self.c}")
         if (self.rho is None) == (self.beta is None):
             raise ValueError("set exactly one of rho (schedule) or beta (fixed)")
@@ -197,17 +197,14 @@ def _run_jobs(jobs, workers: int) -> list[tuple[np.ndarray, float]]:
         return list(zip(stats, wall_ms))
 
 
-def replication_stats(scenario: Scenario, workers: int = 1) -> np.ndarray:
-    """All replication statistics, ordered by replication index."""
-    return _run_jobs([(_scenario_job(scenario), scenario.n_reps)], workers)[0][0]
-
-
 def probability_above(stats: np.ndarray, c: float) -> tuple[float, float]:
     """Indicator average of {stat > c} and its binomial standard error.
 
-    A non-finite statistic raises ``ValueError``: it would otherwise count
-    as no exceedance.
+    A non-finite statistic, or a negative or NaN threshold, raises
+    ``ValueError``: NaN would otherwise count as no exceedance.
     """
+    if not c >= 0.0:
+        raise ValueError(f"threshold must be nonnegative, got {c}")
     if not np.all(np.isfinite(stats)):
         raise ValueError("non-finite replication statistics")
     p_hat = float(np.mean(stats > c))
@@ -390,6 +387,6 @@ def predict_threshold_n(rho: float, c: float, k_const: float) -> float:
     """
     if not 0.0 < rho < 0.5:
         raise ValueError(f"heuristic needs 0 < rho < 1/2, got {rho}")
-    if k_const <= 0.0 or c <= 0.0:
+    if not (c > 0.0 and k_const > 0.0):
         raise ValueError("need positive threshold and rate constant")
     return math.exp(math.log(c / k_const) / (0.5 - rho))

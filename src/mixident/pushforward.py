@@ -78,10 +78,6 @@ class MixingMatrix2:
             raise ValueError(f"expected a 2x2 matrix, got shape {a.shape}")
         return cls(float(a[0, 0]), float(a[0, 1]), float(a[1, 0]), float(a[1, 1]))
 
-    @classmethod
-    def identity(cls) -> "MixingMatrix2":
-        return cls(1.0, 0.0, 0.0, 1.0)
-
 
 def as_matrix(m) -> MixingMatrix2:
     if isinstance(m, MixingMatrix2):
@@ -265,7 +261,8 @@ def _bvn_upper(h: np.ndarray, k: np.ndarray, r: float) -> np.ndarray:
 
 
 def bvn_cdf_batch(h, k, rho: float) -> np.ndarray:
-    """P(Z1 <= h, Z2 <= k) for standard bivariate normal, vectorized in h, k."""
+    """P(Z1 <= h, Z2 <= k) for standard bivariate normal, vectorized in h, k;
+    absolute error well below 1e-10."""
     if not -1.0 < rho < 1.0:
         raise ValueError(f"correlation must lie strictly in (-1, 1), got {rho}")
     h = np.asarray(h, dtype=float)
@@ -277,11 +274,6 @@ def bvn_cdf_batch(h, k, rho: float) -> np.ndarray:
     p = _bvn_upper(-np.where(fin, h, 0.0), -np.where(fin, k, 0.0), rho)
     edge = np.where((h == -np.inf) | (k == -np.inf), 0.0, np.where(h == np.inf, ndtr(k), ndtr(h)))
     return np.where(fin, np.minimum(np.maximum(p, 0.0), 1.0), edge)
-
-
-def bvn_cdf(h: float, k: float, rho: float) -> float:
-    """Scalar bivariate normal CDF; absolute error well below 1e-10."""
-    return float(bvn_cdf_batch(np.asarray([h]), np.asarray([k]), rho)[0])
 
 
 # ===========================================================================
@@ -640,11 +632,6 @@ def pure_cdf_batch(m, comps: tuple[ComponentLaw, ComponentLaw], points) -> np.nd
     if not np.isfinite(out).all():
         raise ValueError(f"closed form gave {int(np.sum(~np.isfinite(out)))} non-finite values for {m}")
     return out
-
-
-def pure_pushforward_cdf(m, comps: tuple[ComponentLaw, ComponentLaw], x) -> float:
-    """P(A e <= x) for independent pure coordinates e = (e_1, e_2)."""
-    return float(pure_cdf_batch(m, comps, [x])[0])
 
 
 # rows NN, EN, NE, EE of PureFields; flag 1 puts the contaminant on that coordinate

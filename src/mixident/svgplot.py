@@ -46,8 +46,6 @@ class AxesSpec:
     y_label: str = "estimate"
     title: str = ""
     x_scale: str = "linear"  # or "log"
-    y_min: float | None = 0.0
-    y_max: float | None = 1.0
 
 
 def _fmt(v: float) -> str:
@@ -102,17 +100,13 @@ def render_line_chart(series: list[Series], axes: AxesSpec = AxesSpec()) -> str:
         raise ValueError("need at least one series")
     log_x = axes.x_scale == "log"
     xs_all = [x for s in series for x in s.xs]
-    ys_all = [y for s in series for y in s.ys]
     if log_x and min(xs_all) <= 0.0:
         raise ValueError("log x axis needs positive x values")
 
     x_lo, x_hi = min(xs_all), max(xs_all)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
-    y_lo = axes.y_min if axes.y_min is not None else min(ys_all)
-    y_hi = axes.y_max if axes.y_max is not None else max(ys_all)
-    if y_hi <= y_lo:
-        y_hi = y_lo + 1.0
+    y_lo, y_hi = 0.0, 1.0  # the y axis shows probabilities
 
     def tx(x: float) -> float:
         if log_x:

@@ -30,7 +30,6 @@ from mixident.montecarlo import (
     Scenario,
     estimate_probability,
     probability_above,
-    replication_stats,
 )
 from mixident.pushforward import (
     as_matrix,
@@ -286,7 +285,8 @@ def test_median_statistic_increases_with_sample_size(pair):
             master_seed=MASTER_SEED,
             index=index,
         )
-        medians.append(float(np.median(replication_stats(scenario))))
+        stats = estimate_probability(scenario, retain_stats=True).stats
+        medians.append(float(np.median(stats)))
     assert all(a < b for a, b in zip(medians, medians[1:])), (
         f"medians not strictly increasing: {[f'{v:.4f}' for v in medians]}"
     )

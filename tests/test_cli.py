@@ -63,6 +63,7 @@ def test_config_rejections():
         "n_list=",
         "reps=0",
         "c=-2",
+        "c=nan",
     ):
         with pytest.raises(ValueError):
             parse_config(text)
@@ -134,6 +135,16 @@ def test_config_rejects_fractional_counts():
     cfg = Config(reps=3.0, grid_points=16.0, seed=7.0)
     assert (cfg.reps, cfg.grid_points, cfg.seed) == (3, 16, 7)
     assert type(cfg.reps) is int and type(cfg.seed) is int
+
+
+def test_nan_threshold_exits_one(tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    small = ["--reps", "3", "--grid-points", "16", "--out", str(out)]
+    assert main(["experiment", "--rho", "0.25", "--n-list", "60", "--c", "nan", *small]) == 1
+    assert "threshold" in capsys.readouterr().err
+    assert main(["limit", "--n0", "50", "--c-list", "0.5,nan", *small]) == 1
+    assert "threshold" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_experiment_rejects_workers_below_one(tmp_path, capsys):

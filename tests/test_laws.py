@@ -247,11 +247,6 @@ def test_shared_scan_equals_each_distance_bit_for_bit():
         _distances_to_background([ContaminatedLaw(0.1), ContaminatedLaw(0.1, xi=STANDARD_EXPONENTIAL)])
 
 
-def test_distance_rejects_coarse_grids():
-    with pytest.raises(ValueError):
-        kolmogorov_distance_univ(CENTERED_EXPONENTIAL, STANDARD_NORMAL, grid_points=999)
-
-
 def test_component_kind_round_trip():
     for kind in ComponentKind:
         assert ComponentLaw(kind).kind is kind

@@ -104,6 +104,12 @@ def test_survival_monotone_and_bounded(small_limit):
         assert weak >= strict
 
 
+@pytest.mark.parametrize("c", [np.nan, -0.5])
+def test_survival_rejects_bad_threshold(small_limit, c):
+    with pytest.raises(ValueError, match="threshold"):
+        small_limit.survival(c)
+
+
 def test_survival_stderr_is_binomial(small_limit):
     p, se = small_limit.survival(1.0)
     assert se == pytest.approx(np.sqrt(p * (1.0 - p) / 40.0), abs=1e-15)
@@ -156,6 +162,10 @@ def test_sandwich_rejects_negative_arguments(small_limit):
         sandwich_bounds(-0.5, 1.0, small_limit)
     with pytest.raises(ValueError):
         sandwich_bounds(0.5, -1.0, small_limit)
+    with pytest.raises(ValueError, match="intensity"):
+        sandwich_bounds(np.nan, 1.0, small_limit)
+    with pytest.raises(ValueError, match="threshold"):
+        sandwich_bounds(0.5, np.nan, small_limit)
     with pytest.raises(ValueError):
         SandwichBounds(0.9, 0.1, 0.0, 0.0, 0.0)
 

@@ -18,7 +18,6 @@ from mixident.montecarlo import (
     predict_threshold_n,
     preset_config,
     probability_above,
-    replication_stats,
     results_csv_lines,
     run_replication,
     run_sweep,
@@ -56,6 +55,8 @@ def test_scenario_rejects_bad_sizes():
         tiny_scenario(n_reps=0)
     with pytest.raises(ValueError):
         tiny_scenario(c=-0.5)
+    with pytest.raises(ValueError, match="threshold"):
+        tiny_scenario(c=math.nan)
 
 
 def test_scenario_needs_exactly_one_schedule():
@@ -118,16 +119,17 @@ def test_replications_differ_across_scenario_index():
 def test_run_replication_equals_engine():
     # 300-point grids: the engine evaluates 13 replications per target call
     s = tiny_scenario(n_reps=20, grid=EvalGridSpec(m_points=300))
-    stats = replication_stats(s)
+    stats = estimate_probability(s, retain_stats=True).stats
     assert [run_replication(s, r) for r in range(s.n_reps)] == stats.tolist()
 
 
 def test_worker_count_does_not_change_stats():
     s = tiny_scenario()
-    serial = replication_stats(s, workers=1)
+    serial = estimate_probability(s, workers=1, retain_stats=True).stats
     assert serial.shape == (s.n_reps,)
     for workers in (2, 3):
-        np.testing.assert_array_equal(replication_stats(s, workers=workers), serial)
+        pooled = estimate_probability(s, workers=workers, retain_stats=True).stats
+        np.testing.assert_array_equal(pooled, serial)
 
 
 def pool_sweep(rho_list=(0.25,), n_reps=5):
@@ -153,7 +155,7 @@ def test_sweep_runs_on_one_pool(fake_pool):
 def test_worker_count_is_clamped(fake_pool):
     run_sweep(pool_sweep(n_reps=6), workers=10_000)
     assert fake_pool == [4]  # the CPUs available
-    replication_stats(tiny_scenario(n_reps=3), workers=10_000)
+    estimate_probability(tiny_scenario(n_reps=3), workers=10_000)
     assert fake_pool == [4, 3]  # the replications
     estimate_probability(tiny_scenario(n_reps=1), workers=10_000)
     assert fake_pool == [4, 3]  # one replication runs in-process
@@ -164,7 +166,7 @@ def test_replications_run_as_one_job_queue(fake_pool):
     run_sweep(pool_sweep(rho_list=(0.25, 0.35, 0.5)), workers=2)
     assert fake_pool.maps == [[5, 5, 5]]
     # blocks are cut smaller only to give every worker one
-    replication_stats(tiny_scenario(n_reps=3), workers=3)
+    estimate_probability(tiny_scenario(n_reps=3), workers=3)
     assert fake_pool == [2, 3]
     assert fake_pool.maps[1:] == [[1, 1, 1]]
 
@@ -190,7 +192,7 @@ def test_cells_spanning_several_jobs(fake_pool):
     for res in runs[1]:
         want = [run_replication(res.scenario, r) for r in range(res.scenario.n_reps)]
         assert res.stats.tolist() == want
-    split = replication_stats(cfg.scenarios()[1], workers=3)
+    split = estimate_probability(cfg.scenarios()[1], workers=3, retain_stats=True).stats
     assert fake_pool.maps[-1] == [10, 10, 10]
     np.testing.assert_array_equal(split, runs[1][1].stats)
 
@@ -211,8 +213,6 @@ def test_cells_spanning_several_jobs_on_a_process_pool():
 def test_worker_count_below_one_rejected(fake_pool, workers):
     with pytest.raises(ValueError, match="worker"):
         run_sweep(pool_sweep(), workers=workers)
-    with pytest.raises(ValueError, match="worker"):
-        replication_stats(tiny_scenario(), workers=workers)
     with pytest.raises(ValueError, match="worker"):
         estimate_probability(tiny_scenario(), workers=workers)
     assert fake_pool == []
@@ -259,6 +259,13 @@ def test_probability_above_by_hand():
 def test_probability_above_rejects_non_finite(bad):
     with pytest.raises(ValueError, match="non-finite"):
         probability_above(np.array([0.5, bad, 2.5]), 1.0)
+
+
+@pytest.mark.parametrize("c", [math.nan, -0.5])
+def test_probability_above_rejects_bad_threshold(c):
+    # a NaN threshold compares false with every statistic: no exceedance
+    with pytest.raises(ValueError, match="threshold"):
+        probability_above(np.array([0.5, 1.5]), c)
 
 
 def test_probability_above_monotone_in_threshold():
@@ -320,7 +327,7 @@ def test_sweep_rejects_fractional_sample_sizes():
         lambda: SweepConfig(A_PAIR[0], A_PAIR[1], rho_list=(0.25,), n_list=(50,), n_reps=2.5),
         lambda: SweepConfig(A_PAIR[0], A_PAIR[1], rho_list=(0.25,), n_list=(50,), master_seed=1.5),
         lambda: EvalGridSpec(m_points=16.5),
-        lambda: replication_stats(tiny_scenario(), workers=2.5),
+        lambda: estimate_probability(tiny_scenario(), workers=2.5),
     ],
     ids=["scenario-reps", "scenario-n", "scenario-seed", "sweep-reps", "sweep-seed",
          "grid-points", "workers"],
@@ -339,8 +346,9 @@ def test_whole_float_counts_become_ints():
     assert values == (3, 3, 16, 3)
     assert all(type(v) is int for v in values)
     # the same draws as the sweep built from ints
-    stats = replication_stats(cfg.scenarios()[0], workers=1.0)
-    np.testing.assert_array_equal(stats, replication_stats(pool_sweep(n_reps=3).scenarios()[0]))
+    stats = estimate_probability(cfg.scenarios()[0], workers=1.0, retain_stats=True).stats
+    ints = estimate_probability(pool_sweep(n_reps=3).scenarios()[0], retain_stats=True)
+    np.testing.assert_array_equal(stats, ints.stats)
 
 
 def test_presets_match_published_settings():
@@ -468,3 +476,7 @@ def test_predict_threshold_rejects_bad_arguments():
         predict_threshold_n(0.25, 0.0, 1.0)
     with pytest.raises(ValueError):
         predict_threshold_n(0.25, 1.0, -1.0)
+    with pytest.raises(ValueError):
+        predict_threshold_n(0.25, math.nan, 1.0)
+    with pytest.raises(ValueError):
+        predict_threshold_n(0.25, 1.0, math.nan)

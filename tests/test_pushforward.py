@@ -28,14 +28,12 @@ from mixident.pushforward import (
     _j_exp_expfactor,
     _sort_rows,
     as_matrix,
-    bvn_cdf,
     bvn_cdf_batch,
     equal_product_pair,
     mixture_cdf_batch,
     mixture_pushforward_cdf,
     mixture_weights,
     pure_cdf_batch,
-    pure_pushforward_cdf,
 )
 
 N = STANDARD_NORMAL
@@ -109,14 +107,14 @@ def test_equal_product_pair_rejects_degenerate():
 
 
 def test_bvn_anchor_at_origin():
-    assert abs(bvn_cdf(0.0, 0.0, 0.4) - BVN_ORIGIN_04) < 1e-14
+    assert abs(bvn_cdf_batch([0.0], [0.0], 0.4)[0] - BVN_ORIGIN_04) < 1e-14
 
 
 def test_bvn_arcsine_identity():
     # closed form at the origin for every correlation
     for r in np.linspace(-0.95, 0.95, 39):
         want = 0.25 + math.asin(r) / (2.0 * math.pi)
-        assert abs(bvn_cdf(0.0, 0.0, float(r)) - want) < 1e-14
+        assert abs(bvn_cdf_batch([0.0], [0.0], float(r))[0] - want) < 1e-14
 
 
 def test_bvn_independent_case_factorizes():
@@ -140,7 +138,7 @@ def test_bvn_against_generic_quadrature():
         h, k = rng.normal(size=2)
         r = float(rng.uniform(-0.9, 0.9))
         want, err = dblquad(density, -8.0, h, -8.0, k, args=(r,), epsabs=1e-12)
-        assert abs(bvn_cdf(h, k, r) - want) < 1e-10
+        assert abs(bvn_cdf_batch([h], [k], r)[0] - want) < 1e-10
 
 
 def test_bvn_high_correlation_branch():
@@ -152,7 +150,7 @@ def test_bvn_high_correlation_branch():
 
     for h, k, r in [(0.3, -0.2, 0.98), (0.0, 0.5, -0.97), (1.0, 1.2, 0.999)]:
         want, err = dblquad(density, -8.0, h, -8.0, k, args=(r,), epsabs=1e-12)
-        assert abs(bvn_cdf(h, k, r) - want) < 1e-9
+        assert abs(bvn_cdf_batch([h], [k], r)[0] - want) < 1e-9
 
 
 def _bvn_quad(h: float, k: float, r: float) -> float:
@@ -189,7 +187,7 @@ def test_bvn_high_correlation_grid_matches_quadrature(r):
 def test_bvn_high_correlation_batch_equals_scalar():
     r = 0.999997
     batch = bvn_cdf_batch(BVN_GRID[:, 0], BVN_GRID[:, 1], r)
-    scalar = np.array([bvn_cdf(float(h), float(k), r) for h, k in BVN_GRID])
+    scalar = np.array([bvn_cdf_batch([float(h)], [float(k)], r)[0] for h, k in BVN_GRID])
     np.testing.assert_array_equal(batch, scalar)
 
 
@@ -201,12 +199,12 @@ def test_bvn_infinite_thresholds_take_their_limits():
         np.testing.assert_array_equal(bvn_cdf_batch(x, inf, r), ndtr(x))
         np.testing.assert_array_equal(bvn_cdf_batch(-inf, x, r), np.zeros(3))
         np.testing.assert_array_equal(bvn_cdf_batch(x, -inf, r), np.zeros(3))
-        assert bvn_cdf(np.inf, np.inf, r) == 1.0
-        assert bvn_cdf(np.inf, -np.inf, r) == 0.0
+        assert bvn_cdf_batch([np.inf], [np.inf], r)[0] == 1.0
+        assert bvn_cdf_batch([np.inf], [-np.inf], r)[0] == 0.0
         # finite lanes do not change when infinite lanes join the batch
         h = np.array([0.3, np.inf, -0.2])
         k = np.array([-0.4, 0.5, np.inf])
-        np.testing.assert_array_equal(bvn_cdf_batch(h, k, r)[0], bvn_cdf(0.3, -0.4, r))
+        np.testing.assert_array_equal(bvn_cdf_batch(h, k, r)[0], bvn_cdf_batch([0.3], [-0.4], r)[0])
 
 
 def test_bvn_batch_matches_scalar():
@@ -214,13 +212,13 @@ def test_bvn_batch_matches_scalar():
     h = rng.normal(size=20)
     k = rng.normal(size=20)
     batch = bvn_cdf_batch(h, k, 0.6)
-    scalar = np.array([bvn_cdf(float(a), float(b), 0.6) for a, b in zip(h, k)])
+    scalar = np.array([bvn_cdf_batch([float(a)], [float(b)], 0.6)[0] for a, b in zip(h, k)])
     np.testing.assert_array_equal(batch, scalar)
 
 
 def test_bvn_rejects_degenerate_correlation():
     with pytest.raises(ValueError):
-        bvn_cdf(0.0, 0.0, 1.0)
+        bvn_cdf_batch([0.0], [0.0], 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -229,12 +227,12 @@ def test_bvn_rejects_degenerate_correlation():
 
 def test_gaussian_pair_reduces_to_bvn():
     m = worked_matrix()
-    got = pure_pushforward_cdf(m, (N, N), (0.0, 0.0))
+    got = pure_cdf_batch(m, (N, N), [(0.0, 0.0)])[0]
     assert abs(got - BVN_ORIGIN_04) < 1e-14
 
 
 def test_identity_exponential_pair_factorizes():
-    got = pure_pushforward_cdf(MixingMatrix2.identity(), (E, E), (0.0, 0.0))
+    got = pure_cdf_batch(np.eye(2), (E, E), [(0.0, 0.0)])[0]
     assert abs(got - EE_ORIGIN) < 1e-12
 
 
@@ -245,21 +243,21 @@ def test_worked_matrix_anchors(method):
         if method == "quad":
             got = quad_pure_cdf(m, comps, WORKED_X)
         else:
-            got = pure_pushforward_cdf(m, comps, WORKED_X)
+            got = pure_cdf_batch(m, comps, [WORKED_X])[0]
         assert abs(got - want) < 1e-10, (comps, method)
 
 
 def test_tail_limits():
     m = worked_matrix()
     for comps in LAW_PAIRS:
-        assert pure_pushforward_cdf(m, comps, (40.0, 40.0)) > 1.0 - 1e-10
-        assert pure_pushforward_cdf(m, comps, (-40.0, 40.0)) < 1e-10
+        assert pure_cdf_batch(m, comps, [(40.0, 40.0)])[0] > 1.0 - 1e-10
+        assert pure_cdf_batch(m, comps, [(-40.0, 40.0)])[0] < 1e-10
 
 
 def test_below_support_is_exactly_zero():
     # first row of the identity maps e_1 through; mass below the support
     # edge of the exponential is zero, not merely small
-    got = pure_pushforward_cdf(MixingMatrix2.identity(), (E, N), (-1.5, 0.0))
+    got = pure_cdf_batch(np.eye(2), (E, N), [(-1.5, 0.0)])[0]
     assert got == 0.0
 
 
@@ -274,7 +272,7 @@ def test_closed_matches_quad_random_matrices():
         m = random_invertible(rng)
         x = rng.normal(size=2) * 1.5
         for comps in LAW_PAIRS:
-            a = pure_pushforward_cdf(m, comps, x)
+            a = pure_cdf_batch(m, comps, [x])[0]
             b = quad_pure_cdf(m, comps, x)
             worst = max(worst, abs(a - b))
     assert worst < 1e-9
@@ -294,7 +292,7 @@ def test_closed_matches_quad_extreme_scales():
         m = as_matrix(a)
         x = rng.normal(size=2) * np.abs(a).sum(axis=1)
         for comps in LAW_PAIRS[:4]:
-            va = pure_pushforward_cdf(m, comps, x)
+            va = pure_cdf_batch(m, comps, [x])[0]
             vb = quad_pure_cdf(m, comps, x)
             worst = max(worst, abs(va - vb))
     assert worst < 5e-8
@@ -327,7 +325,7 @@ def test_closed_matches_quad_on_steep_and_near_triangular_matrices(case):
     square = np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2)
     for comps in [(E, N), (N, E), (E, E)]:
         assert np.all(np.isfinite(pure_cdf_batch(m, comps, square)))
-        closed = pure_pushforward_cdf(m, comps, x)
+        closed = pure_cdf_batch(m, comps, [x])[0]
         assert abs(closed - quad_pure_cdf(m, comps, x)) < 1e-8
 
 
@@ -340,7 +338,7 @@ def test_closed_form_finite_on_steep_rows():
     for m in (near, MixingMatrix2(1000.0, 1.0, 0.8, -1.4)):
         for beta in (0.05, 0.3):
             assert np.all(np.isfinite(mixture_cdf_batch(m, beta, pts)))
-    got = pure_pushforward_cdf(near, (E, E), (2.0, 2.0))
+    got = pure_cdf_batch(near, (E, E), [(2.0, 2.0)])[0]
     assert got == pytest.approx(quad_pure_cdf(near, (E, E), (2.0, 2.0)), abs=1e-10)
 
 
@@ -357,7 +355,7 @@ def test_triangular_columns():
     for a in ([[1.0, 0.0], [0.4, 1.0]], [[0.7, 1.2], [0.5, 0.0]]):
         m = as_matrix(np.array(a))
         for comps in [(E, N), (N, E), (E, E)]:
-            va = pure_pushforward_cdf(m, comps, (0.4, -0.3))
+            va = pure_cdf_batch(m, comps, [(0.4, -0.3)])[0]
             vb = quad_pure_cdf(m, comps, (0.4, -0.3))
             assert abs(va - vb) < 1e-10
 
@@ -389,7 +387,7 @@ def test_batch_equals_scalar_loop(name):
     for comps in LAW_PAIRS:
         batch = pure_cdf_batch(m, comps, pts)
         scalar = np.array(
-            [pure_pushforward_cdf(m, comps, p) for p in pts]
+            [pure_cdf_batch(m, comps, [p])[0] for p in pts]
         )
         np.testing.assert_array_equal(batch, scalar)
 
@@ -515,8 +513,8 @@ def test_column_permutation_invariance():
         swapped = as_matrix(a[:, ::-1])
         x = rng.normal(size=2)
         for l1, l2 in [(E, N), (E, E), (U, N)]:
-            v1 = pure_pushforward_cdf(m, (l1, l2), x)
-            v2 = pure_pushforward_cdf(swapped, (l2, l1), x)
+            v1 = pure_cdf_batch(m, (l1, l2), [x])[0]
+            v2 = pure_cdf_batch(swapped, (l2, l1), [x])[0]
             assert abs(v1 - v2) < 1e-11
 
 
@@ -540,9 +538,9 @@ def test_mixture_anchor():
 def test_mixture_degenerate_levels_match_pure():
     m = worked_matrix()
     x = (0.5, -0.1)
-    assert mixture_pushforward_cdf(m, 0.0, x) == pure_pushforward_cdf(m, (N, N), x)
+    assert mixture_pushforward_cdf(m, 0.0, x) == pure_cdf_batch(m, (N, N), [x])[0]
     got = mixture_pushforward_cdf(m, 1.0, x)
-    want = pure_pushforward_cdf(m, (E, E), x)
+    want = pure_cdf_batch(m, (E, E), [x])[0]
     assert got == want
 
 
