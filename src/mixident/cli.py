@@ -290,6 +290,9 @@ def _single_matrix(args, config: Config):
 def cmd_limit(args) -> int:
     config = _resolve_config(args, out="limit.csv")
     m = _single_matrix(args, config)
+    bad = [c for c in args.c_list if not c >= 0.0]
+    if bad:
+        raise ValueError(f"thresholds must be nonnegative, got {', '.join(map(repr, bad))}")
     limit = simulate_limit_sup(
         m,
         n0=args.n0,

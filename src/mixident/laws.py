@@ -97,9 +97,6 @@ class ContaminatedLaw:
         if self.xi == self.zeta:
             raise ValueError("contaminant and background must differ")
 
-    def cdf(self, t: float) -> float:
-        return self._mix(self.xi.cdf(t), self.zeta.cdf(t))
-
     def cdf_batch(self, t: np.ndarray) -> np.ndarray:
         return self._mix(self.xi.cdf_batch(t), self.zeta.cdf_batch(t))
 

@@ -2,7 +2,14 @@
 
 import pytest
 
-from mixident import montecarlo
+from mixident import montecarlo, pushforward
+
+
+@pytest.fixture(autouse=True)
+def empty_row_cache():
+    """Every test starts with no cached pure rows, so that a row another
+    test computed never stands in for a kernel call this one patches."""
+    pushforward._ROW_CACHE.clear()
 
 
 @pytest.fixture

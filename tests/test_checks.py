@@ -26,9 +26,9 @@ def test_all_checks_pass(all_reports):
 
 
 def test_suite_computes_each_pure_field_once(monkeypatch):
-    # distinct (matrix, assignment) rows on the default grid: thm31 reads
-    # four of one matrix, lem33 three of twelve, lem35 four of three
-    # (pair and column swap), cor34 four of two
+    # distinct (matrix, assignment) rows on the default grid, each check
+    # from an empty row cache: thm31 reads four of one matrix, lem33 three
+    # of twelve, lem35 four of three (pair and column swap), cor34 four of two
     calls = []
     original = pushforward.pure_cdf_batch
 
@@ -39,13 +39,17 @@ def test_suite_computes_each_pure_field_once(monkeypatch):
     monkeypatch.setattr(pushforward, "pure_cdf_batch", counting)
     per_check = {}
     for cid in CHECK_IDS:
+        pushforward._ROW_CACHE.clear()
         before = len(calls)
         run_checks(cid)
         per_check[cid] = len(calls) - before
     assert per_check == {"thm31": 4, "lem33": 36, "lem35": 12, "cor34": 8, "lem32": 0}
+    # in one suite run, lem33 reads the three worked-A rows thm31 left in
+    # the cache and cor34 reads all eight of its rows from lem35's
+    pushforward._ROW_CACHE.clear()
     calls.clear()
     run_checks("all")
-    assert len(calls) == 60
+    assert len(calls) == 60 - 3 - 8
 
 
 def test_single_check_selection():

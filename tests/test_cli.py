@@ -5,6 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from mixident import cli
 from mixident.cli import (
     Config,
     _preset_items,
@@ -144,6 +145,17 @@ def test_nan_threshold_exits_one(tmp_path, capsys):
     assert "threshold" in capsys.readouterr().err
     assert main(["limit", "--n0", "50", "--c-list", "0.5,nan", *small]) == 1
     assert "threshold" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("c_list", ["nan", "0.5,-0.1", "-inf,1.0"])
+def test_limit_rejects_bad_thresholds_before_simulating(tmp_path, monkeypatch, capsys, c_list):
+    simulated = []
+    monkeypatch.setattr(cli, "simulate_limit_sup", lambda *a, **k: simulated.append(a))
+    out = tmp_path / "l.csv"
+    assert main(["limit", f"--c-list={c_list}", "--out", str(out)]) == 1
+    assert "thresholds must be nonnegative" in capsys.readouterr().err
+    assert simulated == []
     assert not out.exists()
 
 

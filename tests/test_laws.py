@@ -120,7 +120,7 @@ def test_centered_exponential_moments():
 
 def test_mixture_cdf_is_convex_combination():
     law = ContaminatedLaw(0.5)
-    assert abs(law.cdf(0.0) - MIX_HALF_AT_ZERO) < 1e-15
+    assert abs(law.cdf_batch(np.array([0.0]))[0] - MIX_HALF_AT_ZERO) < 1e-15
     t = np.linspace(-5.0, 5.0, 301)
     want = 0.5 * CENTERED_EXPONENTIAL.cdf_batch(t) + 0.5 * STANDARD_NORMAL.cdf_batch(t)
     np.testing.assert_allclose(law.cdf_batch(t), want, rtol=0.0, atol=1e-15)

@@ -1,6 +1,8 @@
 """Tests for the exact two-dimensional pushforward CDF engine."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -24,10 +26,13 @@ from mixident.oracles import (
 )
 import mixident.pushforward as pushforward
 from mixident.pushforward import (
+    ASSIGNMENTS,
     MixingMatrix2,
+    PureFields,
     _j_exp_expfactor,
     _sort_rows,
     as_matrix,
+    assignment_comps,
     bvn_cdf_batch,
     equal_product_pair,
     mixture_cdf_batch,
@@ -566,6 +571,139 @@ def test_mixture_at_level_zero_runs_only_background_pair(monkeypatch):
     got = mixture_cdf_batch(worked_matrix(), 0.0, pts)
     assert seen == [(N, N)]
     np.testing.assert_array_equal(got, original(worked_matrix(), (N, N), pts))
+
+
+# ---------------------------------------------------------------------------
+# the row cache shared by PureFields instances
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The component pairs of every ``pure_cdf_batch`` call, in order."""
+    calls = []
+    original = pushforward.pure_cdf_batch
+
+    def counting(m, comps, points):
+        calls.append(comps)
+        return original(m, comps, points)
+
+    monkeypatch.setattr(pushforward, "pure_cdf_batch", counting)
+    return calls
+
+
+def _cache_points():
+    return np.random.default_rng(71).normal(size=(40, 2))
+
+
+def test_cached_rows_and_mixtures_equal_direct_calls():
+    m = worked_matrix()
+    pts = _cache_points()
+    direct = [pure_cdf_batch(m, comps, pts) for comps in assignment_comps(E, N)]
+    for _ in range(2):  # the second pass reads every row from the cache
+        fields = PureFields(m, pts)
+        for a in range(len(ASSIGNMENTS)):
+            np.testing.assert_array_equal(fields.row(a).view(np.int64), direct[a].view(np.int64))
+    want = np.zeros(len(pts))
+    for wa, row in zip(mixture_weights(0.3), direct):
+        want += wa * row
+    for _ in range(2):
+        got = mixture_cdf_batch(m, 0.3, pts)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_equal_points_hit_the_cache(kernel_calls):
+    m = worked_matrix()
+    pts = _cache_points()
+    first = PureFields(m, pts).row(1)
+    assert PureFields(m, pts.copy()).row(1) is first
+    assert PureFields(m, pts.tolist()).row(1) is first
+    assert kernel_calls == [(E, N)]
+
+
+def test_other_matrix_law_or_points_miss_the_cache(kernel_calls):
+    m = worked_matrix()
+    pts = _cache_points()
+    base = PureFields(m, pts).row(1)
+    other_m = PureFields(equal_product_pair(0.4)[1], pts).row(1)
+    other_law = PureFields(m, pts, xi=U).row(1)
+    nudged = pts.copy()
+    nudged[7, 1] = np.nextafter(nudged[7, 1], np.inf)
+    one_ulp = PureFields(m, nudged).row(1)
+    assert kernel_calls == [(E, N), (E, N), (U, N), (E, N)]
+    np.testing.assert_array_equal(one_ulp, pure_cdf_batch(m, (E, N), nudged))
+    assert not np.array_equal(other_m, base)
+    assert not np.array_equal(other_law, base)
+
+
+def test_mutated_caller_points_get_fresh_values():
+    m = worked_matrix()
+    pts = _cache_points()
+    before = mixture_cdf_batch(m, 0.3, pts)
+    fields = PureFields(m, pts)
+    pts[:5] += 0.5
+    after = mixture_cdf_batch(m, 0.3, pts)
+    np.testing.assert_array_equal(after, PureFields(m, pts.copy()).mixture(0.3))
+    assert not np.array_equal(after[:5], before[:5])
+    np.testing.assert_array_equal(after[5:], before[5:])
+    # an instance keeps the points it was built on
+    np.testing.assert_array_equal(fields.mixture(0.3), before)
+
+
+def test_cached_rows_are_read_only():
+    fields = PureFields(worked_matrix(), _cache_points())
+    row = fields.row(0)
+    with pytest.raises(ValueError, match="read-only"):
+        row[0] = 0.5
+    with pytest.raises(ValueError, match="read-only"):
+        fields.points[0, 0] = 0.5
+    # a fresh instance on equal points reads the same unchanged row
+    assert PureFields(worked_matrix(), _cache_points()).row(0) is row
+
+
+def test_row_cache_stays_bounded():
+    m = worked_matrix()
+    for i in range(100):
+        PureFields(m, [[0.01 * i, -0.2]]).row(0)
+    assert len(pushforward._ROW_CACHE) <= 12
+
+
+def test_row_cache_under_threads(monkeypatch):
+    # more threads than cores, switching often, reading and evicting the
+    # shared rows through a kernel stand-in that costs nothing, so that
+    # lookups and updates interleave: each row must still be its own
+    def code(comps):  # distinct for the four assignments
+        return 10 * len(comps[0].kind.value) + len(comps[1].kind.value)
+
+    def stand_in(m, comps, pts):
+        return pts[:, 0] + code(comps)
+
+    monkeypatch.setattr(pushforward, "pure_cdf_batch", stand_in)
+    m = worked_matrix()
+    point_sets = [np.array([[0.1 * i, 0.0]]) for i in range(13)]
+    errors = []
+
+    def work(offset):
+        try:
+            for k in range(2000):
+                i, a = (offset + k) % len(point_sets), k % len(ASSIGNMENTS)
+                fields = PureFields(m, point_sets[i])
+                assert fields.row(a)[0] == 0.1 * i + code(assignment_comps(E, N)[a])
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(j,)) for j in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(pushforward._ROW_CACHE) <= 12
 
 
 def test_mixture_batch_rejects_quadrature_method():
