@@ -21,7 +21,7 @@ from .expansion import (
     sup_gap_from_fields,
     sup_on_grid,
 )
-from .laws import ContaminatedLaw, _distances_to_background
+from .laws import ContaminatedLaw, _distances_to_background, _scan
 from .pushforward import PureFields, as_matrix, equal_product_pair
 
 # central tolerance table; acceptance criteria cite these entries
@@ -203,14 +203,13 @@ def check_lem32() -> CheckReport:
     worst_lin = max(
         abs(d - law.beta * DEFAULT_MEASURE.norm_c) for law, d in zip(laws, dists)
     )
-    t = np.linspace(-20.0, 20.0, 100_001)
-    xi_cdf = xi.cdf_batch(t)
-    zeta_cdf = zeta.cdf_batch(t)
-    raw_dir = xi_cdf - zeta_cdf
-    worst_dir = max(
-        float(np.max(np.abs((law._mix(xi_cdf, zeta_cdf) - zeta_cdf) / law.beta - raw_dir)))
-        for law in laws
+    # |(F_beta - F_zeta) / beta - (F_xi - F_zeta)| on a 100 001-point grid
+    _, best = _scan(
+        (xi, zeta),
+        [lambda x, z, law=law: np.abs((law._mix(x, z) - z) / law.beta - (x - z)) for law in laws],
+        points=100_001,
     )
+    worst_dir = max(g for g, _ in best)
     rows = [
         _le("linearity_gap", worst_lin, TOLERANCES["lem32.linearity"]),
         _le("direction_gap", worst_dir, TOLERANCES["lem32.direction"]),

@@ -355,7 +355,10 @@ def _parse_grid_range(text: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"expected lo:hi:n, got {text!r}")
-    return float(parts[0]), float(parts[1]), int(parts[2])
+    (n,) = _whole_numbers((float(parts[2]),))
+    if n < 1:
+        raise ValueError(f"grid count must be at least 1, got {n}")
+    return float(parts[0]), float(parts[1]), n
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ samplers are exposed: everything downstream works with distribution
 functions, not densities.
 
 Distances between laws are always taken in the uniform (Kolmogorov) norm
-``sup_t |F(t) - G(t)|``.
+``sup_t |F(t) - G(t)|``: a dense grid on [-20, 20] is scanned in slices of
+16 384 points, each law evaluated once per slice, and the grid maximum is
+refined by golden section.
 """
 
 from __future__ import annotations
@@ -66,8 +68,8 @@ class ComponentLaw:
         if self.is_gaussian:
             return ndtr(t)
         s = self.shift
-        arg = np.where(t >= s, t - s, 0.0)
-        return np.where(t >= s, -np.expm1(-arg), 0.0)
+        # zero left of the support; a NaN fails the mask and stays NaN
+        return -np.expm1(-np.where(t < s, 0.0, t - s))
 
     def sample(self, rng: np.random.Generator, size=None) -> np.ndarray:
         if self.is_gaussian:
@@ -155,25 +157,46 @@ def _golden_max(f, lo: float, hi: float, tol: float = 1e-12) -> tuple[float, flo
     return t, f(t)
 
 
-# the scan grid of kolmogorov_distance_univ, and the slice length in which
-# _distances_to_background scans it
+# the scan grid of kolmogorov_distance_univ and _distances_to_background,
+# and the slice length in which _scan walks a grid
 _SCAN_LO, _SCAN_HI, _SCAN_POINTS = -20.0, 20.0, 200_001
 _SCAN_SLICE = 1 << 14
+
+
+def _scan(laws, gaps, points: int = _SCAN_POINTS):
+    """Grid maxima of gaps between the CDFs of ``laws`` on [-20, 20].
+
+    Walks ``points`` equally spaced points in slices of ``_SCAN_SLICE``;
+    each law of ``laws`` is evaluated once per slice, and each function of
+    ``gaps`` maps those CDF values to a nonnegative gap on the slice.
+    Returns the grid and, for each gap, its grid maximum and the first
+    index where it is attained: bit for bit what one whole-array
+    evaluation and ``np.argmax`` would give, in O(slice) memory beyond
+    the grid itself.
+    """
+    t = np.linspace(_SCAN_LO, _SCAN_HI, points)
+    best = [(-1.0, 0)] * len(gaps)  # (grid maximum, its first index)
+    for lo in range(0, t.size, _SCAN_SLICE):
+        cdfs = [law.cdf_batch(t[lo:lo + _SCAN_SLICE]) for law in laws]
+        for j, gap_of in enumerate(gaps):
+            gap = gap_of(*cdfs)
+            k = int(np.argmax(gap))
+            if gap[k] > best[j][0]:
+                best[j] = (float(gap[k]), lo + k)
+    return t, best
 
 
 def kolmogorov_distance_univ(law_a, law_b) -> float:
     """Uniform-norm distance sup_t |F_a(t) - F_b(t)|.
 
-    Dense-grid scan of 200 001 points over [-20, 20] followed by
+    Sliced scan of 200 001 points over [-20, 20] (``_scan``) followed by
     golden-section refinement in the bracketing cell of the grid argmax.
     Both laws only need a cdf_batch method.  Absolute accuracy is far below
     1e-7 for the laws used here (CDF differences are piecewise smooth with
     O(1) slopes).
     """
-    t = np.linspace(_SCAN_LO, _SCAN_HI, _SCAN_POINTS)
-    gap = np.abs(law_a.cdf_batch(t) - law_b.cdf_batch(t))
-    i = int(np.argmax(gap))
-    return _refine(law_a, law_b, t, i, float(gap[i]))
+    t, [(g, i)] = _scan((law_a, law_b), [lambda fa, fb: np.abs(fa - fb)])
+    return _refine(law_a, law_b, t, i, g)
 
 
 def _refine(law_a, law_b, t: np.ndarray, i: int, best: float) -> float:
@@ -194,22 +217,12 @@ def _distances_to_background(mixtures) -> list[float]:
     """``kolmogorov_distance_univ(law, law.zeta)`` for each law of
     ``mixtures``, which share one xi and one zeta.
 
-    One scan of the grid serves every law: xi and zeta are
-    evaluated once per slice of the grid, each mixture's gap is formed
-    from those values, and only its running maximum is kept.
+    One scan of the grid serves every law: xi and zeta are evaluated once
+    per slice, and each mixture's gap is formed from those values.
     """
     xi, zeta = mixtures[0].xi, mixtures[0].zeta
     if any(law.xi != xi or law.zeta != zeta for law in mixtures):
         raise ValueError("the mixtures must share their contaminant and background")
-    t = np.linspace(_SCAN_LO, _SCAN_HI, _SCAN_POINTS)
-    best = [(-1.0, 0)] * len(mixtures)  # (grid maximum, its first index)
-    for lo in range(0, t.size, _SCAN_SLICE):
-        part = t[lo:lo + _SCAN_SLICE]
-        xi_cdf = xi.cdf_batch(part)
-        zeta_cdf = zeta.cdf_batch(part)
-        for j, law in enumerate(mixtures):
-            gap = np.abs(law._mix(xi_cdf, zeta_cdf) - zeta_cdf)
-            k = int(np.argmax(gap))
-            if gap[k] > best[j][0]:
-                best[j] = (float(gap[k]), lo + k)
+    gaps = [lambda x, z, law=law: np.abs(law._mix(x, z) - z) for law in mixtures]
+    t, best = _scan((xi, zeta), gaps)
     return [_refine(law, zeta, t, i, g) for law, (g, i) in zip(mixtures, best)]

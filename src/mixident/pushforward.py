@@ -29,7 +29,8 @@ goes through the same expressions in any batch, so a value does not
 depend on the batch it is evaluated in, bit for bit.
 
 A row is computed once for as long as it is in use: ``PureFields`` keeps
-the last 12 rows it computed (about 1 MB on the 101x101 grid), keyed by
+the last 12 rows it computed, up to 1 MiB in all (the twelve rows of the
+101x101 grid fit; a row above 1 MiB is never kept), keyed by
 matrix, component pair and the shape and SHA-1 digest of the points, and
 any later instance on equal points reads them from there.  The points are
 hashed once per instance, at about 16 ns per point on a 2-vCPU x86 host,
@@ -61,7 +62,8 @@ _SQRT_TWOPI = math.sqrt(2.0 * math.pi)
 
 @dataclass(frozen=True)
 class MixingMatrix2:
-    """Invertible 2x2 mixing matrix; rejects |det| <= 1e-12 at construction."""
+    """Invertible 2x2 mixing matrix; rejects a non-finite entry and
+    |det| <= 1e-12 at construction."""
 
     a11: float
     a12: float
@@ -69,6 +71,10 @@ class MixingMatrix2:
     a22: float
 
     def __post_init__(self):
+        for name in ("a11", "a12", "a21", "a22"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"matrix entry {name} must be finite, got {value}")
         if abs(self.det) <= 1e-12:
             raise ValueError(f"matrix is numerically singular, det={self.det}")
 
@@ -664,9 +670,12 @@ def assignment_comps(xi: ComponentLaw, zeta: ComponentLaw):
 
 # rows of recent PureFields instances, least recently read first, by
 # (matrix entries' bytes, points shape, points SHA-1 digest, component pair);
-# the lock is held for lookups and updates, never for a kernel call
+# at most 12 rows and 1 MiB, which holds the twelve rows of the 101x101
+# grid (12 x 81 608 B); the lock is held for lookups and updates, never
+# for a kernel call
 _ROW_CACHE: OrderedDict = OrderedDict()
 _ROW_CACHE_ROWS = 12
+_ROW_CACHE_BYTES = 1 << 20
 _ROW_CACHE_LOCK = threading.Lock()
 
 
@@ -679,8 +688,9 @@ class PureFields:
     reads it, so a level-zero mixture runs only the Gaussian kernel.  A row
     that an instance on the same matrix, laws and equal points computed
     recently is read back instead: the module keeps the last 12 rows
-    computed.  The points are copied at construction and hashed when a row
-    is first read; rows are read-only.
+    computed, up to 1 MiB in all; a larger row stays only here.  The
+    points are copied at construction and hashed when a row is first
+    read; rows are read-only.
     """
 
     def __init__(self, m, points, xi=CENTERED_EXPONENTIAL, zeta=STANDARD_NORMAL):
@@ -709,10 +719,13 @@ class PureFields:
             if row is None:
                 row = pure_cdf_batch(self.m, self._comps[a], self.points)
                 row.setflags(write=False)
-                with _ROW_CACHE_LOCK:
-                    _ROW_CACHE[key] = row
-                    if len(_ROW_CACHE) > _ROW_CACHE_ROWS:
-                        _ROW_CACHE.popitem(last=False)
+                if row.nbytes <= _ROW_CACHE_BYTES:
+                    with _ROW_CACHE_LOCK:
+                        _ROW_CACHE[key] = row
+                        while len(_ROW_CACHE) > _ROW_CACHE_ROWS or (
+                            sum(r.nbytes for r in _ROW_CACHE.values()) > _ROW_CACHE_BYTES
+                        ):
+                            _ROW_CACHE.popitem(last=False)
             self._rows[a] = row
         return self._rows[a]
 

@@ -1,5 +1,7 @@
 """Fixtures shared by the test modules."""
 
+import tracemalloc
+
 import pytest
 
 from mixident import montecarlo, pushforward
@@ -10,6 +12,22 @@ def empty_row_cache():
     """Every test starts with no cached pure rows, so that a row another
     test computed never stands in for a kernel call this one patches."""
     pushforward._ROW_CACHE.clear()
+
+
+@pytest.fixture
+def traced_peak():
+    """Returns ``peak(fn, *args)``: the peak of the memory that tracemalloc
+    traces while ``fn(*args)`` runs, in bytes."""
+
+    def peak(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return peak
 
 
 @pytest.fixture

@@ -217,6 +217,22 @@ def _gamma_table(path) -> np.ndarray:
     return np.array([[float(v) for v in ln.split(",")] for ln in body[1:]])
 
 
+def test_gamma_grid_count_parses_like_other_sizes(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "gamma.csv"
+    assert main(["gamma", "--order", "1", "--grid=-3:3:4.0", "--out", str(out)]) == 0
+    assert len(_gamma_table(out)) == 16
+    # bad counts fail while the arguments are parsed, before any field
+    monkeypatch.setattr(cli, "gamma_k_batch", None)
+    for count in ("0", "-2", "2.5", "nan"):
+        assert main(["gamma", "--order", "1", f"--grid=-3:3:{count}", "--out", str(out)]) == 1
+        assert "argument --grid" in capsys.readouterr().err
+
+
+def test_cdf_rejects_non_finite_matrix(capsys):
+    assert main(["cdf", "--matrix", "nan,0,0,1", "--beta", "0.3", "--x", "0.1,-0.2"]) == 1
+    assert "a11 must be finite" in capsys.readouterr().err
+
+
 def test_gamma_follows_center_xi(tmp_path, capsys):
     cfg = tmp_path / "raw.cfg"
     cfg.write_text("center_xi=false\n")

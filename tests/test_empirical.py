@@ -1,7 +1,6 @@
 """Tests for empirical CDFs and the scaled uniform-distance statistic."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -205,7 +204,7 @@ def test_blocked_count_matches_naive(case):
     np.testing.assert_array_equal(strict, strict_ref)
 
 
-def test_count_memory_is_bounded_in_the_queries():
+def test_count_memory_is_bounded_in_the_queries(traced_peak):
     # one unblocked (3001 x 3001) int64 table alone would take about 72 MB;
     # on a tied sample the tie-group terms must stay O(n + M) as well
     rng = np.random.default_rng(8)
@@ -213,13 +212,7 @@ def test_count_memory_is_bounded_in_the_queries():
     q = rng.normal(size=(3000, 2))
     for sample, queries in ((pts, q), (np.round(pts), np.round(q))):
         ecdf = EmpiricalCdf(Sample2D(sample))
-        tracemalloc.start()
-        try:
-            ecdf.dominance_counts(queries)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * 2**20
+        assert traced_peak(ecdf.dominance_counts, queries) < 16 * 2**20
 
 
 def test_counts_validate_query_shape():

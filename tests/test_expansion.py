@@ -66,6 +66,11 @@ def test_nu_measure_validates():
         NuMeasure(xi=STANDARD_NORMAL, zeta=STANDARD_NORMAL)
 
 
+def test_nu_measure_memory_stays_within_slices(traced_peak):
+    # norm_c from one whole-array scan of 200 001 points traced 6.3 MB
+    assert traced_peak(NuMeasure) < 3 * 2**20
+
+
 def test_nu_measure_uncentered_variant():
     m = NuMeasure(xi=STANDARD_EXPONENTIAL)
     assert abs(m.norm_c - 0.5) < 1e-9

@@ -84,6 +84,18 @@ def test_matrix_rejects_singular():
         MixingMatrix2(1.0, 2.0, 2.0, 4.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_matrix_rejects_non_finite_entries(bad):
+    for at in range(4):
+        entries = [1.0, 0.0, 0.0, 1.0]
+        entries[at] = bad
+        name = ("a11", "a12", "a21", "a22")[at]
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            MixingMatrix2(*entries)
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            as_matrix(np.reshape(entries, (2, 2)))
+
+
 def test_matrix_array_round_trip():
     m = MixingMatrix2(1.0, 0.5, -0.25, 2.0)
     np.testing.assert_array_equal(as_matrix(m.as_array()).as_array(), m.as_array())
@@ -665,6 +677,24 @@ def test_row_cache_stays_bounded():
     for i in range(100):
         PureFields(m, [[0.01 * i, -0.2]]).row(0)
     assert len(pushforward._ROW_CACHE) <= 12
+
+
+def test_row_cache_stays_bounded_in_bytes(kernel_calls):
+    m = worked_matrix()
+    # rows of 40 000 points take 320 000 B: three fit in 1 MiB, four do not
+    for i in range(5):
+        PureFields(m, np.full((40_000, 2), 0.1 * i)).row(0)
+    assert len(pushforward._ROW_CACHE) == 3
+    # a 200 000-point row (1.6 MB) stays only in its own instance and
+    # evicts nothing
+    pts = np.random.default_rng(72).normal(size=(200_000, 2))
+    fields = PureFields(m, pts)
+    row = fields.row(0)
+    assert fields.row(0) is row
+    assert [r.nbytes for r in pushforward._ROW_CACHE.values()] == [320_000] * 3
+    calls = len(kernel_calls)
+    np.testing.assert_array_equal(PureFields(m, pts).row(0), row)
+    assert len(kernel_calls) == calls + 1
 
 
 def test_row_cache_under_threads(monkeypatch):
