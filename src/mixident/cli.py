@@ -447,6 +447,23 @@ def cmd_plot(args) -> int:
 # parser assembly
 
 
+def _flag_type(parse):
+    """``parse`` as an argparse type: its ``ValueError`` becomes an
+    ``ArgumentTypeError``, so that the usage error keeps the reason."""
+
+    def typed(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+
+    return typed
+
+
+_MATRIX = _flag_type(_parse_matrix)
+_FLOATS = _flag_type(_parse_floats)
+
+
 def _add_config_flags(sub) -> None:
     sub.add_argument("--config", help="key=value configuration file")
     sub.add_argument("--seed", type=int)
@@ -454,8 +471,8 @@ def _add_config_flags(sub) -> None:
     sub.add_argument("--grid-mode", dest="grid_mode")
     sub.add_argument("--grid-points", dest="grid_points", type=int)
     sub.add_argument("--alpha", type=float)
-    sub.add_argument("--matrix-a", dest="matrix_a", type=_parse_matrix)
-    sub.add_argument("--matrix-b", dest="matrix_b", type=_parse_matrix)
+    sub.add_argument("--matrix-a", dest="matrix_a", type=_MATRIX)
+    sub.add_argument("--matrix-b", dest="matrix_b", type=_MATRIX)
 
 
 def _add_workers_flag(sub) -> None:
@@ -473,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("experiment", help="run a contamination-schedule sweep")
     p.add_argument("--preset", choices=PRESET_NAMES)
     p.add_argument("--rho", dest="rho_list", type=float, action="append")
-    p.add_argument("--n-list", dest="n_list", type=_parse_ints)
+    p.add_argument("--n-list", dest="n_list", type=_flag_type(_parse_ints))
     p.add_argument("--c", type=float)
     p.add_argument("--reps", type=int)
     _add_workers_flag(p)
@@ -482,11 +499,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_experiment)
 
     p = subs.add_parser("limit", help="simulate the uncontaminated limit law")
-    p.add_argument("--matrix", type=_parse_matrix)
+    p.add_argument("--matrix", type=_MATRIX)
     p.add_argument("--n0", type=int, default=20_000)
     p.add_argument("--reps", type=int)
     p.add_argument(
-        "--c-list", dest="c_list", type=_parse_floats, default=(0.5, 1.0, 1.5)
+        "--c-list", dest="c_list", type=_FLOATS, default=(0.5, 1.0, 1.5)
     )
     _add_workers_flag(p)
     _add_config_flags(p)
@@ -498,16 +515,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = subs.add_parser("cdf", help="evaluate the mixture pushforward CDF")
-    p.add_argument("--matrix", type=_parse_matrix)
+    p.add_argument("--matrix", type=_MATRIX)
     p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--x", type=_parse_floats, required=True)
+    p.add_argument("--x", type=_FLOATS, required=True)
     _add_config_flags(p)
     p.set_defaults(func=cmd_cdf)
 
     p = subs.add_parser("gamma", help="tabulate an expansion coefficient field")
-    p.add_argument("--matrix", type=_parse_matrix)
+    p.add_argument("--matrix", type=_MATRIX)
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--grid", type=_parse_grid_range, default=(-6.0, 6.0, 41))
+    p.add_argument("--grid", type=_flag_type(_parse_grid_range), default=(-6.0, 6.0, 41))
     _add_config_flags(p)
     p.set_defaults(func=cmd_gamma)
 

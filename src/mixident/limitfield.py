@@ -10,8 +10,11 @@ reference alike only in the large-n limit, where m corners subsampled
 from the n^2 behave like m draws from the product of the marginals; at
 finite n (the experiment's n against n0) the two biases differ.  The
 draws go through the experiment's replication engine and job queue:
-contiguous blocks of draw indices on a process pool (``workers``), each
-block evaluating the target CDF once per chunk of draws.
+contiguous blocks of draw indices on the process's worker pool
+(``workers``), each block evaluating the target CDF once per chunk of
+draws.  The pool is the one sweeps use: forked once per process and pool
+size, idle between calls and closed at exit, and the draws do not depend
+on it.
 
 With contamination shrinking at the critical square-root rate with
 intensity k, the exceedance probability of the statistic is sandwiched
@@ -80,9 +83,9 @@ def simulate_limit_sup(
 
     Draws run through the replication job queue of ``mixident.montecarlo``
     (the one ``estimate_probability`` and ``run_sweep`` use), in contiguous
-    blocks on a pool of ``workers`` processes sized and validated as there;
-    draw r is a pure function of (master_seed, r), so the draws do not
-    depend on ``workers``.
+    blocks on the process's pool of ``workers`` processes, sized, validated
+    and reused as there; draw r is a pure function of (master_seed, r), so
+    the draws do not depend on ``workers`` or on earlier calls.
     """
     n0, n_draws, master_seed = _whole_numbers((n0, n_draws, master_seed))
     if n_draws < 1:

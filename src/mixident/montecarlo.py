@@ -16,7 +16,13 @@ Parallelism: a call runs every replication it needs as one job queue on
 one process pool.  The pool size is the requested worker count clamped
 to the largest scenario's replication count and to the CPUs available to
 the process; a count below one is rejected, and a size of one runs every
-job in-process without a pool.  A job is a contiguous block of one
+job in-process without a pool.  The workers are forked once per process
+and pool size: the first call that needs a pool of a given size starts
+it, later calls of that size reuse its workers, which wait idle between
+calls, and a call of another size, or a call after a worker died, starts
+a new one.  The pool closes when the interpreter exits, and a process
+forked from one that holds a pool starts its own.  Results do not depend
+on which pool, or how many, ran them.  A job is a contiguous block of one
 scenario's replication indices, run through
 ``empirical.replication_statistics``, which evaluates the target CDF once
 per chunk of replications rather than once per grid.  A block holds at
@@ -31,11 +37,14 @@ runs its draws through the same queue.
 
 from __future__ import annotations
 
+import atexit
+import functools
 import math
 import os
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,47 +163,90 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-@contextmanager
+# (pid of the process that started it, size, executor), or None
+_POOL = None
+_POOL_LOCK = threading.Lock()
+
+
+def _drop_pool() -> None:
+    """Forget the pool, and shut it down if this process started it; a
+    forked child only forgets its parent's.  Call with the lock held."""
+    global _POOL
+    if _POOL is not None and _POOL[0] == os.getpid():
+        _POOL[2].shutdown()
+    _POOL = None
+
+
+def _close_pool() -> None:
+    """Shut down and forget this process's pool; runs at interpreter exit."""
+    with _POOL_LOCK:
+        _drop_pool()
+
+
+atexit.register(_close_pool)
+
+
+def _pool_map(size: int, fn, blocks) -> list:
+    """``fn`` over ``blocks`` on this process's pool of ``size`` workers,
+    started here unless the last call left one of that size.  A pool that
+    breaks is dropped, so the next call starts a new one."""
+    global _POOL
+    try:
+        with _POOL_LOCK:
+            if _POOL is None or _POOL[:2] != (os.getpid(), size):
+                _drop_pool()
+                _POOL = (os.getpid(), size, ProcessPoolExecutor(max_workers=size))
+            pool = _POOL[2]
+            # submitted under the lock, so that a new pool's shutdown of this
+            # one waits for these blocks
+            results = pool.map(fn, blocks)
+        return list(results)
+    except BrokenProcessPool:
+        with _POOL_LOCK:
+            if _POOL is not None and _POOL[2] is pool:
+                _drop_pool()
+        raise
+
+
 def _rep_map(workers: int, n_reps: int):
-    """Yield (map, size): the map that runs replication blocks on ``size``
+    """(map, size): the map that runs replication blocks on ``size``
     workers, clamped to the replications and to the CPUs available; one
-    worker maps in-process without a pool."""
+    worker maps in-process, more map on the process's pool of that size."""
     (workers,) = _whole_numbers((workers,))
     if workers < 1:
         raise ValueError(f"need at least one worker, got {workers}")
     size = min(workers, n_reps, _usable_cpus())
     if size == 1:
-        yield map, 1
-        return
-    with ProcessPoolExecutor(max_workers=size) as pool:
-        yield pool.map, size
+        return map, 1
+    return functools.partial(_pool_map, size), size
 
 
 def _run_jobs(jobs, workers: int) -> list[tuple[np.ndarray, float]]:
     """Run ``n_reps`` replications of each ``(job, n_reps)`` through one
     queue of contiguous blocks on one pool; give each job's statistics,
     ordered by replication index, and the in-worker milliseconds of its
-    blocks.
+    blocks.  The pool is the process's pool of the clamped size, whose
+    workers outlive the call (see the module docstring).
 
     A block holds at most one target chunk of replications, and at most
     an even share of all replications per worker, so every worker of the
     pool has a block to run.
     """
-    with _rep_map(workers, max(n for _, n in jobs)) as (run, size):
-        share = math.ceil(sum(n for _, n in jobs) / size)
-        blocks, owners = [], []
-        for k, (job, n) in enumerate(jobs):
-            grid = job[4]  # the job's EvalGridSpec
-            step = max(1, min(_TARGET_CHUNK // grid.m_points, share))
-            for lo in range(0, n, step):
-                blocks.append((job, range(lo, min(lo + step, n))))
-                owners.append(k)
-        stats = [np.empty(n) for _, n in jobs]
-        wall_ms = [0.0] * len(jobs)
-        for k, (_, indices), (values, ms) in zip(owners, blocks, run(_rep_block, blocks)):
-            stats[k][indices.start:indices.stop] = values
-            wall_ms[k] += ms
-        return list(zip(stats, wall_ms))
+    run, size = _rep_map(workers, max(n for _, n in jobs))
+    share = math.ceil(sum(n for _, n in jobs) / size)
+    blocks, owners = [], []
+    for k, (job, n) in enumerate(jobs):
+        grid = job[4]  # the job's EvalGridSpec
+        step = max(1, min(_TARGET_CHUNK // grid.m_points, share))
+        for lo in range(0, n, step):
+            blocks.append((job, range(lo, min(lo + step, n))))
+            owners.append(k)
+    stats = [np.empty(n) for _, n in jobs]
+    wall_ms = [0.0] * len(jobs)
+    for k, (_, indices), (values, ms) in zip(owners, blocks, run(_rep_block, blocks)):
+        stats[k][indices.start:indices.stop] = values
+        wall_ms[k] += ms
+    return list(zip(stats, wall_ms))
 
 
 def probability_above(stats: np.ndarray, c: float) -> tuple[float, float]:

@@ -14,6 +14,14 @@ def empty_row_cache():
     pushforward._ROW_CACHE.clear()
 
 
+@pytest.fixture(autouse=True)
+def no_worker_pool():
+    """Every test starts with no worker pool, and the pool a test started,
+    real or fake, is shut down when it ends, so no worker outlives it."""
+    yield
+    montecarlo._close_pool()
+
+
 @pytest.fixture
 def traced_peak():
     """Returns ``peak(fn, *args)``: the peak of the memory that tracemalloc
@@ -36,24 +44,25 @@ def fake_pool(monkeypatch):
 
     Returns the list of ``max_workers`` of every pool built; its ``maps``
     attribute lists, for each ``map`` call, the sizes of the blocks it was
-    given.  No process starts.
+    given, and its ``closed`` attribute the ``max_workers`` of every pool
+    shut down.  No process starts.
     """
 
     class Built(list):
         maps: list[list[int]]
+        closed: list[int]
 
     built = Built()
     built.maps = []
+    built.closed = []
 
     class FakePool:
         def __init__(self, max_workers):
+            self.max_workers = max_workers
             built.append(max_workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
+        def shutdown(self):
+            built.closed.append(self.max_workers)
 
         def map(self, fn, blocks):
             blocks = list(blocks)

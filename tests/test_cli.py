@@ -228,6 +228,24 @@ def test_gamma_grid_count_parses_like_other_sizes(tmp_path, capsys, monkeypatch)
         assert "argument --grid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["gamma", "--order", "1", "--grid=-3:3:0"], "argument --grid: grid count must be at least 1, got 0"),
+        (["gamma", "--order", "1", "--grid=-3:3"], "argument --grid: expected lo:hi:n, got '-3:3'"),
+        (["experiment", "--n-list", "2.5"], "argument --n-list: expected whole numbers, got 2.5"),
+        (["limit", "--c-list", "1,x"], "argument --c-list: could not convert string to float: 'x'"),
+        (["cdf", "--beta", "0.1", "--x", ","], "argument --x: empty number list"),
+        (["cdf", "--beta", "0.1", "--x", "0", "--matrix", "1,2,3"],
+         "argument --matrix: matrix needs 4 row-major entries, got 3"),
+        (["experiment", "--matrix-b", "1,2"], "argument --matrix-b: matrix needs 4 row-major entries, got 2"),
+    ],
+)
+def test_bad_typed_flag_keeps_its_reason(capsys, argv, reason):
+    assert main(argv) == 1
+    assert reason in capsys.readouterr().err
+
+
 def test_cdf_rejects_non_finite_matrix(capsys):
     assert main(["cdf", "--matrix", "nan,0,0,1", "--beta", "0.3", "--x", "0.1,-0.2"]) == 1
     assert "a11 must be finite" in capsys.readouterr().err

@@ -65,12 +65,13 @@ def test_draw_reads_its_own_streams(small_limit):
 
 
 def test_worker_count_does_not_change_draws(small_limit, fake_pool):
-    pooled = simulate_limit_sup(
-        A_MATRIX, n0=300, n_draws=40, grid=EvalGridSpec(m_points=64), master_seed=5,
-        workers=2,
-    )
+    kwargs = dict(n0=300, n_draws=40, grid=EvalGridSpec(m_points=64), master_seed=5, workers=2)
+    pooled = simulate_limit_sup(A_MATRIX, **kwargs)
     assert fake_pool == [2]
     np.testing.assert_array_equal(pooled.draws, small_limit.draws)
+    again = simulate_limit_sup(A_MATRIX, **kwargs)
+    assert fake_pool == [2]  # the second call reuses the pool
+    np.testing.assert_array_equal(again.draws, small_limit.draws)
 
 
 @pytest.mark.parametrize("workers", [0, -1])

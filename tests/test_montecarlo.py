@@ -1,10 +1,19 @@
 """Replicated exceedance estimation: determinism, sweeps, CSV, heuristics."""
 
+import json
 import math
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mixident import montecarlo
 from mixident.empirical import EvalGridSpec
 from mixident.expansion import estimate_K
 from mixident.laws import RngStream
@@ -145,20 +154,28 @@ def test_sweep_runs_on_one_pool(fake_pool):
     assert fake_pool == [2]
     serial = run_sweep(cfg, workers=1, retain_stats=True)
     assert fake_pool == [2]  # one worker runs in-process
-    assert len(pooled) == len(serial) == 3
-    for a, b in zip(pooled, serial):
-        assert a.scenario == b.scenario
-        assert (a.estimate, a.stderr) == (b.estimate, b.stderr)
+    again = run_sweep(cfg, workers=2, retain_stats=True)
+    assert fake_pool == [2] and fake_pool.closed == []  # the same pool again
+    assert len(pooled) == len(serial) == len(again) == 3
+    for a, b, c in zip(pooled, serial, again):
+        assert a.scenario == b.scenario == c.scenario
+        assert (a.estimate, a.stderr) == (b.estimate, b.stderr) == (c.estimate, c.stderr)
         np.testing.assert_array_equal(a.stats, b.stats)
+        np.testing.assert_array_equal(c.stats, b.stats)
 
 
 def test_worker_count_is_clamped(fake_pool):
     run_sweep(pool_sweep(n_reps=6), workers=10_000)
     assert fake_pool == [4]  # the CPUs available
+    run_sweep(pool_sweep(n_reps=6), workers=4)
+    assert fake_pool == [4]  # the same clamped size reuses the pool
     estimate_probability(tiny_scenario(n_reps=3), workers=10_000)
-    assert fake_pool == [4, 3]  # the replications
+    assert fake_pool == [4, 3]  # the replications; a new size, a new pool
+    assert fake_pool.closed == [4]
     estimate_probability(tiny_scenario(n_reps=1), workers=10_000)
     assert fake_pool == [4, 3]  # one replication runs in-process
+    estimate_probability(tiny_scenario(n_reps=3), workers=10_000)
+    assert fake_pool == [4, 3] and fake_pool.closed == [4]
 
 
 def test_replications_run_as_one_job_queue(fake_pool):
@@ -169,6 +186,10 @@ def test_replications_run_as_one_job_queue(fake_pool):
     estimate_probability(tiny_scenario(n_reps=3), workers=3)
     assert fake_pool == [2, 3]
     assert fake_pool.maps[1:] == [[1, 1, 1]]
+    # a pool that is reused cuts the same blocks
+    estimate_probability(tiny_scenario(n_reps=3), workers=3)
+    assert fake_pool == [2, 3]
+    assert fake_pool.maps[1:] == [[1, 1, 1]] * 2
 
 
 def spanning_sweep():
@@ -182,6 +203,7 @@ def spanning_sweep():
 def test_cells_spanning_several_jobs(fake_pool):
     cfg = spanning_sweep()
     runs = {w: run_sweep(cfg, workers=w, retain_stats=True) for w in (1, 2, 3)}
+    assert fake_pool == [2, 3]
     assert fake_pool.maps == [[13, 13, 4] * 2] * 2
     csv = results_csv_lines(runs[1])
     for results in runs.values():
@@ -193,6 +215,7 @@ def test_cells_spanning_several_jobs(fake_pool):
         want = [run_replication(res.scenario, r) for r in range(res.scenario.n_reps)]
         assert res.stats.tolist() == want
     split = estimate_probability(cfg.scenarios()[1], workers=3, retain_stats=True).stats
+    assert fake_pool == [2, 3]  # the pool of three again
     assert fake_pool.maps[-1] == [10, 10, 10]
     np.testing.assert_array_equal(split, runs[1][1].stats)
 
@@ -201,10 +224,14 @@ def test_cells_spanning_several_jobs_on_a_process_pool():
     cfg = spanning_sweep()
     serial = run_sweep(cfg, workers=1, retain_stats=True)
     pooled = run_sweep(cfg, workers=2, retain_stats=True)
-    assert results_csv_lines(pooled) == results_csv_lines(serial)
+    pool = montecarlo._POOL
+    again = run_sweep(cfg, workers=2, retain_stats=True)  # on the same pool
+    assert montecarlo._POOL is pool
+    assert results_csv_lines(pooled) == results_csv_lines(again) == results_csv_lines(serial)
     timed = results_csv_lines(pooled, timing=True)
-    for a, b, line in zip(pooled, serial, timed[1:]):
+    for a, b, c, line in zip(pooled, serial, again, timed[1:]):
         np.testing.assert_array_equal(a.stats, b.stats)
+        np.testing.assert_array_equal(c.stats, b.stats)
         wall_ms = float(line.split(",")[-1])
         assert wall_ms == a.wall_ms and np.isfinite(wall_ms) and wall_ms > 0.0
 
@@ -216,6 +243,120 @@ def test_worker_count_below_one_rejected(fake_pool, workers):
     with pytest.raises(ValueError, match="worker"):
         estimate_probability(tiny_scenario(), workers=workers)
     assert fake_pool == []
+
+
+# ---------------------------------------------------------------------------
+# the process's worker pool
+
+SRC = Path(montecarlo.__file__).resolve().parents[1]
+
+two_cpus = pytest.mark.skipif(
+    montecarlo._usable_cpus() < 2, reason="a pool needs two CPUs to be used"
+)
+
+# Runs two pooled sweeps and prints, as JSON, the pool's worker pids after
+# each.  With --fork it forks a child between them, which runs a pooled sweep
+# of its own and exits; it also prints the child's worker pids, whether the
+# child's CSV equalled the serial one, and the child's exit code.
+_POOL_SCRIPT = textwrap.dedent("""
+    import json, os, sys
+    from mixident import montecarlo
+    from mixident.empirical import EvalGridSpec
+    from mixident.montecarlo import preset_config, results_csv_lines, run_sweep
+
+    def workers():
+        return sorted(montecarlo._POOL[2]._processes)
+
+    cfg = preset_config(
+        "fig1-left-desk", rho_list=(0.25, 0.5), n_list=(40,), n_reps=4,
+        grid=EvalGridSpec(m_points=16),
+    )
+    serial = results_csv_lines(run_sweep(cfg, workers=1))
+    assert results_csv_lines(run_sweep(cfg, workers=2)) == serial
+    calls = [workers()]
+    fork = "--fork" in sys.argv
+    if fork:
+        read, write = os.pipe()
+        child = os.fork()
+        if child == 0:
+            os.close(read)
+            same = results_csv_lines(run_sweep(cfg, workers=2)) == serial
+            os.write(write, json.dumps([workers(), same]).encode())
+            sys.exit(0)  # a normal exit, which closes the child's pool
+        os.close(write)
+        with os.fdopen(read) as fh:
+            forked = json.loads(fh.read())
+        _, status = os.waitpid(child, 0)
+        forked.append(os.waitstatus_to_exitcode(status))
+    assert results_csv_lines(run_sweep(cfg, workers=2)) == serial
+    calls.append(workers())
+    print(json.dumps({"calls": calls, "forked": forked if fork else None}))
+""")
+
+
+def run_pool_script(*args) -> dict:
+    with subprocess.Popen(
+        [sys.executable, "-c", _POOL_SCRIPT, *args], stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
+        start_new_session=True,
+    ) as proc:
+        try:
+            out, err = proc.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)  # the script and all it forked
+            raise
+    assert proc.returncode == 0, err
+    return json.loads(out.splitlines()[-1])
+
+
+def alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+@two_cpus
+def test_no_worker_outlives_its_process():
+    calls = run_pool_script()["calls"]
+    assert len(calls[0]) == 2
+    assert calls[1] == calls[0]  # both calls ran on the same workers
+    assert not any(alive(pid) for pid in calls[0])
+
+
+@two_cpus
+def test_forked_child_runs_its_own_pool():
+    out = run_pool_script("--fork")
+    (parent, after), (child, same, code) = out["calls"], out["forked"]
+    assert same and code == 0
+    assert len(child) == 2 and not set(child) & set(parent)
+    assert after == parent  # the child left its parent's pool alone
+    assert not any(alive(pid) for pid in parent + child)
+
+
+class _KillsItsWorker:
+    """Unpickles as a SIGKILL of the process that unpickles it."""
+
+    def __reduce__(self):
+        return signal.raise_signal, (signal.SIGKILL,)
+
+
+@two_cpus
+def test_killed_worker_breaks_the_call_and_the_next_starts_a_new_pool():
+    s = tiny_scenario()
+    serial = estimate_probability(s, workers=1, retain_stats=True).stats
+    first = estimate_probability(s, workers=2, retain_stats=True).stats
+    np.testing.assert_array_equal(first, serial)
+    pool = montecarlo._POOL[2]
+    # the one block of the second job kills the worker that takes it
+    killer = montecarlo._scenario_job(s)[:-1] + (_KillsItsWorker(),)
+    with pytest.raises(BrokenProcessPool):
+        montecarlo._run_jobs([(montecarlo._scenario_job(s), s.n_reps), (killer, 1)], 2)
+    assert montecarlo._POOL is None
+    again = estimate_probability(s, workers=2, retain_stats=True).stats
+    assert montecarlo._POOL[2] is not pool
+    np.testing.assert_array_equal(again, serial)
 
 
 def test_single_observation_replication_by_hand():
