@@ -56,10 +56,6 @@ class ComponentLaw:
             raise ValueError("shift is only defined for exponential laws")
         return _EXP_SHIFT[self.kind]
 
-    @property
-    def support_lo(self) -> float:
-        return -math.inf if self.is_gaussian else self.shift
-
     def cdf(self, t: float) -> float:
         return float(self.cdf_batch(np.asarray([t], dtype=float))[0])
 

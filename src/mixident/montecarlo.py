@@ -40,6 +40,7 @@ from __future__ import annotations
 import atexit
 import functools
 import math
+import multiprocessing.process
 import os
 import threading
 import time
@@ -184,6 +185,9 @@ def _close_pool() -> None:
 
 
 atexit.register(_close_pool)
+# a child made by os.fork() forgets its parent's processes, pool workers among
+# them, as multiprocessing's own children do; it would try to join them at exit
+os.register_at_fork(after_in_child=lambda: multiprocessing.process._children.clear())
 
 
 def _pool_map(size: int, fn, blocks) -> list:

@@ -1,12 +1,20 @@
 """Reference routes the closed-form engine of ``mixident.pushforward`` is
 checked against; only tests and demos import this module.
 
-* ``quad_pure_cdf`` / ``quad_mixture_cdf``: the engine's one-dimensional
-  reduction (density * interval-mass over the first coordinate) handed
-  piece by piece to adaptive quadrature;
+* ``quad_pure_cdf`` / ``quad_mixture_cdf``: density * interval-mass over
+  the first coordinate, whatever its law, handed piece by piece to
+  adaptive quadrature: the engine's reduction on EN and EE rows, and one
+  it does not use on NE rows, where it integrates over the second;
 * ``oracle_cdf_quad2d``: 2-D quadrature of the image density, disjoint
-  from that reduction;
+  from both reductions;
 * ``oracle_cdf_mc``: plain Monte Carlo.
+
+A steep row (large |q| = |a_i1 / a_i2|) puts a layer of width about 1/|q|
+into the reduction, with breakpoints at its edges.  At |a_i2| = 1e-15 the
+layer spans a few doubles of t, where p + q t moves in steps of about 0.1,
+so quad cannot bisect its pieces and warns of "extremely bad integrand
+behavior".  Pieces narrower than 1e-12 therefore take one midpoint value:
+no density here exceeds 1, so they hold at most 1e-12 of mass.
 """
 
 from __future__ import annotations
@@ -51,6 +59,9 @@ class QuadConfig:
 
 
 DEFAULT_QUAD = QuadConfig()
+
+# pieces narrower than this take one midpoint value (see the module docstring)
+_SLIVER = 1e-12
 
 
 def _density(law: ComponentLaw, t: float) -> float:
@@ -125,6 +136,9 @@ def _quad_pair_scalar(m: MixingMatrix2, comps, x1: float, x2: float, cfg: QuadCo
     pieces = len(pts) - 1
     total = 0.0
     for a, b in zip(pts[:-1], pts[1:]):
+        if b - a < _SLIVER:
+            total += (b - a) * integrand(0.5 * (a + b))
+            continue
         val, _ = quad(
             integrand, a, b,
             epsabs=cfg.abs_tol / max(pieces, 1), epsrel=0.0,
@@ -140,7 +154,8 @@ def quad_pure_cdf(
     x,
     cfg: QuadConfig = DEFAULT_QUAD,
 ) -> float:
-    """P(A e <= x) for pure coordinates by adaptive quadrature.
+    """P(A e <= x) for pure coordinates by adaptive quadrature over the
+    first coordinate.
 
     Gaussian pairs go through the bivariate normal CDF directly.
     """
@@ -199,8 +214,8 @@ def oracle_cdf_quad2d(
 
     Works in the image coordinates: the density of A e at z is the product
     mixture density evaluated at A^{-1} z over |det A|.  Entirely disjoint
-    from the interval-mass reduction used by the main paths, so it serves
-    as an independent oracle.
+    from the interval-mass reductions, so it serves as an independent
+    oracle.
     """
     m = as_matrix(m)
     x = np.asarray(x, dtype=float)

@@ -2,11 +2,11 @@
 
 Everything here evaluates P(A e <= x) componentwise for an invertible
 2x2 matrix A and independent coordinates e_1, e_2 with known laws.  There
-is one engine, the closed form: reduce to a one-dimensional integral of
-density * interval-mass over the first coordinate and evaluate it
-analytically.  Gaussian pairs collapse to the bivariate normal CDF; pairs
-involving an exponential coordinate reduce to normal CDFs and
-exponentials, stabilized through erfcx so no intermediate overflows.
+is one engine, the closed form.  Gaussian pairs collapse to the bivariate
+normal CDF.  Every other pair reduces to a one-dimensional integral of
+density * interval-mass over an exponential coordinate (an NE pair has
+its matrix columns and laws swapped first), evaluated analytically through
+normal CDFs and exponentials, stabilized by erfcx so nothing overflows.
 
 Thresholds may be infinite: a -inf coordinate gives 0, and a +inf
 coordinate drops its row, leaving the marginal CDF of the other one.  A
@@ -298,9 +298,9 @@ def bvn_cdf_batch(h, k, rho: float) -> np.ndarray:
 # closed-form kernels for pairs involving an exponential coordinate
 # ===========================================================================
 #
-# All kernels integrate over pieces on which the exponential CDF argument
-# keeps a fixed sign, so combined exponents below are guaranteed <= 0 and
-# erfcx absorbs what would otherwise overflow.
+# All kernels integrate over an exponential coordinate (support edge s1), on
+# pieces where the exponential CDF argument keeps a fixed sign, so combined
+# exponents below are <= 0 and erfcx absorbs what would otherwise overflow.
 
 
 def _phi_diff_scaled(a, b, ea, eb, mexp):
@@ -328,23 +328,6 @@ def _phi_diff_scaled(a, b, ea, eb, mexp):
     is_left = ~is_right & (b <= 0.0)
     cases = ((is_right, right), (is_left, left), (~(is_right | is_left), straddle))
     return np.maximum(_branches(a.shape[0], cases, (a, b, ea, eb, mexp)), 0.0)
-
-
-def _j_gauss_expfactor(t0, t1, c, g):
-    """integral of phi(t) * exp(-(c + g t)) over [t0, t1].
-
-    Requires c + g t >= 0 on the interval (active exponential argument).
-    Equals e^{g^2/2 - c} (Phi(t1+g) - Phi(t0+g)) evaluated stably.
-    """
-    a = t0 + g
-    b = t1 + g
-    lo_inf = t0 == -np.inf
-    hi_inf = t1 == np.inf
-    t0f = _fill(lo_inf, 0.0, t0)
-    t1f = _fill(hi_inf, 0.0, t1)
-    ea = _fill(lo_inf, -np.inf, -(c + g * t0f) - 0.5 * t0f * t0f)
-    eb = _fill(hi_inf, -np.inf, -(c + g * t1f) - 0.5 * t1f * t1f)
-    return _phi_diff_scaled(a, b, ea, eb, 0.5 * g * g - c)
 
 
 def _j_exp_expfactor(s1, t0, t1, c, g):
@@ -411,42 +394,29 @@ def _j_exp_phi(s1, t0, t1, alpha, g):
     return np.maximum(out, 0.0)
 
 
-def _ndtr(t):
-    """ndtr(t), set directly to its limits 0 and 1 on the infinite lanes."""
-    cases = ((np.isfinite(t), ndtr), (t == np.inf, np.ones_like))
-    return _branches(t.shape[0], cases, (t,))
-
-
-def _f1_mass(law1: ComponentLaw, t0, t1):
-    """integral of the law1 density over [t0, t1] (t0 >= support edge)."""
-    if law1.is_gaussian:
-        return _ndtr(t1) - _ndtr(t0)
-    s1 = law1.shift
+def _f1_mass(s1: float, t0, t1):
+    """integral of the exponential density with support edge s1 over
+    [t0, t1], t0 >= s1."""
     lo = np.exp(-(np.maximum(t0, s1) - s1))
     hi = _fill(t1 == np.inf, 0.0, np.exp(-(np.maximum(np.minimum(t1, 746.0 + s1), s1) - s1)))
     return np.maximum(lo - hi, 0.0)
 
 
-def _cdf_term(law1: ComponentLaw, law2: ComponentLaw, t0, t1, p, q, bound_mid, mass):
-    """integral of f1(t) * F2(p + q t) over the pieces [t0, t1].
+def _cdf_term(s1: float, law2: ComponentLaw, t0, t1, p, q, bound_mid, mass):
+    """integral of f1(t) * F2(p + q t) over the pieces [t0, t1], where f1
+    is the exponential density with support edge s1 and F2 the CDF of law2.
 
-    ``mass`` is ``_f1_mass(law1, t0, t1)``, which an exponential F2 needs.
+    ``mass`` is ``_f1_mass(s1, t0, t1)``, which an exponential F2 needs.
     For exponential F2 only the lanes whose bound sits at or above the
     support at the piece midpoint ``bound_mid`` carry mass, and there
     p + q t >= shift holds on the whole piece; the other lanes are zero.
     """
     if law2.is_gaussian:
-        if law1.is_gaussian:
-            raise AssertionError("Gaussian-Gaussian pairs use the direct bvn path")
-        return _j_exp_phi(law1.shift, t0, t1, p, q)
+        return _j_exp_phi(s1, t0, t1, p, q)
     s2 = law2.shift
 
     def in_support(t0, t1, p, q, mass):
-        c = p - s2
-        if law1.is_gaussian:
-            drop = _j_gauss_expfactor(t0, t1, c, q)
-        else:
-            drop = _j_exp_expfactor(law1.shift, t0, t1, c, q)
+        drop = _j_exp_expfactor(s1, t0, t1, p - s2, q)
         return np.maximum(mass - drop, 0.0)
 
     return _branches(t0.shape[0], ((bound_mid >= s2, in_support),), (t0, t1, p, q, mass))
@@ -490,9 +460,14 @@ def _closed_pair_batch(m: MixingMatrix2, comps, x: np.ndarray) -> np.ndarray:
     with np.errstate(under="ignore"):
         if law1.is_gaussian and law2.is_gaussian:
             return _gauss_pair_batch(m, x)
+        if law1.is_gaussian:
+            # integrate over the exponential coordinate: permuting the columns
+            # of A and the coordinates of e together leaves P(A e <= x) as it is
+            m = MixingMatrix2(m.a12, m.a11, m.a22, m.a21)
+            law1, law2 = law2, law1
         rows = _classify(m)
         if np.isfinite(x).all():
-            return _pieces_batch(law1, law2, *rows, x)
+            return _pieces_batch(law1.shift, law2, *rows, x)
         # a -inf threshold empties the event; a +inf one drops its row's constraint
         neg = (x == -np.inf).any(axis=1)
         pos = x == np.inf
@@ -501,21 +476,13 @@ def _closed_pair_batch(m: MixingMatrix2, comps, x: np.ndarray) -> np.ndarray:
             lanes = ~neg & (pos[:, 0] == drop[0]) & (pos[:, 1] == drop[1])
             if lanes.any():
                 kept = ([e for e in group if not drop[e[-1]]] for group in rows)
-                out[lanes] = _pieces_batch(law1, law2, *kept, x[lanes])
+                out[lanes] = _pieces_batch(law1.shift, law2, *kept, x[lanes])
         return out
 
 
 def _midpoint(t0, t1):
-    """A finite point inside each piece [t0, t1]: 0 on (-inf, inf), which
-    a one-row marginal can leave."""
-    lo_inf = t0 == -np.inf
-    hi_inf = t1 == np.inf
-    cases = (
-        (~(lo_inf | hi_inf), lambda t0, t1: 0.5 * (t0 + t1)),
-        (lo_inf & ~hi_inf, lambda t0, t1: t1 - 1.0),
-        (hi_inf & ~lo_inf, lambda t0, t1: t0 + 1.0),
-    )
-    return _branches(t0.shape[0], cases, (t0, t1))
+    """A finite point inside each piece [t0, t1]; t0 is finite, t1 may be +inf."""
+    return _fill(t1 == np.inf, t0 + 1.0, 0.5 * (t0 + t1))
 
 
 def _select(bounds, lanes, mid, take_min: bool):
@@ -539,10 +506,12 @@ def _select(bounds, lanes, mid, take_min: bool):
     return np.where(pick_a, pa, pb), np.where(pick_a, qa, qb)
 
 
-def _pieces_batch(law1, law2, uppers, lowers, tcons, x: np.ndarray) -> np.ndarray:
-    """P(A e <= x) from the classified constraints of ``_classify``."""
+def _pieces_batch(s1: float, law2: ComponentLaw, uppers, lowers, tcons, x) -> np.ndarray:
+    """P(A e <= x) from the classified constraints of ``_classify``, as an
+    integral over the first coordinate, exponential with support edge s1;
+    every piece of it starts at a finite point at or above s1."""
     npts = x.shape[0]
-    tlo = np.full(npts, law1.support_lo)
+    tlo = np.full(npts, s1)
     thi = np.full(npts, np.inf)
     for ai1, which in tcons:
         bound = x[:, which] / ai1
@@ -615,10 +584,10 @@ def _pieces_batch(law1, law2, uppers, lowers, tcons, x: np.ndarray) -> np.ndarra
         if lo is not None:
             lo = tuple(_at(v, keep) for v in lo)
 
-        mass = _f1_mass(law1, t0, t1) if up is None or not law2.is_gaussian else None
-        piece = mass if up is None else _cdf_term(law1, law2, t0, t1, *up, u_mid, mass)
+        mass = _f1_mass(s1, t0, t1) if up is None or not law2.is_gaussian else None
+        piece = mass if up is None else _cdf_term(s1, law2, t0, t1, *up, u_mid, mass)
         if lo is not None:
-            piece = piece - _cdf_term(law1, law2, t0, t1, *lo, l_mid, mass)
+            piece = piece - _cdf_term(s1, law2, t0, t1, *lo, l_mid, mass)
 
         lanes = keep if live is _ALL else live if keep is _ALL else live[keep]
         if lanes is _ALL:

@@ -57,7 +57,7 @@ def test_centered_exponential_cdf_anchors():
     assert law.cdf(-1.5) == 0.0
     assert abs(law.cdf(0.0) - EXP_CDF_AT_ZERO) < 1e-15
     # mean zero: integral of (1 - F) over [-1, inf) minus mass below 0
-    assert law.support_lo == -1.0
+    assert law.shift == -1.0
 
 
 def test_standard_exponential_cdf_anchors():
@@ -65,14 +65,13 @@ def test_standard_exponential_cdf_anchors():
     assert law.cdf(0.0) == 0.0
     assert law.cdf(-0.3) == 0.0
     assert abs(law.cdf(1.0) - EXP_CDF_AT_ZERO) < 1e-15
-    assert law.support_lo == 0.0
+    assert law.shift == 0.0
 
 
 def test_gaussian_has_no_shift():
     assert STANDARD_NORMAL.is_gaussian
     with pytest.raises(ValueError):
         _ = STANDARD_NORMAL.shift
-    assert STANDARD_NORMAL.support_lo == -math.inf
 
 
 def test_cdf_batch_matches_scalar():

@@ -306,7 +306,7 @@ def run_pool_script(*args) -> dict:
             os.killpg(proc.pid, signal.SIGKILL)  # the script and all it forked
             raise
     assert proc.returncode == 0, err
-    return json.loads(out.splitlines()[-1])
+    return {**json.loads(out.splitlines()[-1]), "stderr": err}
 
 
 def alive(pid: int) -> bool:
@@ -333,6 +333,8 @@ def test_forked_child_runs_its_own_pool():
     assert len(child) == 2 and not set(child) & set(parent)
     assert after == parent  # the child left its parent's pool alone
     assert not any(alive(pid) for pid in parent + child)
+    # the child does not try to join its parent's workers when it exits
+    assert "Exception ignored" not in out["stderr"], out["stderr"]
 
 
 class _KillsItsWorker:

@@ -3,12 +3,13 @@
 import math
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import dblquad, quad
+from scipy.integrate import IntegrationWarning, dblquad, quad
 from scipy.special import ndtr
 
 from mixident.laws import (
@@ -368,12 +369,17 @@ def test_exp_factor_slopes_near_zero_use_the_flat_integrand():
 
 def test_triangular_columns():
     # zero entries in the second column make one constraint a pure bound
-    # on e_1; both paths must agree
-    for a in ([[1.0, 0.0], [0.4, 1.0]], [[0.7, 1.2], [0.5, 0.0]]):
+    # on e_1; both paths must agree.  At a12 = +-1e-15 the steep layer of
+    # the first row is a few doubles wide, and the oracle integrates it
+    # without an IntegrationWarning.
+    for a in ([[1.0, 0.0], [0.4, 1.0]], [[0.7, 1.2], [0.5, 0.0]],
+              [[1.0, 1e-15], [0.4, 1.0]], [[1.0, -1e-15], [0.4, 1.0]]):
         m = as_matrix(np.array(a))
         for comps in [(E, N), (N, E), (E, E)]:
             va = pure_cdf_batch(m, comps, [(0.4, -0.3)])[0]
-            vb = quad_pure_cdf(m, comps, (0.4, -0.3))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", IntegrationWarning)
+                vb = quad_pure_cdf(m, comps, (0.4, -0.3))
             assert abs(va - vb) < 1e-10
 
 
@@ -533,6 +539,36 @@ def test_column_permutation_invariance():
             v1 = pure_cdf_batch(m, (l1, l2), [x])[0]
             v2 = pure_cdf_batch(swapped, (l2, l1), [x])[0]
             assert abs(v1 - v2) < 1e-11
+
+
+# the worked pair and the fixed matrices of the bench panel: well-conditioned,
+# near-triangular (a22 = 0.001, 0.002) and steep (a11/a12 = 1e2, 1e3)
+SWAP_MATRICES = {
+    "A": worked_matrix(),
+    "B": equal_product_pair(0.4)[1],
+    "well-conditioned": MixingMatrix2(1.2, -0.4, 0.6, 1.1),
+    "near-triangular-0.001": MixingMatrix2(1.0, 0.0, 0.4, 0.001),
+    "near-triangular-0.002": MixingMatrix2(1.0, 0.0, 0.4, 0.002),
+    "steep-1e2": MixingMatrix2(100.0, 1.0, 0.8, -1.4),
+    "steep-1e3": MixingMatrix2(1000.0, 1.0, 0.8, -1.4),
+}
+
+
+@pytest.mark.parametrize("xi", [E, U], ids=["centered", "standard"])
+@pytest.mark.parametrize("name", list(SWAP_MATRICES))
+def test_gaussian_first_rows_integrate_over_the_exponential_coordinate(name, xi):
+    # an NE row is, bit for bit, the EN row of the matrix with its columns swapped
+    m = SWAP_MATRICES[name]
+    swapped = as_matrix(m.as_array()[:, ::-1])
+    axis = np.linspace(-4.0, 4.0, 17)
+    inf = np.inf
+    pts = np.vstack([
+        np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2),
+        [(inf, 0.3), (-0.7, inf), (-inf, 0.3), (0.3, -inf), (inf, inf), (-inf, inf)],
+    ])
+    np.testing.assert_array_equal(
+        pure_cdf_batch(m, (N, xi), pts), pure_cdf_batch(swapped, (xi, N), pts)
+    )
 
 
 # ---------------------------------------------------------------------------
