@@ -26,9 +26,9 @@ costs O(n log n + M log n + ceil(M / B) * (n + B^2)) time and
 O(n + M + B^2) memory, at most about 2 MB of table, whatever M is;
 results match naive O(n M) counting exactly.
 
-Replications batch the target: ``replication_statistics`` draws, grids
-and counts a chunk of replications, then evaluates the target CDF once on
-their concatenated grids.
+The replication loop that draws, grids and counts many samples against
+one target lives in ``mixident.montecarlo`` (``_rep_block``), which
+evaluates the target CDF once per block of replications.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .laws import (
     ContaminatedLaw,
     RngStream,
 )
-from .pushforward import as_matrix, mixture_cdf_batch
+from .pushforward import as_matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -356,41 +356,3 @@ def sup_stat(sample: Sample2D, target_cdf, grid) -> float:
         raise ValueError("target_cdf must return one probability per grid point")
     return _scaled_sup(weak, strict, sample.n, target)
 
-
-# grid points per target-CDF call: the closed form pays numpy's per-call
-# overhead once per chunk of replications, not once per grid
-_TARGET_CHUNK = 4096
-
-
-def replication_statistics(
-    m_sample, m_target, beta: float, n: int, grid_spec: EvalGridSpec, streams,
-    xi: ComponentLaw = CENTERED_EXPONENTIAL, zeta: ComponentLaw = STANDARD_NORMAL,
-) -> np.ndarray:
-    """One statistic per stream: n draws from m_sample at level beta against
-    m_target's mixture CDF, drawn from stream.child(0) on a grid built from
-    stream.child(1).
-
-    Replications go in chunks of at most ``_TARGET_CHUNK`` grid points (at
-    least one replication): each is drawn, gridded and counted, keeping
-    only its grid and counts, then one ``mixture_cdf_batch`` call evaluates
-    the target on the chunk's concatenated grids.  The closed form is
-    pointwise, so every statistic equals the one ``sup_stat`` gives alone.
-    """
-    streams = list(streams)
-    stats: list[float] = []
-    pending: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    points = 0
-    for i, stream in enumerate(streams):
-        sample = draw_sample(m_sample, beta, n, stream.child(0), xi=xi, zeta=zeta)
-        grid = build_eval_grid(sample, grid_spec, stream.child(1).generator())
-        pending.append((grid, *EmpiricalCdf(sample).dominance_counts(grid)))
-        points += len(grid)
-        if i + 1 < len(streams) and points + len(grid) <= _TARGET_CHUNK:
-            continue
-        grids = [g for g, _, _ in pending]
-        target = mixture_cdf_batch(m_target, beta, np.concatenate(grids), xi, zeta)
-        cuts = np.cumsum([len(g) for g in grids])[:-1]
-        for (_, weak, strict), part in zip(pending, np.split(target, cuts)):
-            stats.append(_scaled_sup(weak, strict, n, part))
-        pending, points = [], 0
-    return np.array(stats)

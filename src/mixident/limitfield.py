@@ -11,7 +11,7 @@ from the n^2 behave like m draws from the product of the marginals; at
 finite n (the experiment's n against n0) the two biases differ.  The
 draws go through the experiment's replication engine and job queue:
 contiguous blocks of draw indices on the process's worker pool
-(``workers``), each block evaluating the target CDF once per chunk of
+(``workers``), each block evaluating the target CDF once for all its
 draws.  The pool is the one sweeps use: forked once per process and pool
 size, idle between calls and closed at exit, and the draws do not depend
 on it.
@@ -48,6 +48,8 @@ class LimitLawSample:
         d = np.asarray(self.draws, dtype=float)
         if d.ndim != 1 or d.size == 0:
             raise ValueError("draws must be a nonempty 1-D array")
+        if not np.all(np.isfinite(d)):
+            raise ValueError("draws must be finite")
         if not np.all(d >= 0.0):
             raise ValueError("the limiting supremum is nonnegative")
         object.__setattr__(self, "draws", d)

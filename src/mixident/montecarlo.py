@@ -23,22 +23,22 @@ calls, and a call of another size, or a call after a worker died, starts
 a new one.  The pool closes when the interpreter exits, and a process
 forked from one that holds a pool starts its own.  Results do not depend
 on which pool, or how many, ran them.  A job is a contiguous block of one
-scenario's replication indices, run through
-``empirical.replication_statistics``, which evaluates the target CDF once
-per chunk of replications rather than once per grid.  A block holds at
-most one such chunk, and is cut smaller only where the pool would
-otherwise have idle workers.  All jobs of a call, across every scenario
-of a sweep, go to the pool in one batch, so a free worker takes the next
-job instead of waiting for the rest of a scenario.  A scenario's
-``wall_ms`` is therefore not an elapsed time: it sums the time its blocks
-spent running in their workers.  The limit law of ``mixident.limitfield``
-runs its draws through the same queue.
+scenario's replication indices, run by ``_rep_block``: it draws, grids
+and counts each replication, then evaluates the target CDF once on the
+block's concatenated grids rather than once per grid.  A block holds at
+most ``_TARGET_CHUNK`` grid points (at least one replication), and is
+cut smaller only where the pool would otherwise have idle workers.  All
+jobs of a call, across every scenario of a sweep, go to the pool in one
+batch, so a free worker takes the next job instead of waiting for the
+rest of a scenario.  A scenario's ``wall_ms`` is therefore not an
+elapsed time: it sums the time its blocks spent running in their
+workers.  The limit law of ``mixident.limitfield`` runs its draws
+through the same queue.
 """
 
 from __future__ import annotations
 
 import atexit
-import functools
 import math
 import multiprocessing.process
 import os
@@ -51,11 +51,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .empirical import (
-    _TARGET_CHUNK,
+    EmpiricalCdf,
     EvalGridSpec,
+    _scaled_sup,
     _whole_fields,
     _whole_numbers,
-    replication_statistics,
+    build_eval_grid,
+    draw_sample,
 )
 from .laws import (
     CENTERED_EXPONENTIAL,
@@ -63,7 +65,7 @@ from .laws import (
     ComponentLaw,
     RngStream,
 )
-from .pushforward import as_matrix, equal_product_pair
+from .pushforward import as_matrix, equal_product_pair, mixture_cdf_batch
 
 
 @dataclass(frozen=True)
@@ -136,15 +138,37 @@ class ScenarioResult:
             raise ValueError("estimate must be a probability")
 
 
+# grid points per target-CDF call: the closed form pays numpy's per-call
+# overhead once per block of replications, not once per grid
+_TARGET_CHUNK = 4096
+
+
 def _rep_block(args) -> tuple[np.ndarray, float]:
     """Statistics of replications ``indices`` of a job, and the milliseconds
-    they took; replication r reads the streams under ``root.child(r)``."""
+    they took.
+
+    Replication r draws n points of m_sample at level beta from
+    ``root.child(r, 0)``, builds its grid from ``root.child(r, 1)`` and
+    counts dominance on it, keeping only the grid and the counts; then one
+    ``mixture_cdf_batch`` call evaluates m_target's mixture CDF on the
+    block's concatenated grids.  The closed form is pointwise, so every
+    statistic equals the one ``empirical.sup_stat`` gives alone.
+    """
     (m_sample, m_target, beta, n, grid, xi, zeta, root), indices = args
     t0 = time.perf_counter()
-    stats = replication_statistics(
-        m_sample, m_target, beta, n, grid, [root.child(r) for r in indices], xi, zeta
-    )
-    return stats, (time.perf_counter() - t0) * 1e3
+    grids, counts = [], []
+    for r in indices:
+        sample = draw_sample(m_sample, beta, n, root.child(r, 0), xi=xi, zeta=zeta)
+        points = build_eval_grid(sample, grid, root.child(r, 1).generator())
+        grids.append(points)
+        counts.append(EmpiricalCdf(sample).dominance_counts(points))
+    # every grid of a job has the same size, so the target splits into rows
+    target = mixture_cdf_batch(m_target, beta, np.concatenate(grids), xi, zeta)
+    stats = [
+        _scaled_sup(weak, strict, n, part)
+        for (weak, strict), part in zip(counts, target.reshape(len(grids), -1))
+    ]
+    return np.array(stats), (time.perf_counter() - t0) * 1e3
 
 
 def _scenario_job(s: Scenario) -> tuple:
@@ -212,31 +236,23 @@ def _pool_map(size: int, fn, blocks) -> list:
         raise
 
 
-def _rep_map(workers: int, n_reps: int):
-    """(map, size): the map that runs replication blocks on ``size``
-    workers, clamped to the replications and to the CPUs available; one
-    worker maps in-process, more map on the process's pool of that size."""
-    (workers,) = _whole_numbers((workers,))
-    if workers < 1:
-        raise ValueError(f"need at least one worker, got {workers}")
-    size = min(workers, n_reps, _usable_cpus())
-    if size == 1:
-        return map, 1
-    return functools.partial(_pool_map, size), size
-
-
 def _run_jobs(jobs, workers: int) -> list[tuple[np.ndarray, float]]:
     """Run ``n_reps`` replications of each ``(job, n_reps)`` through one
     queue of contiguous blocks on one pool; give each job's statistics,
     ordered by replication index, and the in-worker milliseconds of its
-    blocks.  The pool is the process's pool of the clamped size, whose
-    workers outlive the call (see the module docstring).
+    blocks.  ``workers`` is clamped to the largest ``n_reps`` and to the
+    CPUs available; a size of one runs the blocks in-process, a larger one
+    on the process's pool of that size, whose workers outlive the call (see
+    the module docstring).
 
-    A block holds at most one target chunk of replications, and at most
-    an even share of all replications per worker, so every worker of the
-    pool has a block to run.
+    A block holds at most ``_TARGET_CHUNK`` grid points (at least one
+    replication), and at most an even share of all replications per
+    worker, so every worker of the pool has a block to run.
     """
-    run, size = _rep_map(workers, max(n for _, n in jobs))
+    (workers,) = _whole_numbers((workers,))
+    if workers < 1:
+        raise ValueError(f"need at least one worker, got {workers}")
+    size = min(workers, max(n for _, n in jobs), _usable_cpus())
     share = math.ceil(sum(n for _, n in jobs) / size)
     blocks, owners = [], []
     for k, (job, n) in enumerate(jobs):
@@ -247,7 +263,8 @@ def _run_jobs(jobs, workers: int) -> list[tuple[np.ndarray, float]]:
             owners.append(k)
     stats = [np.empty(n) for _, n in jobs]
     wall_ms = [0.0] * len(jobs)
-    for k, (_, indices), (values, ms) in zip(owners, blocks, run(_rep_block, blocks)):
+    runs = map(_rep_block, blocks) if size == 1 else _pool_map(size, _rep_block, blocks)
+    for k, (_, indices), (values, ms) in zip(owners, blocks, runs):
         stats[k][indices.start:indices.stop] = values
         wall_ms[k] += ms
     return list(zip(stats, wall_ms))

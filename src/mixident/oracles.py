@@ -4,7 +4,8 @@ checked against; only tests and demos import this module.
 * ``quad_pure_cdf`` / ``quad_mixture_cdf``: density * interval-mass over
   the first coordinate, whatever its law, handed piece by piece to
   adaptive quadrature: the engine's reduction on EN and EE rows, and one
-  it does not use on NE rows, where it integrates over the second;
+  it does not use on NE rows, where it integrates over the second, or on
+  NN rows, where it evaluates the bivariate normal CDF;
 * ``oracle_cdf_quad2d``: 2-D quadrature of the image density, disjoint
   from both reductions;
 * ``oracle_cdf_mc``: plain Monte Carlo.
@@ -35,7 +36,6 @@ from mixident.pushforward import (
     _SQRT_TWOPI,
     MixingMatrix2,
     _classify,
-    _gauss_pair_batch,
     as_matrix,
     assignment_comps,
     mixture_weights,
@@ -155,16 +155,11 @@ def quad_pure_cdf(
     cfg: QuadConfig = DEFAULT_QUAD,
 ) -> float:
     """P(A e <= x) for pure coordinates by adaptive quadrature over the
-    first coordinate.
-
-    Gaussian pairs go through the bivariate normal CDF directly.
+    first coordinate, whatever its law; on Gaussian pairs too, so it checks
+    the engine's bivariate normal CDF rather than calling it.
     """
-    m = as_matrix(m)
     x = np.asarray(x, dtype=float)
-    law1, law2 = comps
-    if law1.is_gaussian and law2.is_gaussian:
-        return float(_gauss_pair_batch(m, x.reshape(1, 2))[0])
-    return _quad_pair_scalar(m, comps, float(x[0]), float(x[1]), cfg)
+    return _quad_pair_scalar(as_matrix(m), comps, float(x[0]), float(x[1]), cfg)
 
 
 def quad_mixture_cdf(

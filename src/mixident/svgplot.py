@@ -11,7 +11,7 @@ the caller-provided series order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 # a colorblind-friendly fixed palette; series cycle through it
 PALETTE = ("#0072b2", "#d55e00", "#009e73", "#cc79a7", "#56b4e9", "#e69f00")

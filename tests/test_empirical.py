@@ -6,9 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from mixident import empirical
 from mixident.empirical import (
-    _TARGET_CHUNK,
     EmpiricalCdf,
     EvalGridSpec,
     GridMode,
@@ -18,7 +16,6 @@ from mixident.empirical import (
     corner_grid,
     draw_sample,
     naive_dominance_counts,
-    replication_statistics,
     sup_stat,
 )
 from mixident.laws import STANDARD_NORMAL, RngStream
@@ -349,43 +346,3 @@ def test_sup_stat_rejects_non_finite_target():
         with pytest.raises(ValueError, match="non-finite"):
             sup_stat(s, lambda g, bad=bad: np.full(len(g), bad), corner_grid(s))
 
-
-# ---------------------------------------------------------------------------
-# replications
-
-
-def _rebuilt_statistic(m_sample, m_target, beta, n, spec, stream):
-    sample = draw_sample(m_sample, beta, n, stream.child(0))
-    grid = build_eval_grid(sample, spec, stream.child(1).generator())
-    return sup_stat(sample, lambda g: mixture_cdf_batch(m_target, beta, g), grid)
-
-
-@pytest.mark.parametrize(
-    "m_points, beta, reps",
-    [(300, 0.2, 30), (1000, 0.2, 9), (300, 0.0, 14), (1000, 0.0, 1)],
-)
-def test_replication_statistics_equal_per_stream_rebuild(m_points, beta, reps):
-    # 300-point grids go 13 to a chunk and 1000-point grids 4: several full
-    # chunks plus a partial last one, or a single replication
-    m_a, m_b = equal_product_pair(0.4)
-    spec = EvalGridSpec(m_points=m_points)
-    root = RngStream(17)
-    streams = [root.child(2, r) for r in range(reps)]
-    got = replication_statistics(m_a, m_b, beta, 150, spec, streams)
-    want = [_rebuilt_statistic(m_a, m_b, beta, 150, spec, s) for s in streams]
-    assert reps * m_points > _TARGET_CHUNK or reps == 1
-    assert got.tolist() == want
-
-
-def test_replication_statistics_reject_non_finite_target(monkeypatch):
-    m_a, m_b = equal_product_pair(0.4)
-
-    def broken(m, beta, pts, *args):
-        out = np.zeros(len(pts))
-        out[-1] = np.nan
-        return out
-
-    monkeypatch.setattr(empirical, "mixture_cdf_batch", broken)
-    streams = [RngStream(1).child(r) for r in range(3)]
-    with pytest.raises(ValueError, match="non-finite"):
-        replication_statistics(m_a, m_b, 0.1, 50, EvalGridSpec(m_points=40), streams)

@@ -52,6 +52,35 @@ def test_only_oracles_imports_reference_routes():
     assert offenders == {}
 
 
+def _unused_imports(path: Path) -> list[str]:
+    """Names the module at ``path`` imports but neither uses nor lists in
+    its ``__all__``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return sorted(imported - used)
+
+
+def test_every_import_is_used_or_exported():
+    unused = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        names = _unused_imports(path)
+        if names:
+            unused[path.name] = names
+    assert unused == {}
+
+
 def test_every_export_resolves():
     missing = [name for name in mixident.__all__ if not hasattr(mixident, name)]
     assert missing == []

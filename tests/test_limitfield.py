@@ -124,6 +124,8 @@ def test_sample_validation():
         LimitLawSample(np.ones((3, 2)), n0=10, grid=grid)
     with pytest.raises(ValueError):
         LimitLawSample(np.array([0.5, -0.1]), n0=10, grid=grid)
+    with pytest.raises(ValueError, match="finite"):
+        LimitLawSample(np.array([np.inf, 0.5]), n0=10, grid=grid)
 
 
 # ---------------------------------------------------------------------------

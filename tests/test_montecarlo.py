@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 from mixident import montecarlo
-from mixident.empirical import EvalGridSpec
+from mixident.empirical import EvalGridSpec, build_eval_grid, draw_sample, sup_stat
 from mixident.expansion import estimate_K
-from mixident.laws import RngStream
+from mixident.laws import CENTERED_EXPONENTIAL, STANDARD_NORMAL, RngStream
 from mixident.montecarlo import (
     CSV_HEADER,
     PRESET_NAMES,
@@ -130,6 +130,55 @@ def test_run_replication_equals_engine():
     s = tiny_scenario(n_reps=20, grid=EvalGridSpec(m_points=300))
     stats = estimate_probability(s, retain_stats=True).stats
     assert [run_replication(s, r) for r in range(s.n_reps)] == stats.tolist()
+
+
+def _rebuilt_statistic(m_sample, m_target, beta, n, spec, stream):
+    sample = draw_sample(m_sample, beta, n, stream.child(0))
+    grid = build_eval_grid(sample, spec, stream.child(1).generator())
+    return sup_stat(sample, lambda g: mixture_cdf_batch(m_target, beta, g), grid)
+
+
+def _block(root, n, spec, beta, reps) -> np.ndarray:
+    """Statistics of replications 0..reps-1 under ``root``, in one block."""
+    job = (*A_PAIR, beta, n, spec, CENTERED_EXPONENTIAL, STANDARD_NORMAL, root)
+    return montecarlo._rep_block((job, range(reps)))[0]
+
+
+@pytest.mark.parametrize(
+    "m_points, beta, reps",
+    [(300, 0.2, 30), (1000, 0.2, 9), (300, 0.0, 14), (1000, 0.0, 1)],
+)
+def test_rep_block_equals_per_stream_rebuild(m_points, beta, reps):
+    # blocks larger than any _run_jobs cuts, or a single replication
+    spec = EvalGridSpec(m_points=m_points)
+    root = RngStream(17).child(2)
+    got = _block(root, 150, spec, beta, reps)
+    want = [_rebuilt_statistic(*A_PAIR, beta, 150, spec, root.child(r)) for r in range(reps)]
+    assert reps * m_points > montecarlo._TARGET_CHUNK or reps == 1
+    assert got.tolist() == want
+
+
+def test_rep_block_makes_one_target_call(monkeypatch):
+    calls = []
+
+    def counted(m, beta, pts, *args):
+        calls.append(len(pts))
+        return mixture_cdf_batch(m, beta, pts, *args)
+
+    monkeypatch.setattr(montecarlo, "mixture_cdf_batch", counted)
+    _block(RngStream(17).child(2), 150, EvalGridSpec(m_points=300), 0.2, 30)
+    assert calls == [30 * 300]
+
+
+def test_rep_block_rejects_non_finite_target(monkeypatch):
+    def broken(m, beta, pts, *args):
+        out = np.zeros(len(pts))
+        out[-1] = np.nan
+        return out
+
+    monkeypatch.setattr(montecarlo, "mixture_cdf_batch", broken)
+    with pytest.raises(ValueError, match="non-finite"):
+        _block(RngStream(1), 50, EvalGridSpec(m_points=40), 0.1, 3)
 
 
 def test_worker_count_does_not_change_stats():
@@ -375,8 +424,6 @@ def test_single_observation_replication_by_hand():
     got = run_replication(s, 5)
 
     root = RngStream(s.master_seed).child(s.index, 5)
-    from mixident.empirical import draw_sample
-
     sample = draw_sample(s.m_a, 0.5, 1, root.child(0))
     g = float(
         mixture_cdf_batch(s.m_b, 0.5, sample.points)[0]
