@@ -4,6 +4,11 @@ Each check measures concrete quantities on finite grids and compares them
 against the thresholds in the central tolerance table; a report says what
 was measured, what was required, and whether everything passed.  Check
 ids double as CLI tokens, so they are short and stable.
+
+The checks measure the same public calls that users run
+(``mixture_cdf_batch``, ``gamma_k_batch``, ``mixture_sup_gap`` and
+``estimate_K``); calls on one grid share their pure rows through the row
+cache of ``pushforward.PureFields``.
 """
 
 from __future__ import annotations
@@ -16,13 +21,13 @@ from .expansion import (
     DEFAULT_MEASURE,
     P_DIM,
     EvalGrid,
-    gamma_from_fields,
-    rate_constant_from_fields,
-    sup_gap_from_fields,
+    estimate_K,
+    gamma_k_batch,
+    mixture_sup_gap,
     sup_on_grid,
 )
 from .laws import ContaminatedLaw, _distances_to_background, _scan
-from .pushforward import PureFields, as_matrix, equal_product_pair
+from .pushforward import PureFields, as_matrix, equal_product_pair, mixture_cdf_batch
 
 # central tolerance table; acceptance criteria cite these entries
 TOLERANCES = {
@@ -77,11 +82,6 @@ def _within(quantity: str, value: float, lo: float, hi: float) -> CheckRow:
 LEM33_SEED = 20260819
 
 
-def _fields(m) -> PureFields:
-    points = EvalGrid.tensor().points
-    return PureFields(m, points, DEFAULT_MEASURE.xi, DEFAULT_MEASURE.zeta)
-
-
 # ---------------------------------------------------------------------------
 # individual checks
 
@@ -95,14 +95,15 @@ def check_thm31() -> CheckReport:
     shrink monotonically.
     """
     c = DEFAULT_MEASURE.norm_c
-    fields = _fields(equal_product_pair(0.4)[0])
-    base = fields.mixture(0.0)
-    first = gamma_from_fields(fields, 1)
+    m = equal_product_pair(0.4)[0]
+    points = EvalGrid.tensor().points
+    base = mixture_cdf_batch(m, 0.0, points)
+    first = gamma_k_batch(m, 1, points)
     betas = (0.02, 0.01, 0.005)
     devs = []
     raw_gaps = []
     for beta in betas:
-        fb = fields.mixture(beta)
+        fb = mixture_cdf_batch(m, beta, points)
         devs.append(float(np.max(np.abs((fb - base) / (beta * c) - first))))
         raw_gaps.append(float(np.max(np.abs(fb - base))))
     lo, hi = TOLERANCES["thm31.ratio_lo"], TOLERANCES["thm31.ratio_hi"]
@@ -126,10 +127,12 @@ def check_lem33_lemA1() -> CheckReport:
     worst_field = 0.0
     worst_single = 0.0
     c = DEFAULT_MEASURE.norm_c
+    points = EvalGrid.tensor().points
     for m in matrices:
-        fields = _fields(m)
-        worst_field = max(worst_field, sup_on_grid(gamma_from_fields(fields, 1)))
-        # single placements: contaminant on one coordinate (rows EN, NE)
+        worst_field = max(worst_field, sup_on_grid(gamma_k_batch(m, 1, points)))
+        # single placements: contaminant on one coordinate (rows EN, NE),
+        # read back from the rows gamma_k_batch just computed
+        fields = PureFields(m, points)
         for a in (1, 2):
             term = (fields.row(a) - fields.row(0)) / c
             worst_single = max(worst_single, sup_on_grid(term))
@@ -149,11 +152,9 @@ def check_lem35() -> CheckReport:
     """
     m_a, m_b = equal_product_pair(0.4)
     product_gap = float(np.max(np.abs(m_a.aat() - m_b.aat())))
-    fa, fb = _fields(m_a), _fields(m_b)
-    swapped = _fields(m_a.as_array()[:, ::-1])
-    null_gap = sup_gap_from_fields(fa, fb, 0.0)
-    cont_gap = sup_gap_from_fields(fa, fb, 0.5)
-    perm_gap = sup_gap_from_fields(fa, swapped, 0.5)
+    null_gap = mixture_sup_gap(m_a, m_b, 0.0)
+    cont_gap = mixture_sup_gap(m_a, m_b, 0.5)
+    perm_gap = mixture_sup_gap(m_a, m_a.as_array()[:, ::-1], 0.5)
     tol = TOLERANCES["lem35.null_gap"]
     rows = [
         _le("transpose_product_gap", product_gap, 1e-12),
@@ -173,10 +174,10 @@ def check_cor34() -> CheckReport:
     tests linearity, not grid resolution.  The rate never exceeds 4 p
     norm_c.
     """
-    fa, fb = (_fields(m) for m in equal_product_pair(0.4))
-    r1 = sup_gap_from_fields(fa, fb, 0.01) / 0.01
-    r2 = sup_gap_from_fields(fa, fb, 0.005) / 0.005
-    k_const = rate_constant_from_fields(fa, fb)
+    m_a, m_b = equal_product_pair(0.4)
+    r1 = mixture_sup_gap(m_a, m_b, 0.01) / 0.01
+    r2 = mixture_sup_gap(m_a, m_b, 0.005) / 0.005
+    k_const = estimate_K(m_a, m_b)
     rate_bound = 4.0 * P_DIM * DEFAULT_MEASURE.norm_c
     rows = [
         _le("stability_rel", abs(r1 - r2) / max(r1, 1e-300), TOLERANCES["cor34.stability_rel"]),

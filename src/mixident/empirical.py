@@ -277,6 +277,17 @@ class EvalGridSpec:
             raise ValueError(f"need at least one grid point, got {self.m_points}")
 
 
+def _check_sample_size(spec: EvalGridSpec, n: int) -> None:
+    """Raise ``ValueError`` unless a sample of n points can carry the grid
+    ``spec``: n >= 1, and a corner subsample needs at most n^2 corners."""
+    if n < 1:
+        raise ValueError(f"need a sample of n >= 1 points, got {n}")
+    if spec.mode is GridMode.CORNER_SUBSAMPLE and spec.m_points > n * n:
+        raise ValueError(
+            f"corner subsample of {spec.m_points} exceeds the {n * n} corners of n = {n}"
+        )
+
+
 def corner_grid(sample: Sample2D) -> np.ndarray:
     """All n^2 corner pairs (x_i^(1), x_j^(2)); quadratic, and not the exact
     set, which adds the +inf row and column of the (n+1)^2 lattice."""
@@ -299,15 +310,11 @@ def build_eval_grid(
     levels (j - 1/2)/m_side.
     """
     n = sample.n
+    _check_sample_size(spec, n)
     if spec.mode is GridMode.CORNER_SUBSAMPLE:
-        total = n * n
-        if spec.m_points > total:
-            raise ValueError(
-                f"corner subsample of {spec.m_points} exceeds the {total} corners"
-            )
         if rng is None:
             raise ValueError("corner subsampling needs an rng")
-        flat = rng.choice(total, spec.m_points, replace=False)
+        flat = rng.choice(n * n, spec.m_points, replace=False)
         i = flat // n
         j = flat % n
         return np.column_stack([sample.points[i, 0], sample.points[j, 1]])

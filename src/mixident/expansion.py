@@ -9,7 +9,9 @@ of the difference of the two first-order fields.
 
 Every coefficient field is a fixed weight vector (``GAMMA_WEIGHTS``) over
 the four pure-assignment CDF rows of ``pushforward.PureFields``, the rows
-the mixture itself combines with binomial weights.
+the mixture itself combines with binomial weights.  Each call builds
+its own ``PureFields``; calls on equal points share the rows through its
+row cache, so ``mixident.checks`` measures these same public calls.
 
 Coefficients are normalized by the uniform-norm distance between the
 contaminant and the background, so the first-order field is O(1) and the
@@ -28,7 +30,7 @@ from .laws import (
     ComponentLaw,
     kolmogorov_distance_univ,
 )
-from .pushforward import PureFields
+from .pushforward import PureFields, mixture_cdf_batch
 
 P_DIM = 2  # the analytic engine is two-dimensional throughout
 
@@ -84,17 +86,13 @@ class EvalGrid:
 GAMMA_WEIGHTS = ((1, 0, 0, 0), (-2, 1, 1, 0), (1, -1, -1, 1))
 
 
-def gamma_from_fields(fields: PureFields, k: int, measure: NuMeasure = DEFAULT_MEASURE):
-    """Order-k coefficient field, the beta^k coefficient of the mixture CDF
-    over norm_c**k, from pure rows built on measure.xi and measure.zeta."""
+def gamma_k_batch(m, k: int, points, measure: NuMeasure = DEFAULT_MEASURE) -> np.ndarray:
+    """Order-k expansion coefficient field over an (n, 2) point array: the
+    beta^k coefficient of the mixture CDF over norm_c**k."""
     if not 0 <= k <= P_DIM:
         raise ValueError(f"order must lie in [0, {P_DIM}], got {k}")
+    fields = PureFields(m, points, measure.xi, measure.zeta)
     return fields.combine(GAMMA_WEIGHTS[k]) / measure.norm_c**k
-
-
-def gamma_k_batch(m, k: int, points, measure: NuMeasure = DEFAULT_MEASURE) -> np.ndarray:
-    """Order-k expansion coefficient field over an (n, 2) point array."""
-    return gamma_from_fields(PureFields(m, points, measure.xi, measure.zeta), k, measure)
 
 
 def polynomial_reconstruct(m, beta: float, x) -> float:
@@ -106,9 +104,8 @@ def polynomial_reconstruct(m, beta: float, x) -> float:
     """
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must lie in [0, 1], got {beta}")
-    fields = PureFields(m, [x])
     c = DEFAULT_MEASURE.norm_c
-    return float(sum(beta**k * c**k * gamma_from_fields(fields, k) for k in range(P_DIM + 1))[0])
+    return float(sum(beta**k * c**k * gamma_k_batch(m, k, [x]) for k in range(P_DIM + 1))[0])
 
 
 def sup_on_grid(values) -> float:
@@ -119,17 +116,12 @@ def sup_on_grid(values) -> float:
     return float(np.max(np.abs(v)))
 
 
-def sup_gap_from_fields(fa: PureFields, fb: PureFields, beta: float) -> float:
-    """Grid sup of |F_A - F_B| at level beta, from the two matrices' pure
-    rows on one point set."""
-    return sup_on_grid(fa.mixture(beta) - fb.mixture(beta))
-
-
-def rate_constant_from_fields(fa: PureFields, fb: PureFields) -> float:
-    """norm_c * grid sup of the first-order field gap, the slope of
-    sup |F_A - F_B| at small contamination levels."""
-    gap = gamma_from_fields(fa, 1) - gamma_from_fields(fb, 1)
-    return DEFAULT_MEASURE.norm_c * sup_on_grid(gap)
+def mixture_sup_gap(m_a, m_b, beta: float, grid: EvalGrid | None = None) -> float:
+    """Grid sup of |F_A - F_B| at contamination level beta."""
+    if grid is None:
+        grid = EvalGrid.tensor()
+    pts = grid.points
+    return sup_on_grid(mixture_cdf_batch(m_a, beta, pts) - mixture_cdf_batch(m_b, beta, pts))
 
 
 def estimate_K(m_a, m_b, grid: EvalGrid | None = None) -> float:
@@ -141,18 +133,10 @@ def estimate_K(m_a, m_b, grid: EvalGrid | None = None) -> float:
     """
     if grid is None:
         grid = EvalGrid.tensor()
-    fa = PureFields(m_a, grid.points)
-    fb = PureFields(m_b, grid.points)
-    base_gap = sup_gap_from_fields(fa, fb, 0.0)
+    base_gap = mixture_sup_gap(m_a, m_b, 0.0, grid)
     if base_gap > 1e-8:
         raise ValueError(
             f"uncontaminated models differ by {base_gap:.2e}; K is undefined"
         )
-    return rate_constant_from_fields(fa, fb)
-
-
-def mixture_sup_gap(m_a, m_b, beta: float, grid: EvalGrid | None = None) -> float:
-    """Grid sup of |F_A - F_B| at contamination level beta."""
-    if grid is None:
-        grid = EvalGrid.tensor()
-    return sup_gap_from_fields(PureFields(m_a, grid.points), PureFields(m_b, grid.points), beta)
+    gap = gamma_k_batch(m_a, 1, grid.points) - gamma_k_batch(m_b, 1, grid.points)
+    return DEFAULT_MEASURE.norm_c * sup_on_grid(gap)

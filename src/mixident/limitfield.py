@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .empirical import EvalGridSpec, _whole_numbers
+from .empirical import EvalGridSpec, _check_sample_size, _whole_numbers
 from .expansion import DEFAULT_MEASURE, P_DIM
 from .laws import CENTERED_EXPONENTIAL, STANDARD_NORMAL, RngStream
 from .montecarlo import _run_jobs
@@ -87,7 +87,9 @@ def simulate_limit_sup(
     (the one ``estimate_probability`` and ``run_sweep`` use), in contiguous
     blocks on the process's pool of ``workers`` processes, sized, validated
     and reused as there; draw r is a pure function of (master_seed, r), so
-    the draws do not depend on ``workers`` or on earlier calls.
+    the draws do not depend on ``workers`` or on earlier calls.  An n0
+    below 1, or a corner grid with more points than the n0^2 corners,
+    raises ``ValueError`` before any draw runs.
     """
     n0, n_draws, master_seed = _whole_numbers((n0, n_draws, master_seed))
     if n_draws < 1:
@@ -95,6 +97,7 @@ def simulate_limit_sup(
     m = as_matrix(m)
     if grid is None:
         grid = EvalGridSpec(m_points=500)
+    _check_sample_size(grid, n0)
     # draw r reads streams (r, 0) and (r, 1) of the master seed
     job = (m, m, 0.0, n0, grid, CENTERED_EXPONENTIAL, STANDARD_NORMAL, RngStream(master_seed))
     ((draws, _),) = _run_jobs([(job, n_draws)], workers)

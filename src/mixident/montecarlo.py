@@ -53,6 +53,7 @@ import numpy as np
 from .empirical import (
     EmpiricalCdf,
     EvalGridSpec,
+    _check_sample_size,
     _scaled_sup,
     _whole_fields,
     _whole_numbers,
@@ -106,6 +107,7 @@ class Scenario:
                 )
         elif not 0.0 <= self.beta <= 1.0:
             raise ValueError(f"beta must lie in [0, 1], got {self.beta}")
+        _check_sample_size(self.grid, self.n)
 
     @property
     def beta_n(self) -> float:

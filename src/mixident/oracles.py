@@ -21,7 +21,6 @@ no density here exceeds 1, so they hold at most 1e-12 of mass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -42,23 +41,15 @@ from mixident.pushforward import (
 )
 
 
-@dataclass(frozen=True)
-class QuadConfig:
-    """Tolerances for the quadrature evaluation path.
-
-    radius truncates Gaussian coordinates at +-radius (tail < 1e-80 for
-    the default 20).  Exponential coordinates decay much more slowly, so
-    their integration window extends to support + 3*radius instead
-    (tail ~ 1e-26 at the default), keeping truncation error far below
-    abs_tol.
-    """
-
-    abs_tol: float = 1e-10
-    max_subdivisions: int = 2000
-    radius: float = 20.0
-
-
-DEFAULT_QUAD = QuadConfig()
+# Tolerances of the quadrature path.  _RADIUS truncates Gaussian coordinates
+# at +-_RADIUS (tail < 1e-80).  Exponential coordinates decay much more
+# slowly, so their integration window extends to support + 3*_RADIUS instead
+# (tail ~ 1e-26), keeping truncation error far below _ABS_TOL.
+_ABS_TOL = 1e-10
+_MAX_SUBDIVISIONS = 2000
+_RADIUS = 20.0
+# absolute tolerance of the 2-D quadrature oracle
+_QUAD2D_ABS_TOL = 5e-9
 
 # pieces narrower than this take one midpoint value (see the module docstring)
 _SLIVER = 1e-12
@@ -71,16 +62,16 @@ def _density(law: ComponentLaw, t: float) -> float:
     return math.exp(-(t - s)) if t >= s else 0.0
 
 
-def _law_window(law: ComponentLaw, cfg: QuadConfig) -> tuple[float, float]:
+def _law_window(law: ComponentLaw) -> tuple[float, float]:
     if law.is_gaussian:
-        return -cfg.radius, cfg.radius
-    return law.shift, law.shift + 3.0 * cfg.radius
+        return -_RADIUS, _RADIUS
+    return law.shift, law.shift + 3.0 * _RADIUS
 
 
-def _quad_pair_scalar(m: MixingMatrix2, comps, x1: float, x2: float, cfg: QuadConfig) -> float:
+def _quad_pair_scalar(m: MixingMatrix2, comps, x1: float, x2: float) -> float:
     law1, law2 = comps
     uppers, lowers, tcons = _classify(m)
-    lo, hi = _law_window(law1, cfg)
+    lo, hi = _law_window(law1)
     for ai1, which in tcons:
         bound = (x1, x2)[which] / ai1
         if ai1 > 0.0:
@@ -141,8 +132,8 @@ def _quad_pair_scalar(m: MixingMatrix2, comps, x1: float, x2: float, cfg: QuadCo
             continue
         val, _ = quad(
             integrand, a, b,
-            epsabs=cfg.abs_tol / max(pieces, 1), epsrel=0.0,
-            limit=cfg.max_subdivisions,
+            epsabs=_ABS_TOL / max(pieces, 1), epsrel=0.0,
+            limit=_MAX_SUBDIVISIONS,
         )
         total += val
     return min(max(total, 0.0), 1.0)
@@ -152,14 +143,13 @@ def quad_pure_cdf(
     m,
     comps: tuple[ComponentLaw, ComponentLaw],
     x,
-    cfg: QuadConfig = DEFAULT_QUAD,
 ) -> float:
     """P(A e <= x) for pure coordinates by adaptive quadrature over the
     first coordinate, whatever its law; on Gaussian pairs too, so it checks
     the engine's bivariate normal CDF rather than calling it.
     """
     x = np.asarray(x, dtype=float)
-    return _quad_pair_scalar(as_matrix(m), comps, float(x[0]), float(x[1]), cfg)
+    return _quad_pair_scalar(as_matrix(m), comps, float(x[0]), float(x[1]))
 
 
 def quad_mixture_cdf(
@@ -168,14 +158,13 @@ def quad_mixture_cdf(
     x,
     xi: ComponentLaw = CENTERED_EXPONENTIAL,
     zeta: ComponentLaw = STANDARD_NORMAL,
-    cfg: QuadConfig = DEFAULT_QUAD,
 ) -> float:
     """Mixture CDF as the binomial combination of ``quad_pure_cdf`` values."""
     total = 0.0
     for wt, comps in zip(mixture_weights(beta), assignment_comps(xi, zeta)):
         if wt == 0.0:
             continue
-        total += wt * quad_pure_cdf(m, comps, x, cfg)
+        total += wt * quad_pure_cdf(m, comps, x)
     return total
 
 
@@ -203,7 +192,6 @@ def oracle_cdf_quad2d(
     x,
     xi: ComponentLaw = CENTERED_EXPONENTIAL,
     zeta: ComponentLaw = STANDARD_NORMAL,
-    abs_tol: float = 5e-9,
 ) -> float:
     """Mixture CDF by nested 2-D adaptive quadrature of the image density.
 
@@ -221,8 +209,7 @@ def oracle_cdf_quad2d(
     def mix_density(e: float) -> float:
         return beta * _density(xi, e) + (1.0 - beta) * _density(zeta, e)
 
-    cfg = DEFAULT_QUAD
-    cut1 = max(abs(v) for v in _law_window(xi, cfg)) + cfg.radius
+    cut1 = max(abs(v) for v in _law_window(xi)) + _RADIUS
     # conservative box in image space from the coordinate windows
     r1 = abs(a[0, 0]) * cut1 + abs(a[0, 1]) * cut1
     r2 = abs(a[1, 0]) * cut1 + abs(a[1, 1]) * cut1
@@ -251,7 +238,7 @@ def oracle_cdf_quad2d(
             e = ainv @ (u, v)
             return mix_density(e[0]) * mix_density(e[1]) / absdet
 
-        val, _ = quad(f, vlo, vhi, epsabs=abs_tol / (4.0 * max(r1, 1.0)), epsrel=0.0,
+        val, _ = quad(f, vlo, vhi, epsabs=_QUAD2D_ABS_TOL / (4.0 * max(r1, 1.0)), epsrel=0.0,
                       limit=200, points=sorted(pts) or None)
         return val
 
@@ -271,6 +258,6 @@ def oracle_cdf_quad2d(
                 )
             outer_pts.extend(u for u in candidates if ulo < u < uhi)
 
-    val, _ = quad(inner, ulo, uhi, epsabs=abs_tol / 2.0, epsrel=0.0,
+    val, _ = quad(inner, ulo, uhi, epsabs=_QUAD2D_ABS_TOL / 2.0, epsrel=0.0,
                   limit=400, points=sorted(outer_pts) or None)
     return min(max(val, 0.0), 1.0)

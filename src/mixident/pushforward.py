@@ -440,7 +440,13 @@ def _gauss_pair_batch(m: MixingMatrix2, x: np.ndarray) -> np.ndarray:
     s1 = math.sqrt(cov[0, 0])
     s2 = math.sqrt(cov[1, 1])
     rho = cov[0, 1] / (s1 * s2)
-    return bvn_cdf_batch(x[:, 0] / s1, x[:, 1] / s2, rho)
+    h, k = x[:, 0] / s1, x[:, 1] / s2
+    if abs(rho) < 1.0:
+        return bvn_cdf_batch(h, k, rho)
+    # a nearly singular matrix rounds rho to +-1: then Z2 = +-Z1 exactly
+    if rho > 0.0:
+        return np.minimum(ndtr(h), ndtr(k))
+    return np.maximum(ndtr(h) - ndtr(-k), 0.0)
 
 
 # compare-exchange networks sorting 0-3 rows elementwise

@@ -5,7 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from mixident import cli
+from mixident import checks, cli
 from mixident.cli import (
     Config,
     _preset_items,
@@ -194,6 +194,14 @@ def test_cdf_accepts_explicit_matrix(capsys):
     )
     value = float(capsys.readouterr().out.strip())
     assert value == pytest.approx(0.356603028955747, abs=1e-9)
+
+
+def test_cdf_accepts_nearly_singular_matrix(capsys):
+    # the Gaussian pair's correlation rounds to 1 on this matrix
+    args = ["cdf", "--matrix", "1,1,1,1.0000000001", "--beta", "0.3", "--x", "0.1,0.2"]
+    assert main(args) == 0
+    value = float(capsys.readouterr().out.strip())
+    assert 0.0 <= value <= 1.0
 
 
 def test_gamma_writes_field_table(tmp_path, capsys):
@@ -521,3 +529,20 @@ def test_verify_single_check(tmp_path, capsys):
     body = [ln for ln in lines if not ln.startswith("#")]
     assert body[0] == "check,quantity,value,comparator,threshold,ok"
     assert all(ln.split(",")[0] == "lem32" for ln in body[1:])
+
+
+def test_verify_failure_exits_2_and_still_writes_report(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(checks.TOLERANCES, "lem35.null_gap", -1.0)
+    out = tmp_path / "checks.csv"
+    assert main(["verify", "--check", "lem35", "--out", str(out)]) == 2
+    printed = capsys.readouterr()
+    assert "lem35: FAIL" in printed.out
+    assert "numerical checks FAILED" in printed.err
+    body = [ln.split(",") for ln in out.read_text().splitlines() if not ln.startswith("#")]
+    ok = {row[1]: row[5] for row in body[1:]}
+    assert ok == {
+        "transpose_product_gap": "1",
+        "null_level_gap": "0",
+        "contaminated_gap": "1",
+        "permutation_gap": "0",
+    }

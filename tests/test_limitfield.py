@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mixident import limitfield
 from mixident.empirical import EvalGridSpec, build_eval_grid, draw_sample, sup_stat
 from mixident.expansion import DEFAULT_MEASURE, P_DIM
 from mixident.limitfield import (
@@ -203,3 +204,13 @@ def test_limit_csv_lines(small_limit):
     assert row[5] == "corner-subsample"
     # estimates in the table equal the survival method's output
     assert float(row[1]) == pytest.approx(small_limit.survival(0.5)[0], abs=1e-15)
+
+
+@pytest.mark.parametrize("n0, grid", [(0, None), (10, EvalGridSpec(m_points=500))])
+def test_undersized_limit_sample_fails_before_any_draw(monkeypatch, n0, grid):
+    def never(*args, **kwargs):
+        raise AssertionError("draws ran")
+
+    monkeypatch.setattr(limitfield, "_run_jobs", never)
+    with pytest.raises(ValueError):
+        simulate_limit_sup(A_MATRIX, n0=n0, n_draws=3, grid=grid)

@@ -88,6 +88,13 @@ def test_scenario_schedule_range():
     tiny_scenario(rho=None, beta=1.0)
 
 
+def test_scenario_rejects_more_corners_than_the_sample_has():
+    # 500 corner points need n >= 23; the error comes before any replication
+    with pytest.raises(ValueError, match="corner"):
+        Scenario(m_a=A_PAIR[0], m_b=A_PAIR[1], n=10, rho=0.25, grid=EvalGridSpec(m_points=500))
+    tiny_scenario(n=23, grid=EvalGridSpec(m_points=500))
+
+
 def test_beta_n_schedule_and_fixed():
     s = tiny_scenario(n=16, rho=0.5)
     assert s.beta_n == pytest.approx(0.25, abs=1e-15)

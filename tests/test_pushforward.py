@@ -19,7 +19,6 @@ from mixident.laws import (
     RngStream,
 )
 from mixident.oracles import (
-    QuadConfig,
     oracle_cdf_mc,
     oracle_cdf_quad2d,
     quad_mixture_cdf,
@@ -237,6 +236,30 @@ def test_bvn_batch_matches_scalar():
 def test_bvn_rejects_degenerate_correlation():
     with pytest.raises(ValueError):
         bvn_cdf_batch([0.0], [0.0], 1.0)
+
+
+# |det| near the 1e-12 floor: the Gaussian pair's correlation rounds to +-1
+NEAR_SINGULAR = [
+    (1.0, 1.0, 1.0, 1.0 + 1e-10),
+    (1.0, 1.0, -1.0, -1.0 - 1e-10),
+    (2.0, -3.0, -4.0, 6.0 + 5e-11),
+]
+
+
+@pytest.mark.parametrize("entries", NEAR_SINGULAR)
+def test_near_singular_matrices_match_quadrature(entries):
+    m = MixingMatrix2(*entries)
+    cov = m.aat()
+    assert abs(cov[0, 1] / (math.sqrt(cov[0, 0]) * math.sqrt(cov[1, 1]))) == 1.0
+    inf = math.inf
+    pts = np.array([
+        (0.1, 0.2), (-0.3, 0.5), (1.0, -1.0), (0.0, 0.0), (2.5, 2.0),
+        (inf, 0.3), (0.3, inf), (-inf, 0.2), (0.4, -inf), (inf, inf),
+    ])
+    for comps in ((N, N), (E, N), (N, E), (E, E)):
+        got = pure_cdf_batch(m, comps, pts)
+        want = [quad_pure_cdf(m, comps, x) for x in pts]
+        assert np.max(np.abs(got - want)) < 1e-10, comps
 
 
 # ---------------------------------------------------------------------------
@@ -824,12 +847,3 @@ def test_agrees_with_monte_carlo_oracle():
         p = mixture_pushforward_cdf(m, beta, x)
         sigma = math.sqrt(p * (1.0 - p) / n)
         assert abs(p_hat - p) < 5.0 * sigma
-
-
-def test_quad_config_controls_accuracy():
-    # a loose budget must not crash; the tight default stays close to it
-    m = worked_matrix()
-    loose = QuadConfig(abs_tol=1e-4, max_subdivisions=50)
-    a = quad_pure_cdf(m, (E, N), WORKED_X, cfg=loose)
-    b = quad_pure_cdf(m, (E, N), WORKED_X)
-    assert abs(a - b) < 1e-4
