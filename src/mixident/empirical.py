@@ -11,20 +11,20 @@ exact statistic.  Everything here reduces to dominance counts: how many
 sample points are componentwise below a query, weakly or strictly.
 
 Counting is exact at the integer level.  Each count call sorts the n
-sample points once per axis and finds each query's cut #{x <= qx} and
-#{y <= qy} by a search of the sorted axes.  The weak counts come in
-blocks of B queries: 512 while n <= 384, else 2 isqrt(n) clamped to
-[128, 512], so that bucketing (O(n) per block) and the table (O(B^2) per
-block) stay balanced.  Per block, the distinct cuts split each axis's
-ranks into at most B + 1 cells, the y cells are carried into x order
-through the two sorts, and a 2-D prefix sum over the one (B + 1)^2 table
-of cell counts gives the block's weak counts.  The strict counts need no
-table: strict = weak - #{x = qx, y <= qy} - #{x < qx, y = qy} for every
-tie pattern, and the two tie-group terms take a gather per query, or one
-search per query into an O(n) key array when the axis has ties.  A call
-costs O(n log n + M log n + ceil(M / B) * (n + B^2)) time and
-O(n + M + B^2) memory, at most about 2 MB of table, whatever M is;
-results match naive O(n M) counting exactly.
+sample points once per axis and finds each query's cut kx = #{x <= qx}
+and ky = #{y <= qy} by a search of the sorted axes.  The sample ranks
+fall into coarse cells of S x S ranks, S = max(4, isqrt(n) // 2), and one
+2-D prefix sum over the (n/S + 1)^2 table of cell counts, about 4n cells,
+counts each query's full cells.  What remains of a weak count lies in two
+strips of at most S ranks: the x ranks from the query's cell edge up to
+kx whose y rank is below ky, and the y ranks from its cell edge up to ky
+whose x rank is left of the first strip.  The strips are gathered as
+(queries x S) arrays in chunks of a fixed number of entries.  The strict
+counts need no table: strict = weak - #{x = qx, y <= qy} - #{x < qx,
+y = qy} for every tie pattern, and the two tie-group terms take a gather
+per query, or one search per query into an O(n) key array when the axis
+has ties.  A call costs O(n log n + M log n + M sqrt(n)) time and
+O(n + M) memory; results match naive O(n M) counting exactly.
 
 The replication loop that draws, grids and counts many samples against
 one target lives in ``mixident.montecarlo`` (``_rep_block``), which
@@ -87,18 +87,14 @@ def draw_sample(
     return Sample2D(eps @ as_matrix(m).as_array().T)
 
 
-def _query_block(n: int) -> int:
-    """Queries per block of the count against n sample points.
+_STRIP_CHUNK = 1 << 16  # strip elements gathered per chunk of queries
 
-    A block costs O(n) to bucket the sample plus O(B^2) for its table, so B
-    grows like sqrt(n).  For small n one block of 512 queries is cheapest,
-    as corner queries then have at most n distinct values per axis; with 500
-    corner queries it beats blocks of 128 up to n = 384 and loses from
-    n = 450 on (timed on a 2-vCPU host), so the cut-off sits between.
-    """
-    if n <= 384:
-        return 512
-    return min(512, max(128, 2 * math.isqrt(n)))
+
+def _strip_width(n: int) -> int:
+    """Side S, in ranks, of the count's coarse cells over n points.  A query
+    reads two strips of at most S ranks and one entry of a table of about
+    (n / S)^2 cells; S = isqrt(n) // 2 keeps the table near 4n cells."""
+    return max(4, math.isqrt(n) // 2)
 
 
 def _cuts(s: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -112,19 +108,6 @@ def _cuts(s: np.ndarray, v: np.ndarray) -> np.ndarray:
     cut = np.empty(v.size, dtype=np.intp)
     cut[order] = np.searchsorted(s, v[order], side="right")
     return cut
-
-
-def _cells(cuts: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Bucket the sample ranks 0..n-1 of one axis at the given cuts.
-
-    Returns the cell of each rank (the number of distinct cuts <= it), the
-    table index of each cut (a rank lies below the cut exactly when its cell
-    is at most that index) and the number of distinct cuts.
-    """
-    mark = np.zeros(n + 1, dtype=np.intp)
-    mark[cuts] = 1
-    np.cumsum(mark, out=mark)
-    return mark[:n], mark[cuts] - 1, int(mark[n])
 
 
 def _tie_groups(
@@ -158,16 +141,15 @@ class EmpiricalCdf:
     """Immutable dominance-count index over one sample.
 
     Each ``dominance_counts`` call sorts the sample once per axis and finds
-    each query's cut in both sorted axes.  The weak counts come in blocks
-    of B queries (``_query_block(n)``: 512 up to n = 384, else 2 isqrt(n)
-    clamped to [128, 512]): the block's distinct cuts bucket each axis into
-    at most B + 1 cells, and a 2-D prefix sum over the cell counts of the
-    one (B + 1)^2 table gives the block's weak counts.  The strict counts
-    need no table: strict = weak - #{x = qx, y <= qy} - #{x < qx, y = qy},
-    and the two tie-group terms cost one gather, or one search per query
-    when the axis has ties.  A call costs O(n log n + M log n +
-    ceil(M / B) (n + B^2)) time and O(n + M + B^2) memory.  Construction
-    does no work.  Safe for shared concurrent reads.
+    each query's cut in both sorted axes.  A weak count is one entry of a
+    2-D prefix sum over coarse cells of S x S ranks (``_strip_width(n)``,
+    about 4n cells) plus two strips of at most S ranks, gathered in chunks
+    of ``_STRIP_CHUNK`` entries.  The strict counts need no table:
+    strict = weak - #{x = qx, y <= qy} - #{x < qx, y = qy}, and the two
+    tie-group terms cost one gather, or one search per query when the axis
+    has ties.  A call costs O(n log n + M log n + M sqrt(n)) time and
+    O(n + M) memory.  Construction does no work.  Safe for shared
+    concurrent reads.
     """
 
     sample: Sample2D
@@ -191,8 +173,7 @@ class EmpiricalCdf:
         if np.isnan(q).any():
             raise ValueError("query coordinates must not be NaN")
         n = self.n
-        px = self.sample.points[:, 0]
-        py = self.sample.points[:, 1]
+        px, py = self.sample.points.T
         ox = np.argsort(px)
         oy = np.argsort(py)
         sx = px[ox]
@@ -203,29 +184,45 @@ class EmpiricalCdf:
         ypos = ypos[ox]
         xpos = np.empty(n, dtype=np.intp)
         xpos[ypos] = np.arange(n)
-        qx = q[:, 0]
-        qy = q[:, 1]
+        qx, qy = q.T
         kx = _cuts(sx, qx)
         ky = _cuts(sy, qy)
-        weak = np.empty(q.shape[0], dtype=np.int64)
-        size = _query_block(n)
+        # coarse cells of s x s ranks after a leading zero row and column:
+        # table[a, b] counts the points in the cells left of a and below b,
+        # the query's full cells
+        s = _strip_width(n)
+        h = n // s + 2
+        cells = (np.arange(n) // s + 1) * h + ypos // s + 1
+        table = np.bincount(cells, minlength=h * h).reshape(h, h)
+        np.cumsum(table, axis=0, out=table)
+        np.cumsum(table, axis=1, out=table)
+        ax, ay = kx // s, ky // s
+        bx = ax * s
+        weak = table[ax, ay]
+        # the rest lies in two strips: the x ranks [bx, kx) below ky, and the
+        # y ranks [s ay, ky) left of bx.  Each is the head of one row of the
+        # other axis's ranks cut into rows of s and padded with the sentinel
+        # n; tri[d] keeps the first d entries of a row.
+        dt = np.min_scalar_type(n)
+        rows = np.full((2, h * s), n, dtype=dt)
+        rows[:, :n] = ypos, xpos
+        yrows, xrows = rows.reshape(2, h, s)
+        tri = np.arange(s) < np.arange(s + 1)[:, None]
+        size = max(1, _STRIP_CHUNK // s)
         for lo in range(0, q.shape[0], size):
-            block = slice(lo, lo + size)
-            cx, qa, ux = _cells(kx[block], n)
-            cy, qb, uy = _cells(ky[block], n)
-            shape = (ux + 1, uy + 1)
-            cells = cx * shape[1] + cy[ypos]
-            table = np.bincount(cells, minlength=shape[0] * shape[1]).reshape(shape)
-            np.cumsum(table, axis=0, out=table)
-            np.cumsum(table, axis=1, out=table)
-            weak[block] = table[qa, qb]
+            c = slice(lo, lo + size)
+            in_x = np.take(tri, kx[c] - bx[c], axis=0)
+            in_x &= np.take(yrows, ax[c], axis=0) < ky[c, None].astype(dt)
+            in_y = np.take(tri, ky[c] - s * ay[c], axis=0)
+            in_y &= np.take(xrows, ay[c], axis=0) < bx[c, None].astype(dt)
+            weak[c] += (in_x.view(np.uint8) + in_y.view(np.uint8)).sum(1, dtype=np.int64)
         strict_x, on_x = _tie_groups(sx, ypos, qx, kx, ky)
         _, on_y = _tie_groups(sy, xpos, qy, ky, strict_x)
         return weak, weak - on_x - on_y
 
 
 def naive_dominance_counts(points, queries) -> tuple[np.ndarray, np.ndarray]:
-    """Reference O(n m) counting; the blocked count must match this exactly."""
+    """Reference O(n m) counting; ``EmpiricalCdf`` must match this exactly."""
     p = np.asarray(points, dtype=float)
     q = np.asarray(queries, dtype=float)
     weak = ((p[None, :, 0] <= q[:, 0, None]) & (p[None, :, 1] <= q[:, 1, None])).sum(1)

@@ -153,16 +153,18 @@ def _golden_max(f, lo: float, hi: float, tol: float = 1e-12) -> tuple[float, flo
     return t, f(t)
 
 
-# the scan grid of kolmogorov_distance_univ and _distances_to_background,
-# and the slice length in which _scan walks a grid
+# the scan grid of kolmogorov_distance_univ and _distances_to_background
 _SCAN_LO, _SCAN_HI, _SCAN_POINTS = -20.0, 20.0, 200_001
-_SCAN_SLICE = 1 << 14
+# points per slice of a long vectorized evaluation: _scan and
+# pushforward.pure_cdf_batch walk their points in slices of this length, so
+# their temporaries stay O(slice)
+_SLICE_POINTS = 1 << 14
 
 
 def _scan(laws, gaps, points: int = _SCAN_POINTS):
     """Grid maxima of gaps between the CDFs of ``laws`` on [-20, 20].
 
-    Walks ``points`` equally spaced points in slices of ``_SCAN_SLICE``;
+    Walks ``points`` equally spaced points in slices of ``_SLICE_POINTS``;
     each law of ``laws`` is evaluated once per slice, and each function of
     ``gaps`` maps those CDF values to a nonnegative gap on the slice.
     Returns the grid and, for each gap, its grid maximum and the first
@@ -172,8 +174,8 @@ def _scan(laws, gaps, points: int = _SCAN_POINTS):
     """
     t = np.linspace(_SCAN_LO, _SCAN_HI, points)
     best = [(-1.0, 0)] * len(gaps)  # (grid maximum, its first index)
-    for lo in range(0, t.size, _SCAN_SLICE):
-        cdfs = [law.cdf_batch(t[lo:lo + _SCAN_SLICE]) for law in laws]
+    for lo in range(0, t.size, _SLICE_POINTS):
+        cdfs = [law.cdf_batch(t[lo:lo + _SLICE_POINTS]) for law in laws]
         for j, gap_of in enumerate(gaps):
             gap = gap_of(*cdfs)
             k = int(np.argmax(gap))

@@ -51,6 +51,7 @@ import numpy as np
 from scipy.special import erfcx, ndtr
 
 from mixident.laws import (
+    _SLICE_POINTS,
     CENTERED_EXPONENTIAL,
     STANDARD_NORMAL,
     ComponentLaw,
@@ -613,7 +614,9 @@ def pure_cdf_batch(m, comps: tuple[ComponentLaw, ComponentLaw], points) -> np.nd
     """Vectorized pure P(A e <= x) over an (n, 2) array of thresholds.
 
     Thresholds may be infinite; a NaN threshold, or a non-finite value
-    out of the engine, raises ``ValueError``.
+    out of the engine, raises ``ValueError``.  The points run in slices of
+    ``laws._SLICE_POINTS``, so the temporaries stay O(slice); a lane's
+    value does not depend on its batch, so slicing changes no bit.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -621,7 +624,9 @@ def pure_cdf_batch(m, comps: tuple[ComponentLaw, ComponentLaw], points) -> np.nd
     if np.isnan(pts).any():
         raise ValueError(f"{int(np.isnan(pts).any(axis=1).sum())} threshold points are NaN")
     m = as_matrix(m)
-    out = _closed_pair_batch(m, comps, pts)
+    out = np.empty(pts.shape[0])
+    for lo in range(0, pts.shape[0], _SLICE_POINTS):
+        out[lo:lo + _SLICE_POINTS] = _closed_pair_batch(m, comps, pts[lo:lo + _SLICE_POINTS])
     if not np.isfinite(out).all():
         raise ValueError(f"closed form gave {int(np.sum(~np.isfinite(out)))} non-finite values for {m}")
     return out

@@ -236,6 +236,37 @@ def test_gamma_grid_count_parses_like_other_sizes(tmp_path, capsys, monkeypatch)
         assert "argument --grid" in capsys.readouterr().err
 
 
+def _refused_at_once(shape):
+    """Whether numpy refuses a float array of ``shape`` without touching
+    memory, as it does here for sizes far beyond the host's; a host that
+    overcommits without limit would grant it and fill it page by page."""
+    try:
+        np.empty(shape)
+    except MemoryError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize(
+    "argv, shape",
+    [
+        (["gamma", "--order", "1", "--grid=-6:6:1000000"], (10**6, 10**6)),
+        (["experiment", "--preset", "fig1-left-desk", "--n-list", "100000000000", "--workers", "1"],
+         (10**11, 2)),
+    ],
+    ids=["gamma-grid", "experiment-n"],
+)
+def test_oversized_input_exits_one(tmp_path, capsys, argv, shape):
+    if not _refused_at_once(shape):
+        pytest.skip("this host grants the oversized allocation lazily")
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: Unable to allocate")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv, reason",
     [

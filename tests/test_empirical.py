@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 from mixident.empirical import (
@@ -11,7 +13,8 @@ from mixident.empirical import (
     EvalGridSpec,
     GridMode,
     Sample2D,
-    _query_block,
+    _STRIP_CHUNK,
+    _strip_width,
     build_eval_grid,
     corner_grid,
     draw_sample,
@@ -155,10 +158,10 @@ def _count_case(case, rng):
         return pts, q
     if case in ("x-tied", "y-tied"):
         # one x value shared by all 3000 points and 3 y values, or the
-        # mirror: a few large tie groups across several query blocks
+        # mirror: a few large tie groups across two query chunks
+        m = _chunk_rows(3000) + 7
         pts = np.column_stack([np.full(3000, 0.5), rng.integers(0, 3, 3000).astype(float)])
-        q = np.column_stack([rng.choice([0.0, 0.5, 1.0], 400), rng.integers(-1, 4, 400)])
-        assert len(q) >= 3 * _query_block(len(pts))
+        q = np.column_stack([rng.choice([0.0, 0.5, 1.0], m), rng.integers(-1, 4, m)])
         if case == "y-tied":
             pts, q = pts[:, ::-1], q[:, ::-1]
         return pts, q
@@ -167,22 +170,58 @@ def _count_case(case, rng):
         # replications draw them
         sample = Sample2D(rng.normal(size=(20_000, 2)))
         return sample.points, build_eval_grid(sample, EvalGridSpec(m_points=500), rng)
-    # several query blocks ("blocks", or n on either side of the block-size
-    # rule); corner queries tie the sample in each coordinate
+    # two query chunks, of strips of 13 ("blocks"), 9 or 27 ranks; corner
+    # queries tie the sample in each coordinate
     n = {"blocks": 700, "n384": 384, "n385": 385, "n3000": 3000}[case]
     pts = rng.normal(size=(n, 2))
     if case != "blocks":
-        pts = np.round(pts, 1)  # tied sample keys across the blocks
-    m = 3 * _query_block(n) + 7
+        pts = np.round(pts, 1)  # tied sample keys across the strips
+    m = _chunk_rows(n) + 7
     q = np.column_stack([rng.choice(pts[:, 0], m), rng.choice(pts[:, 1], m)])
     q[::5] = rng.normal(size=(len(q[::5]), 2))
     return pts, q
 
 
-def test_query_block_rule():
-    assert [_query_block(n) for n in (1, 384, 385, 4096, 5000, 20_000, 70_000)] == [
-        512, 512, 128, 128, 140, 282, 512,
+def _chunk_rows(n):
+    """Queries per chunk of the strip gathers over n sample points."""
+    return max(1, _STRIP_CHUNK // _strip_width(n))
+
+
+def test_strip_width_rule():
+    assert [_strip_width(n) for n in (1, 64, 100, 384, 700, 3000, 20_000, 70_000)] == [
+        4, 4, 5, 9, 13, 27, 70, 132,
     ]
+    assert [_chunk_rows(n) for n in (1, 700, 3000)] == [16_384, 5041, 2427]
+
+
+# sample sizes on and next to a multiple of the strip width, where the
+# last coarse cell is full, holds one rank or lacks one
+_EDGE_SIZES = [n for n in range(1, 2049) if (n + 1) % _strip_width(n) <= 2]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    n=st.one_of(st.integers(1, 2048), st.sampled_from(_EDGE_SIZES)),
+    spread=st.integers(0, 40),
+    size=st.sampled_from(["none", "few", "chunk-1", "chunk+1"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_count_matches_naive_on_lattices(n, spread, size, seed):
+    # integer lattices tie both axes; queries are corners, off-lattice
+    # points and infinite coordinates
+    rng = np.random.default_rng(seed)
+    pts = rng.integers(-spread, spread + 1, size=(n, 2)).astype(float)
+    rows = _chunk_rows(n)
+    m = {"none": 0, "few": int(rng.integers(1, 60)), "chunk-1": rows - 1, "chunk+1": rows + 1}[size]
+    q = np.column_stack([rng.choice(pts[:, 0], m), rng.choice(pts[:, 1], m)])
+    kind = rng.integers(0, 4, size=(m, 2))
+    q = np.where(kind == 1, np.floor(q) + 0.5, q)
+    q = np.where(kind == 2, -np.inf, q)
+    q = np.where((kind == 3) & (rng.random((m, 2)) < 0.5), np.inf, q)
+    weak, strict = EmpiricalCdf(Sample2D(pts)).dominance_counts(q)
+    weak_ref, strict_ref = naive_dominance_counts(pts, q)
+    np.testing.assert_array_equal(weak, weak_ref)
+    np.testing.assert_array_equal(strict, strict_ref)
 
 
 @pytest.mark.parametrize(
@@ -210,6 +249,17 @@ def test_count_memory_is_bounded_in_the_queries(traced_peak):
     for sample, queries in ((pts, q), (np.round(pts), np.round(q))):
         ecdf = EmpiricalCdf(Sample2D(sample))
         assert traced_peak(ecdf.dominance_counts, queries) < 16 * 2**20
+
+
+def test_count_memory_is_linear_at_large_n(traced_peak):
+    # strips of 111 ranks for all 200 000 queries at once would gather
+    # 22 M entries, over 100 MB; in chunks the call holds O(n + M) arrays,
+    # about 20 MB here
+    rng = np.random.default_rng(10)
+    sample = Sample2D(rng.normal(size=(50_000, 2)))
+    q = np.column_stack([rng.choice(sample.points[:, 0], 200_000), rng.normal(size=200_000)])
+    ecdf = EmpiricalCdf(sample)
+    assert traced_peak(ecdf.dominance_counts, q) < 40 * 2**20
 
 
 def test_counts_validate_query_shape():

@@ -13,6 +13,7 @@ from scipy.integrate import IntegrationWarning, dblquad, quad
 from scipy.special import ndtr
 
 from mixident.laws import (
+    _SLICE_POINTS,
     CENTERED_EXPONENTIAL,
     STANDARD_EXPONENTIAL,
     STANDARD_NORMAL,
@@ -436,6 +437,20 @@ def test_batch_equals_scalar_loop(name):
             [pure_cdf_batch(m, comps, [p])[0] for p in pts]
         )
         np.testing.assert_array_equal(batch, scalar)
+
+
+def test_long_batches_run_in_slices(traced_peak):
+    # a batch of eight slices and a bit equals its pieces cut elsewhere,
+    # bit for bit, and holds the temporaries of one slice at a time: in one
+    # piece they take about 200 bytes a point, 26 MB here
+    rng = np.random.default_rng(4242)
+    pts = rng.normal(size=(8 * _SLICE_POINTS + 5, 2)) * 2.0
+    cut = _SLICE_POINTS // 2 + 7
+    m = worked_matrix()
+    for comps in ((N, N), (E, N)):
+        pieces = [pure_cdf_batch(m, comps, pts[:cut]), pure_cdf_batch(m, comps, pts[cut:])]
+        np.testing.assert_array_equal(pure_cdf_batch(m, comps, pts), np.concatenate(pieces))
+    assert traced_peak(pure_cdf_batch, m, (E, N), pts) < 12 * 2**20
 
 
 def test_batch_validates_shape():
