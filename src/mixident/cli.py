@@ -8,8 +8,12 @@ self-describing.
 
 A run's settings resolve in layers, each overriding the one before:
 the command's base (for experiment, the --preset's rho_list, n_list, c,
-reps, grid_mode, grid_points and seed; limit and gamma write to
-limit.csv and gamma.csv), then the --config file, then the flags.
+reps, grid_points and seed; limit and gamma write to limit.csv and
+gamma.csv), then the --config file, then the flags.  A flag exists only
+on the subcommands that read its setting: --seed and --grid-points on
+experiment and limit, --out on those two and gamma.  The statistic is
+always evaluated on a uniform subsample of grid_points of the n^2 sample
+corners.
 """
 
 from __future__ import annotations
@@ -63,7 +67,6 @@ class Config:
     n_list: tuple[int, ...] = (100, 250, 500, 1000, 2000, 3500, 5000)
     c: float = 1.0
     reps: int = 200
-    grid_mode: str = "corner-subsample"
     grid_points: int = 500
     seed: int = 20260819
     out: str = "results.csv"
@@ -87,8 +90,6 @@ class Config:
             raise ValueError(f"threshold must be nonnegative, got {self.c}")
         if self.reps < 1 or self.grid_points < 1:
             raise ValueError("reps and grid_points must be positive")
-        # validates the mode name eagerly so config errors surface early
-        EvalGridSpec(self.grid_mode, self.grid_points)
 
 
 def _parse_bool(text: str) -> bool:
@@ -124,7 +125,6 @@ _KEY_PARSERS = {
     "n_list": _parse_ints,
     "c": float,
     "reps": int,
-    "grid_mode": str,
     "grid_points": int,
     "seed": int,
     "out": str,
@@ -250,7 +250,6 @@ def _preset_items(name: str) -> dict:
         n_list=sweep.n_list,
         c=sweep.c,
         reps=sweep.n_reps,
-        grid_mode=sweep.grid.mode.value,
         grid_points=sweep.grid.m_points,
         seed=sweep.master_seed,
     )
@@ -263,7 +262,7 @@ def _sweep_config(config: Config) -> SweepConfig:
         config.n_list,
         c=config.c,
         n_reps=config.reps,
-        grid=EvalGridSpec(config.grid_mode, config.grid_points),
+        grid=EvalGridSpec(config.grid_points),
         master_seed=config.seed,
         xi=config_xi(config),
     )
@@ -297,7 +296,7 @@ def cmd_limit(args) -> int:
         m,
         n0=args.n0,
         n_draws=config.reps,
-        grid=EvalGridSpec(config.grid_mode, config.grid_points),
+        grid=EvalGridSpec(config.grid_points),
         master_seed=config.seed,
         workers=args.workers,
     )
@@ -464,15 +463,18 @@ _MATRIX = _flag_type(_parse_matrix)
 _FLOATS = _flag_type(_parse_floats)
 
 
-def _add_config_flags(sub) -> None:
+def _add_config_flags(sub, out: bool = True, sampling: bool = False) -> None:
+    """--config and the matrix flags; --out for a subcommand that writes a
+    file, --seed and --grid-points for one that draws samples."""
     sub.add_argument("--config", help="key=value configuration file")
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--out")
-    sub.add_argument("--grid-mode", dest="grid_mode")
-    sub.add_argument("--grid-points", dest="grid_points", type=int)
     sub.add_argument("--alpha", type=float)
     sub.add_argument("--matrix-a", dest="matrix_a", type=_MATRIX)
     sub.add_argument("--matrix-b", dest="matrix_b", type=_MATRIX)
+    if out:
+        sub.add_argument("--out")
+    if sampling:
+        sub.add_argument("--seed", type=int)
+        sub.add_argument("--grid-points", dest="grid_points", type=int)
 
 
 def _add_workers_flag(sub) -> None:
@@ -495,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int)
     _add_workers_flag(p)
     p.add_argument("--timing", action="store_true")
-    _add_config_flags(p)
+    _add_config_flags(p, sampling=True)
     p.set_defaults(func=cmd_experiment)
 
     p = subs.add_parser("limit", help="simulate the uncontaminated limit law")
@@ -506,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--c-list", dest="c_list", type=_FLOATS, default=(0.5, 1.0, 1.5)
     )
     _add_workers_flag(p)
-    _add_config_flags(p)
+    _add_config_flags(p, sampling=True)
     p.set_defaults(func=cmd_limit)
 
     p = subs.add_parser("verify", help="run the numerical theory checks")
@@ -518,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", type=_MATRIX)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--x", type=_FLOATS, required=True)
-    _add_config_flags(p)
+    _add_config_flags(p, out=False)
     p.set_defaults(func=cmd_cdf)
 
     p = subs.add_parser("gamma", help="tabulate an expansion coefficient field")

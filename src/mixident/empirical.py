@@ -5,10 +5,12 @@ orthants.  When both the value and the lower limit of the empirical CDF
 are examined, the supremum over the plane is attained on the (n+1)^2
 lattice of sample coordinates with +inf appended to each axis: a cell
 with no sample above it or to its right reaches its supremum at
-(x_(i), +inf) or (+inf, y_(j)).  The n^2 finite corners miss those
-marginal terms, so corner grids, thinned or not, give lower bounds of the
-exact statistic.  Everything here reduces to dominance counts: how many
-sample points are componentwise below a query, weakly or strictly.
+(x_(i), +inf) or (+inf, y_(j)).  The evaluation grid is m of the n^2
+finite corners, drawn uniformly without replacement (``build_eval_grid``).
+The corners miss those marginal terms, so corner grids, thinned or not,
+give lower bounds of the exact statistic.  Everything here reduces to
+dominance counts: how many sample points are componentwise below a query,
+weakly or strictly.
 
 Counting is exact at the integer level.  Each count call sorts the n
 sample points once per axis and finds each query's cut kx = #{x <= qx}
@@ -33,7 +35,6 @@ evaluates the target CDF once per block of replications.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -95,19 +96,6 @@ def _strip_width(n: int) -> int:
     reads two strips of at most S ranks and one entry of a table of about
     (n / S)^2 cells; S = isqrt(n) // 2 keeps the table near 4n cells."""
     return max(4, math.isqrt(n) // 2)
-
-
-def _cuts(s: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """#{s <= v_i} for sorted s.
-
-    The values are searched in sorted order: a binary search that follows
-    the last one costs about half as much as one in random order (timed
-    with 500 values on a 2-vCPU host).
-    """
-    order = np.argsort(v)
-    cut = np.empty(v.size, dtype=np.intp)
-    cut[order] = np.searchsorted(s, v[order], side="right")
-    return cut
 
 
 def _tie_groups(
@@ -185,8 +173,8 @@ class EmpiricalCdf:
         xpos = np.empty(n, dtype=np.intp)
         xpos[ypos] = np.arange(n)
         qx, qy = q.T
-        kx = _cuts(sx, qx)
-        ky = _cuts(sy, qy)
+        kx = np.searchsorted(sx, qx, side="right")
+        ky = np.searchsorted(sy, qy, side="right")
         # coarse cells of s x s ranks after a leading zero row and column:
         # table[a, b] counts the points in the cells left of a and below b,
         # the query's full cells
@@ -254,32 +242,28 @@ def _whole_fields(obj, *names: str) -> None:
         object.__setattr__(obj, name, value)
 
 
-class GridMode(enum.Enum):
-    CORNER_SUBSAMPLE = "corner-subsample"
-    QUANTILE_TENSOR = "quantile-tensor"
+# the one evaluation grid, as the grid_mode column of the result CSVs records it
+GRID_MODE = "corner-subsample"
 
 
 @dataclass(frozen=True)
 class EvalGridSpec:
-    """How to thin the n^2 corner points down to a tractable grid."""
+    """How many of the n^2 corner points the evaluation grid keeps."""
 
-    mode: GridMode = GridMode.CORNER_SUBSAMPLE
     m_points: int = 1000
 
     def __post_init__(self):
-        if isinstance(self.mode, str):
-            object.__setattr__(self, "mode", GridMode(self.mode))
         _whole_fields(self, "m_points")
         if self.m_points < 1:
             raise ValueError(f"need at least one grid point, got {self.m_points}")
 
 
 def _check_sample_size(spec: EvalGridSpec, n: int) -> None:
-    """Raise ``ValueError`` unless a sample of n points can carry the grid
-    ``spec``: n >= 1, and a corner subsample needs at most n^2 corners."""
+    """Raise ``ValueError`` unless 1 <= n and the grid ``spec`` keeps at
+    most the n^2 corners of a sample of n points."""
     if n < 1:
         raise ValueError(f"need a sample of n >= 1 points, got {n}")
-    if spec.mode is GridMode.CORNER_SUBSAMPLE and spec.m_points > n * n:
+    if spec.m_points > n * n:
         raise ValueError(
             f"corner subsample of {spec.m_points} exceeds the {n * n} corners of n = {n}"
         )
@@ -294,35 +278,13 @@ def corner_grid(sample: Sample2D) -> np.ndarray:
     return np.column_stack([g1.ravel(), g2.ravel()])
 
 
-def build_eval_grid(
-    sample: Sample2D,
-    spec: EvalGridSpec,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Materialize the evaluation grid described by ``spec``.
-
-    Corner subsampling draws m_points uniformly without replacement from
-    the n^2 corner pairs and needs ``rng``; the quantile tensor mode is
-    deterministic, pairing ceil(sqrt(m))^2 marginal sample quantiles at
-    levels (j - 1/2)/m_side.
-    """
+def build_eval_grid(sample: Sample2D, spec: EvalGridSpec, rng: np.random.Generator) -> np.ndarray:
+    """m_points corner pairs (x_i^(1), x_j^(2)) of ``sample``, drawn by
+    ``rng`` uniformly without replacement from the n^2."""
     n = sample.n
     _check_sample_size(spec, n)
-    if spec.mode is GridMode.CORNER_SUBSAMPLE:
-        if rng is None:
-            raise ValueError("corner subsampling needs an rng")
-        flat = rng.choice(n * n, spec.m_points, replace=False)
-        i = flat // n
-        j = flat % n
-        return np.column_stack([sample.points[i, 0], sample.points[j, 1]])
-    m_side = math.isqrt(spec.m_points)
-    if m_side * m_side < spec.m_points:
-        m_side += 1
-    levels = (np.arange(1, m_side + 1) - 0.5) / m_side
-    q1 = np.quantile(sample.points[:, 0], levels)
-    q2 = np.quantile(sample.points[:, 1], levels)
-    g1, g2 = np.meshgrid(q1, q2, indexing="ij")
-    return np.column_stack([g1.ravel(), g2.ravel()])
+    flat = rng.choice(n * n, spec.m_points, replace=False)
+    return np.column_stack([sample.points[flat // n, 0], sample.points[flat % n, 1]])
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .empirical import EvalGridSpec, _check_sample_size, _whole_numbers
+from .empirical import GRID_MODE, EvalGridSpec, _check_sample_size, _whole_numbers
 from .expansion import DEFAULT_MEASURE, P_DIM
 from .laws import CENTERED_EXPONENTIAL, STANDARD_NORMAL, RngStream
 from .montecarlo import _run_jobs
@@ -155,7 +155,7 @@ def limit_results_csv_lines(
                     repr(se),
                     str(limit.n0),
                     str(limit.n_draws),
-                    limit.grid.mode.value,
+                    GRID_MODE,
                     str(limit.grid.m_points),
                 ]
             )

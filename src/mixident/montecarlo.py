@@ -51,6 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .empirical import (
+    GRID_MODE,
     EmpiricalCdf,
     EvalGridSpec,
     _check_sample_size,
@@ -426,7 +427,7 @@ def results_csv_lines(
                     str(s.n),
                     _fmt(float(s.c)),
                     str(s.n_reps),
-                    s.grid.mode.value,
+                    GRID_MODE,
                     str(s.grid.m_points),
                     _fmt(res.estimate),
                     _fmt(res.stderr),

@@ -25,6 +25,7 @@ from mixident.expansion import (
     polynomial_reconstruct,
     sup_on_grid,
 )
+from mixident.laws import CENTERED_EXPONENTIAL, STANDARD_EXPONENTIAL
 from mixident.limitfield import sandwich_bounds, simulate_limit_sup
 from mixident.montecarlo import (
     Scenario,
@@ -38,7 +39,7 @@ from mixident.pushforward import (
     mixture_pushforward_cdf,
     pure_cdf_batch,
 )
-from mixident.oracles import oracle_cdf_mc, oracle_cdf_quad2d
+from mixident.oracles import oracle_cdf_mc, oracle_cdf_quad2d, quad_mixture_cdf
 
 MASTER_SEED = 20260819
 P_DIM = 2
@@ -131,6 +132,79 @@ def test_cdf_engine_matches_independent_oracles():
     assert worst_quad <= 1e-7, f"quadrature oracle gap {worst_quad:.3e}"
     assert worst_z <= 4.0, f"sampling oracle z-score {worst_z:.2f}"
     assert elapsed <= 120.0, f"oracle sweep took {elapsed:.0f}s"
+
+
+def special_route_cases(route):
+    """Seeded (matrix, beta, threshold, contaminant) cases that reach one of
+    the closed form's special routes.  A threshold A e0 with e0 in
+    [-0.5, 1.5]^2 lies in the bulk of the law."""
+    rng = np.random.default_rng(2718)
+    xi = CENTERED_EXPONENTIAL
+
+    def model():
+        return draw_model(rng).as_array()
+
+    def point(a):
+        return a @ rng.uniform(-0.5, 1.5, size=2)
+
+    if route == "ne-swap":
+        # a matrix and its column swap: the engine integrates the NE row of
+        # one as the EN row of the other; beta = 1/2 weighs each row by 1/4
+        cases = []
+        for _ in range(8):
+            a = model()
+            x = point(a)
+            cases += [(a, 0.5, x, xi), (a[:, ::-1], 0.5, x, xi)]
+        return cases
+    if route == "tiny-slope":
+        # |a_i2| = 1e-15 is a steep row of the EN and EE reductions, and
+        # |a_i1| = 1e-15 one of the swapped NE reduction
+        mats = [
+            np.reshape(m, (2, 2))
+            for t in (1e-15, -1e-15)
+            for m in ((1.0, t, 0.4, 0.9), (0.7, 0.5, -0.3, t), (t, 0.8, 0.6, 0.5), (0.9, -0.4, t, 1.0))
+        ]
+        return [(a, beta, point(a), xi) for a in mats for beta in (0.3, 0.8)]
+    if route == "near-singular":
+        # |det| = 1e-10 rounds the Gaussian pair's correlation to +1 or -1.
+        # The image density is then a ridge 1e-10 wide, which the 2-D oracle
+        # misses (gaps up to 0.26), so these cases go to the 1-D quadrature:
+        # on NN rows it integrates where the engine takes min or max of two
+        # normal CDFs
+        mats = (np.array([[1.0, 1.0], [1.0, 1.0 + 1e-10]]), np.array([[1.0, 1.0], [-1.0, -1.0 - 1e-10]]))
+        return [(a, beta, point(a), xi) for a in mats for beta in (0.0, 0.5) for _ in range(2)]
+    if route == "standard-exponential":
+        return [
+            (a, float(rng.uniform(0.0, 1.0)), point(a), STANDARD_EXPONENTIAL)
+            for a in (model() for _ in range(8))
+        ]
+    if route == "beta-0-1":
+        return [(a, beta, point(a), xi) for a in (model() for _ in range(4)) for beta in (0.0, 1.0)]
+    if route == "infinite-threshold":
+        inf = np.inf
+        cases = []
+        for beta in (0.0, 0.4):
+            a = model()
+            x1, x2 = point(a)
+            for x in ((inf, x2), (x1, inf), (-inf, x2), (x1, -inf), (inf, inf), (-inf, inf)):
+                cases.append((a, beta, np.array(x), xi))
+        return cases
+    raise ValueError(route)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "route",
+    ["ne-swap", "tiny-slope", "near-singular", "standard-exponential", "beta-0-1", "infinite-threshold"],
+)
+def test_cdf_engine_matches_oracle_on_special_routes(route):
+    oracle = quad_mixture_cdf if route == "near-singular" else oracle_cdf_quad2d
+    gaps = []
+    for m, beta, x, xi in special_route_cases(route):
+        value = mixture_pushforward_cdf(m, beta, x, xi=xi)
+        ref = oracle(m, beta, x, xi=xi)
+        gaps.append(abs(value - ref))
+    assert max(gaps) <= 1e-7, f"quadrature oracle gaps {np.array(gaps)}"
 
 
 def test_expansion_reconstructs_mixture_exactly(pair):

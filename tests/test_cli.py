@@ -104,6 +104,24 @@ def test_usage_errors_exit_one(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cdf", "--beta", "0.3", "--x", "0.1,-0.2", "--seed", "3"],
+        ["cdf", "--beta", "0.3", "--x", "0.1,-0.2", "--grid-points", "9"],
+        ["cdf", "--beta", "0.3", "--x", "0.1,-0.2", "--out", "zz.csv"],
+        ["gamma", "--order", "1", "--grid=-1:1:3", "--grid-points", "7"],
+        ["gamma", "--order", "1", "--grid=-1:1:3", "--seed", "3"],
+    ],
+    ids=["cdf-seed", "cdf-grid-points", "cdf-out", "gamma-grid-points", "gamma-seed"],
+)
+def test_flags_a_subcommand_does_not_read_exit_one(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert "unrecognized arguments: --" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_validation_errors_exit_one(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("alpha=2.0\n")
@@ -442,13 +460,24 @@ def test_preset_then_config_file_then_flags(tmp_path, capsys):
     assert (row["grid_points"], row["seed"], row["N"], row["rho"]) == ("1000", "5", "2", "0.5")
 
 
-def test_lone_grid_flag_keeps_the_presets_other_grid_value(tmp_path, capsys):
-    out = tmp_path / "grid.csv"
-    args = ["experiment", "--preset", "fig1-left", "--grid-mode", "corner-subsample"]
+def test_lone_seed_flag_keeps_the_presets_grid_points(tmp_path, capsys):
+    out = tmp_path / "seed.csv"
+    args = ["experiment", "--preset", "fig1-left", "--seed", "9"]
     assert main(args + ["--rho", "0.5", "--n-list", "40", "--reps", "2", "--out", str(out)]) == 0
     capsys.readouterr()
-    assert _meta(out)["grid_points"] == "1000"
-    assert [r["grid_points"] for r in read_results_csv(out)] == ["1000"]
+    assert (_meta(out)["grid_points"], _meta(out)["seed"]) == ("1000", "9")
+    assert [(r["grid_points"], r["seed"]) for r in read_results_csv(out)] == [("1000", "9")]
+
+
+def test_grid_mode_setting_is_gone(tmp_path, capsys):
+    cfg = tmp_path / "mode.cfg"
+    cfg.write_text("grid_mode=corner-subsample\n")
+    small = ["--rho", "0.5", "--n-list", "40", "--reps", "2", "--out", str(tmp_path / "x.csv")]
+    assert main(["experiment", "--config", str(cfg), *small]) == 1
+    assert "unknown key 'grid_mode'" in capsys.readouterr().err
+    assert main(["experiment", "--grid-mode", "corner-subsample", *small]) == 1
+    assert "unrecognized arguments: --grid-mode" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_experiment_unwritable_out_exits_one(tmp_path, capsys):

@@ -11,7 +11,6 @@ from scipy.stats import ks_2samp
 from mixident.empirical import (
     EmpiricalCdf,
     EvalGridSpec,
-    GridMode,
     Sample2D,
     _STRIP_CHUNK,
     _strip_width,
@@ -283,7 +282,6 @@ def test_counts_reject_nan_queries(query):
 def test_grid_spec_validation():
     with pytest.raises(ValueError):
         EvalGridSpec(m_points=0)
-    assert EvalGridSpec(mode="quantile-tensor").mode is GridMode.QUANTILE_TENSOR
 
 
 def test_two_point_corner_grid_is_complete():
@@ -297,8 +295,6 @@ def test_corner_subsample_bounds_and_determinism():
     s = Sample2D(np.random.default_rng(5).normal(size=(40, 2)))
     with pytest.raises(ValueError):
         build_eval_grid(s, EvalGridSpec(m_points=40 * 40 + 1), np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        build_eval_grid(s, EvalGridSpec(m_points=10), None)
     a = build_eval_grid(s, EvalGridSpec(m_points=100), RngStream(9).child(0).generator())
     b = build_eval_grid(s, EvalGridSpec(m_points=100), RngStream(9).child(0).generator())
     np.testing.assert_array_equal(a, b)
@@ -311,14 +307,6 @@ def test_corner_subsample_draws_from_corner_set():
     g = build_eval_grid(s, EvalGridSpec(m_points=200), np.random.default_rng(1))
     corners = {tuple(r) for r in corner_grid(s)}
     assert {tuple(r) for r in g} <= corners
-
-
-def test_quantile_tensor_shape_and_determinism():
-    s = Sample2D(np.random.default_rng(7).normal(size=(500, 2)))
-    g = build_eval_grid(s, EvalGridSpec(mode="quantile-tensor", m_points=1000))
-    assert g.shape == (32 * 32, 2)
-    g2 = build_eval_grid(s, EvalGridSpec(mode="quantile-tensor", m_points=1000))
-    np.testing.assert_array_equal(g, g2)
 
 
 # ---------------------------------------------------------------------------

@@ -418,13 +418,13 @@ def test_killed_worker_breaks_the_call_and_the_next_starts_a_new_pool():
 
 
 def test_single_observation_replication_by_hand():
-    # with one observation and a single quantile grid point the statistic
-    # reduces to max(1 - G(x), G(x)) at the drawn corner
+    # with one observation the only corner is the sample point itself, and
+    # the statistic reduces to max(1 - G(x), G(x)) there
     s = tiny_scenario(
         n=1,
         rho=None,
         beta=0.5,
-        grid=EvalGridSpec("quantile-tensor", 1),
+        grid=EvalGridSpec(m_points=1),
         master_seed=31,
         index=2,
     )
