@@ -3,8 +3,9 @@
 Subcommands: experiment, limit, verify, cdf, gamma, plot.  Exit code 0
 on success, 1 on a validation or usage error, 2 when a numerical check
 fails.  Every CSV the tool writes starts with '#'-prefixed metadata
-lines echoing the resolved configuration and seed so a result file is
-self-describing.
+lines so a result file is self-describing: experiment echoes its whole
+resolved configuration, limit and gamma the matrix they used and the
+settings they read.
 
 A run's settings resolve in layers, each overriding the one before:
 the command's base (for experiment, the --preset's rho_list, n_list, c,
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import re
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -190,18 +192,22 @@ def config_xi(config: Config) -> ComponentLaw:
     return CENTERED_EXPONENTIAL if config.center_xi else STANDARD_EXPONENTIAL
 
 
-def _config_metadata(config: Config, command: str, **extra) -> dict:
+def _config_metadata(config: Config, command: str, keys=None, **extra) -> dict:
+    """The command, ``extra`` items, then the config's ``keys``: by default
+    every key but out, which is not part of the scientific configuration
+    and would make otherwise-identical runs differ in bytes."""
     meta = {"command": command}
     meta.update(extra)
-    for f in fields(Config):
-        # the destination path is not part of the scientific configuration,
-        # and echoing it would make otherwise-identical runs differ in bytes
-        if f.name == "out":
-            continue
-        value = getattr(config, f.name)
+    for name in keys or [f.name for f in fields(Config) if f.name != "out"]:
+        value = getattr(config, name)
         if value is not None:
-            meta[f.name] = _render_value(value)
+            meta[name] = _render_value(value)
     return meta
+
+
+def _render_matrix(m) -> str:
+    """A matrix's row-major entries, as the --matrix flag takes them."""
+    return _render_value(tuple(float(v) for v in m.as_array().ravel()))
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +215,15 @@ def _config_metadata(config: Config, command: str, **extra) -> dict:
 
 
 class _Parser(argparse.ArgumentParser):
+    """Exits through ``CliError``, and reads an argument that starts with
+    "-" and then a digit, "." or "inf" as a value, so that negative lists
+    such as ``--x -0.5,0`` and ``--grid -1:1:3`` parse; subparsers are
+    built from this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d|\.|inf)", re.IGNORECASE)
+
     def error(self, message):  # argparse would sys.exit(2); keep codes to spec
         raise CliError(message)
 
@@ -301,7 +316,10 @@ def cmd_limit(args) -> int:
         workers=args.workers,
     )
     # worker count stays out of the metadata: output must not depend on it
-    meta = _config_metadata(config, "limit", n0=str(args.n0))
+    meta = _config_metadata(
+        config, "limit", ("reps", "grid_points", "seed"),
+        n0=str(args.n0), matrix=_render_matrix(m),
+    )
     lines = limit_results_csv_lines(limit, args.c_list, meta)
     _write_text(config.out, "\n".join(lines) + "\n")
     print(f"wrote {len(args.c_list)} threshold rows to {config.out}")
@@ -340,7 +358,10 @@ def cmd_gamma(args) -> int:
     lo, hi, n_side = args.grid
     grid = EvalGrid.tensor(lo, hi, n_side)
     values = gamma_k_batch(m, args.order, grid.points, NuMeasure(xi=config_xi(config)))
-    meta = _config_metadata(config, "gamma", order=str(args.order))
+    meta = _config_metadata(
+        config, "gamma", ("center_xi",),
+        order=str(args.order), grid=f"{lo!r}:{hi!r}:{n_side}", matrix=_render_matrix(m),
+    )
     lines = [f"# {k}: {v}" for k, v in meta.items()]
     lines.append("x1,x2,value")
     for (x1, x2), v in zip(grid.points, values):

@@ -12,21 +12,35 @@ give lower bounds of the exact statistic.  Everything here reduces to
 dominance counts: how many sample points are componentwise below a query,
 weakly or strictly.
 
-Counting is exact at the integer level.  Each count call sorts the n
-sample points once per axis and finds each query's cut kx = #{x <= qx}
-and ky = #{y <= qy} by a search of the sorted axes.  The sample ranks
-fall into coarse cells of S x S ranks, S = max(4, isqrt(n) // 2), and one
-2-D prefix sum over the (n/S + 1)^2 table of cell counts, about 4n cells,
-counts each query's full cells.  What remains of a weak count lies in two
-strips of at most S ranks: the x ranks from the query's cell edge up to
-kx whose y rank is below ky, and the y ranks from its cell edge up to ky
-whose x rank is left of the first strip.  The strips are gathered as
+Counting is exact at the integer level.  A count sorts the sample once
+per axis, so each point has an x rank and a y rank, and finds each
+query's cuts kx = #{x <= qx} and ky = #{y <= qy} and the strict cuts
+#{x < qx} and #{y < qy}.  The sample ranks fall into coarse cells of
+S x S ranks, S = max(4, isqrt(N) // 2) over N points, and one 2-D prefix
+sum over the (N/S + 1)^2 table of cell counts, about 4N cells, counts
+each query's full cells.  What remains of a weak count lies in two strips
+of at most S ranks: the x ranks from the query's cell edge up to kx whose
+y rank is below ky, and the y ranks from its cell edge up to ky whose x
+rank is left of the first strip.  The strips are gathered as
 (queries x S) arrays in chunks of a fixed number of entries.  The strict
 counts need no table: strict = weak - #{x = qx, y <= qy} - #{x < qx,
 y = qy} for every tie pattern, and the two tie-group terms take a gather
-per query, or one search per query into an O(n) key array when the axis
-has ties.  A call costs O(n log n + M log n + M sqrt(n)) time and
-O(n + M) memory; results match naive O(n M) counting exactly.
+per query, or one search per query into an O(N) key array when the axis
+has ties.  A count costs O(N log N + M log N + M sqrt(N)) time and
+O(N + M) memory for M queries; results match naive O(N M) counting
+exactly.
+
+There are two ways to make the cuts and one count after them.
+``EmpiricalCdf.dominance_counts`` takes arbitrary queries and searches
+the sorted axes for their cuts.  The replication engine counts corners
+(``_corner_counts``): a corner (x_i, y_j) has kx at the end of x_i's tie
+group in x-rank order and ky likewise, so its cuts are read from the
+ranks of points i and j.  It also counts several samples at once: up to
+``laws._SLICE_POINTS`` points of R consecutive replications form one
+stacked sample keyed by (replication, coordinate), each replication's
+ranks offset by r n, so every point of an earlier replication lies
+strictly below and left of every corner of replication r and its counts
+are the stack's minus r n.  Tie groups stop at replication boundaries.
 
 The replication loop that draws, grids and counts many samples against
 one target lives in ``mixident.montecarlo`` (``_rep_block``), which
@@ -41,6 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .laws import (
+    _SLICE_POINTS,
     CENTERED_EXPONENTIAL,
     STANDARD_NORMAL,
     ComponentLaw,
@@ -98,46 +113,143 @@ def _strip_width(n: int) -> int:
     return max(4, math.isqrt(n) // 2)
 
 
-def _tie_groups(
-    s: np.ndarray, other: np.ndarray, v: np.ndarray, cut: np.ndarray, other_cut: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Strict cuts #{s < v_i}, and the points with s = v_i whose rank on the
-    other axis is below other_cut_i.
+class _StackRanks:
+    """Ranks of R samples of n points each, stacked as one sample of
+    N = R n points keyed by (replication, coordinate).
 
-    ``s`` is one axis sorted, ``other`` the other axis's rank of each point
-    in that order and ``cut`` = #{s <= v_i}.  The points equal to v_i hold
-    the ranks [strict cut k, cut).  Without ties that is at most the one
-    point at rank cut - 1.  With ties, each point's key is (start rank of
-    its tie group) * (n + 1) + (other rank); sorted, the keys below
-    k * (n + 1) are the k points before the group, so one search per query
-    for k * (n + 1) + other_cut_i counts the group's points below the cut.
+    Each replication's axes are sorted on their own and its ranks offset by
+    r n, so replication r holds the ranks [r n, (r + 1) n) on both axes:
+    every point of an earlier replication lies strictly below and left of
+    every query of replication r, and no point of a later one does.  Tie
+    groups, runs of equal sorted values, stop at replication boundaries.
+    Rank arrays are int32 (intp from 2^31 points).
     """
-    n = s.size
-    last = np.maximum(cut - 1, 0)
-    tied = s[last] == v
-    same = s[1:] == s[:-1]
-    if not same.any():
-        return cut - tied, tied & (other[last] < other_cut)
-    start = np.maximum.accumulate(np.where(np.r_[True, ~same], np.arange(n), 0))
-    strict = np.where(tied, start[last], cut)
-    keys = np.sort(start * (n + 1) + other)
-    return strict, np.searchsorted(keys, strict * (n + 1) + other_cut * tied) - strict
+
+    def __init__(self, points: np.ndarray):
+        reps, n, _ = points.shape
+        size = reps * n
+        dt = np.int32 if size < 2**31 else np.intp
+        flat = points.reshape(size, 2)
+        ids = np.arange(size, dtype=dt)
+        self.n, self.size = n, size
+        self.sorted, self.rank, orders = [], [], []
+        for axis in (0, 1):
+            order = np.argsort(points[:, :, axis], axis=1)
+            if reps > 1:
+                order += np.arange(0, size, n)[:, None]
+            order = order.ravel()
+            rank = np.empty(size, dtype=dt)
+            rank[order] = ids
+            orders.append(order)
+            self.sorted.append(flat[order, axis])
+            self.rank.append(rank)
+        # the other axis's rank of each point, listed in this axis's order
+        self.other = [self.rank[1][orders[0]], self.rank[0][orders[1]]]
+        self.groups = [self._tie_groups(s, o) for s, o in zip(self.sorted, self.other)]
+
+    def _tie_groups(self, s: np.ndarray, other: np.ndarray):
+        """(start, end, keys) of the tie groups of one sorted axis, or None
+        when no group holds two points.  The group of sorted position k
+        holds the positions [start[k], end[k]).  Each point's key is
+        start * (N + 1) + (its rank on the other axis); sorted, the keys
+        below l * (N + 1) are the l points before the group that starts at
+        l, so one search counts a group's points below a cut."""
+        same = s[1:] == s[:-1]
+        same[self.n - 1::self.n] = False
+        if not same.any():
+            return None
+        new = np.concatenate(([True], ~same))
+        starts = np.flatnonzero(new)
+        group = np.cumsum(new) - 1
+        start = starts[group]
+        return start, np.append(starts[1:], self.size)[group], np.sort(start * (self.size + 1) + other)
+
+    def corner_cuts(self, ix: np.ndarray, iy: np.ndarray):
+        """Cuts of corner queries (x of point ix, y of point iy), per axis
+        (k, l): k is the end of the point's tie group in that axis's rank
+        order and l its start, the weak and strict cuts."""
+        cuts = []
+        for rank, groups, i in zip(self.rank, self.groups, (ix, iy)):
+            k = rank[i]
+            cuts.append((k + 1, k) if groups is None else (groups[1][k], groups[0][k]))
+        return cuts
+
+    def searched_cuts(self, q: np.ndarray):
+        """Cuts of arbitrary (m, 2) queries on a stack of one sample, per
+        axis (k, l) = (#{s <= v}, #{s < v}), by a search of the sorted axis."""
+        cuts = []
+        for s, groups, v in zip(self.sorted, self.groups, q.T):
+            k = np.searchsorted(s, v, side="right")
+            last = np.maximum(k - 1, 0)
+            tied = s[last] == v
+            cuts.append((k, k - tied if groups is None else np.where(tied, groups[0][last], k)))
+        return cuts
+
+    def counts(self, cuts) -> tuple[np.ndarray, np.ndarray]:
+        """(weak, strict) counts over the whole stack for queries with
+        ``cuts``; a query of replication r counts the r n earlier points in
+        both."""
+        (kx, lx), (ky, ly) = cuts
+        size = self.size
+        ypos, xpos = self.other
+        # coarse cells of s x s ranks after a leading zero row and column:
+        # table[a, b] counts the points in the cells left of a and below b,
+        # the query's full cells
+        s = _strip_width(size)
+        h = size // s + 2
+        cells = np.repeat(np.arange(h, h * h, h), s)[:size] + ypos // s + 1
+        table = np.bincount(cells, minlength=h * h).reshape(h, h)
+        np.cumsum(table, axis=0, out=table)
+        np.cumsum(table, axis=1, out=table)
+        ax, ay = kx // s, ky // s
+        bx = ax * s
+        weak = table[ax, ay]
+        # the rest lies in two strips: the x ranks [bx, kx) below ky, and the
+        # y ranks [s ay, ky) left of bx.  Each is the head of one row of the
+        # other axis's ranks cut into rows of s and padded with the sentinel
+        # N; tri[d] keeps the first d entries of a row.
+        dt = np.min_scalar_type(size)
+        rows = np.full((2, h * s), size, dtype=dt)
+        rows[:, :size] = ypos, xpos
+        yrows, xrows = rows.reshape(2, h, s)
+        tri = np.arange(s) < np.arange(s + 1)[:, None]
+        chunk = max(1, _STRIP_CHUNK // s)
+        for lo in range(0, kx.size, chunk):
+            c = slice(lo, lo + chunk)
+            in_x = np.take(tri, kx[c] - bx[c], axis=0)
+            in_x &= np.take(yrows, ax[c], axis=0) < ky[c, None].astype(dt)
+            in_y = np.take(tri, ky[c] - s * ay[c], axis=0)
+            in_y &= np.take(xrows, ay[c], axis=0) < bx[c, None].astype(dt)
+            weak[c] += (in_x.view(np.uint8) + in_y.view(np.uint8)).sum(1, dtype=np.int64)
+        # strict = weak - #{x = qx, y <= qy} - #{x < qx, y = qy}
+        return weak, weak - self._on_group(0, lx, kx, ky) - self._on_group(1, ly, ky, lx)
+
+    def _on_group(self, axis: int, lo, hi, other_cut):
+        """Points of the tie group at ranks [lo, hi) of ``axis`` (empty
+        where lo = hi) whose rank on the other axis is below other_cut."""
+        groups = self.groups[axis]
+        if groups is None:
+            return (lo < hi) & (self.other[axis][np.maximum(hi - 1, 0)] < other_cut)
+        keys = lo.astype(np.int64) * (self.size + 1) + other_cut * (lo < hi)
+        return np.searchsorted(groups[2], keys) - lo
 
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalCdf:
     """Immutable dominance-count index over one sample.
 
-    Each ``dominance_counts`` call sorts the sample once per axis and finds
-    each query's cut in both sorted axes.  A weak count is one entry of a
-    2-D prefix sum over coarse cells of S x S ranks (``_strip_width(n)``,
-    about 4n cells) plus two strips of at most S ranks, gathered in chunks
-    of ``_STRIP_CHUNK`` entries.  The strict counts need no table:
+    Each ``dominance_counts`` call ranks the sample as a stack of one
+    (``_StackRanks``) and searches its sorted axes for each query's weak
+    and strict cuts.  A weak count is one entry of a 2-D prefix sum over
+    coarse cells of S x S ranks (``_strip_width(n)``, about 4n cells) plus
+    two strips of at most S ranks, gathered in chunks of ``_STRIP_CHUNK``
+    entries.  The strict counts need no table:
     strict = weak - #{x = qx, y <= qy} - #{x < qx, y = qy}, and the two
     tie-group terms cost one gather, or one search per query when the axis
-    has ties.  A call costs O(n log n + M log n + M sqrt(n)) time and
-    O(n + M) memory.  Construction does no work.  Safe for shared
-    concurrent reads.
+    has ties.  The replication engine runs the same count on stacks of
+    samples with cuts read from ranks (``_corner_counts``).  A call costs
+    O(n log n + M log n + M sqrt(n)) time and O(n + M) memory.
+    Construction does no work.  Safe for shared concurrent reads.
     """
 
     sample: Sample2D
@@ -160,53 +272,8 @@ class EmpiricalCdf:
             raise ValueError(f"queries must have shape (m, 2), got {q.shape}")
         if np.isnan(q).any():
             raise ValueError("query coordinates must not be NaN")
-        n = self.n
-        px, py = self.sample.points.T
-        ox = np.argsort(px)
-        oy = np.argsort(py)
-        sx = px[ox]
-        sy = py[oy]
-        # rank in y order of each point, listed in x order, and the reverse
-        ypos = np.empty(n, dtype=np.intp)
-        ypos[oy] = np.arange(n)
-        ypos = ypos[ox]
-        xpos = np.empty(n, dtype=np.intp)
-        xpos[ypos] = np.arange(n)
-        qx, qy = q.T
-        kx = np.searchsorted(sx, qx, side="right")
-        ky = np.searchsorted(sy, qy, side="right")
-        # coarse cells of s x s ranks after a leading zero row and column:
-        # table[a, b] counts the points in the cells left of a and below b,
-        # the query's full cells
-        s = _strip_width(n)
-        h = n // s + 2
-        cells = (np.arange(n) // s + 1) * h + ypos // s + 1
-        table = np.bincount(cells, minlength=h * h).reshape(h, h)
-        np.cumsum(table, axis=0, out=table)
-        np.cumsum(table, axis=1, out=table)
-        ax, ay = kx // s, ky // s
-        bx = ax * s
-        weak = table[ax, ay]
-        # the rest lies in two strips: the x ranks [bx, kx) below ky, and the
-        # y ranks [s ay, ky) left of bx.  Each is the head of one row of the
-        # other axis's ranks cut into rows of s and padded with the sentinel
-        # n; tri[d] keeps the first d entries of a row.
-        dt = np.min_scalar_type(n)
-        rows = np.full((2, h * s), n, dtype=dt)
-        rows[:, :n] = ypos, xpos
-        yrows, xrows = rows.reshape(2, h, s)
-        tri = np.arange(s) < np.arange(s + 1)[:, None]
-        size = max(1, _STRIP_CHUNK // s)
-        for lo in range(0, q.shape[0], size):
-            c = slice(lo, lo + size)
-            in_x = np.take(tri, kx[c] - bx[c], axis=0)
-            in_x &= np.take(yrows, ax[c], axis=0) < ky[c, None].astype(dt)
-            in_y = np.take(tri, ky[c] - s * ay[c], axis=0)
-            in_y &= np.take(xrows, ay[c], axis=0) < bx[c, None].astype(dt)
-            weak[c] += (in_x.view(np.uint8) + in_y.view(np.uint8)).sum(1, dtype=np.int64)
-        strict_x, on_x = _tie_groups(sx, ypos, qx, kx, ky)
-        _, on_y = _tie_groups(sy, xpos, qy, ky, strict_x)
-        return weak, weak - on_x - on_y
+        ranks = _StackRanks(self.sample.points[None])
+        return ranks.counts(ranks.searched_cuts(q))
 
 
 def naive_dominance_counts(points, queries) -> tuple[np.ndarray, np.ndarray]:
@@ -278,25 +345,61 @@ def corner_grid(sample: Sample2D) -> np.ndarray:
     return np.column_stack([g1.ravel(), g2.ravel()])
 
 
+def _corner_indices(n: int, spec: EvalGridSpec, rng: np.random.Generator) -> np.ndarray:
+    """Flat indices i n + j of spec.m_points corners (x_i^(1), x_j^(2)) of a
+    sample of n points, drawn by ``rng`` uniformly without replacement from
+    the n^2."""
+    _check_sample_size(spec, n)
+    return rng.choice(n * n, spec.m_points, replace=False)
+
+
 def build_eval_grid(sample: Sample2D, spec: EvalGridSpec, rng: np.random.Generator) -> np.ndarray:
     """m_points corner pairs (x_i^(1), x_j^(2)) of ``sample``, drawn by
     ``rng`` uniformly without replacement from the n^2."""
-    n = sample.n
-    _check_sample_size(spec, n)
-    flat = rng.choice(n * n, spec.m_points, replace=False)
-    return np.column_stack([sample.points[flat // n, 0], sample.points[flat % n, 1]])
+    i, j = np.divmod(_corner_indices(sample.n, spec, rng), sample.n)
+    return np.column_stack([sample.points[i, 0], sample.points[j, 1]])
+
+
+def _corner_counts(points: np.ndarray, flat: np.ndarray):
+    """Corners of R samples and their dominance counts, counted in stacks.
+
+    ``points`` holds R samples of n points, shape (R, n, 2), and row r of
+    ``flat`` the corner indices i n + j that ``_corner_indices`` drew for
+    sample r.  Returns the (R m, 2) corners (x_i^(1), x_j^(2)) in
+    replication order and the (R, m) weak and strict counts of each corner
+    in its own sample.  Consecutive samples of up to ``laws._SLICE_POINTS``
+    points in all (at least one sample) are counted as one stacked sample
+    (``_StackRanks``), and each corner's cuts come from the ranks of its
+    points i and j, so no query is searched.
+    """
+    reps, n, _ = points.shape
+    per_stack = max(1, _SLICE_POINTS // n)
+    corners, weak, strict = [], [], []
+    for lo in range(0, reps, per_stack):
+        stack = points[lo:lo + per_stack]
+        base = np.arange(0, stack.shape[0] * n, n)[:, None]
+        i, j = np.divmod(flat[lo:lo + per_stack], n)
+        ix, iy = (i + base).ravel(), (j + base).ravel()
+        ranks = _StackRanks(stack)
+        w, s = ranks.counts(ranks.corner_cuts(ix, iy))
+        pts = stack.reshape(-1, 2)
+        corners.append(np.column_stack([pts[ix, 0], pts[iy, 1]]))
+        weak.append(w.reshape(len(base), -1) - base)
+        strict.append(s.reshape(len(base), -1) - base)
+    return np.concatenate(corners), np.concatenate(weak), np.concatenate(strict)
 
 
 # ---------------------------------------------------------------------------
 # the scaled uniform-distance statistic
 
 
-def _scaled_sup(weak: np.ndarray, strict: np.ndarray, n: int, target: np.ndarray) -> float:
-    """sqrt(n) * max of |weak/n - target| and |strict/n - target|."""
+def _scaled_sup(weak: np.ndarray, strict: np.ndarray, n: int, target: np.ndarray):
+    """sqrt(n) * max of |weak/n - target| and |strict/n - target| over the
+    last axis: one statistic per row of a (reps, m) stack of grids."""
     if not np.all(np.isfinite(target)):
         raise ValueError("target CDF returned non-finite values")
     dev = np.maximum(np.abs(weak / n - target), np.abs(strict / n - target))
-    return math.sqrt(n) * float(np.max(dev))
+    return math.sqrt(n) * np.max(dev, axis=-1)
 
 
 def sup_stat(sample: Sample2D, target_cdf, grid) -> float:
@@ -320,5 +423,5 @@ def sup_stat(sample: Sample2D, target_cdf, grid) -> float:
     target = np.asarray(target_cdf(g), dtype=float)
     if target.shape != (g.shape[0],):
         raise ValueError("target_cdf must return one probability per grid point")
-    return _scaled_sup(weak, strict, sample.n, target)
+    return float(_scaled_sup(weak, strict, sample.n, target))
 

@@ -157,7 +157,8 @@ def _golden_max(f, lo: float, hi: float, tol: float = 1e-12) -> tuple[float, flo
 _SCAN_LO, _SCAN_HI, _SCAN_POINTS = -20.0, 20.0, 200_001
 # points per slice of a long vectorized evaluation: _scan and
 # pushforward.pure_cdf_batch walk their points in slices of this length, so
-# their temporaries stay O(slice)
+# their temporaries stay O(slice), and empirical._corner_counts counts the
+# samples of up to this many points as one stacked sample
 _SLICE_POINTS = 1 << 14
 
 

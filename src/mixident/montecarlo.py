@@ -23,11 +23,13 @@ calls, and a call of another size, or a call after a worker died, starts
 a new one.  The pool closes when the interpreter exits, and a process
 forked from one that holds a pool starts its own.  Results do not depend
 on which pool, or how many, ran them.  A job is a contiguous block of one
-scenario's replication indices, run by ``_rep_block``: it draws, grids
-and counts each replication, then evaluates the target CDF once on the
-block's concatenated grids rather than once per grid.  A block holds at
-most ``_TARGET_CHUNK`` grid points (at least one replication), and is
-cut smaller only where the pool would otherwise have idle workers.  All
+scenario's replication indices, run by ``_rep_block``: it draws each
+replication's sample and corners, counts the corners of up to
+``laws._SLICE_POINTS`` sample points at a time as one stacked sample,
+then evaluates the target CDF once on the block's concatenated grids
+rather than once per grid.  A block holds at most ``_TARGET_CHUNK`` grid
+points (at least one replication), and is cut smaller only where the
+pool would otherwise have idle workers.  All
 jobs of a call, across every scenario of a sweep, go to the pool in one
 batch, so a free worker takes the next job instead of waiting for the
 rest of a scenario.  A scenario's ``wall_ms`` is therefore not an
@@ -52,13 +54,13 @@ import numpy as np
 
 from .empirical import (
     GRID_MODE,
-    EmpiricalCdf,
     EvalGridSpec,
     _check_sample_size,
+    _corner_counts,
+    _corner_indices,
     _scaled_sup,
     _whole_fields,
     _whole_numbers,
-    build_eval_grid,
     draw_sample,
 )
 from .laws import (
@@ -67,7 +69,14 @@ from .laws import (
     ComponentLaw,
     RngStream,
 )
-from .pushforward import as_matrix, equal_product_pair, mixture_cdf_batch
+from .pushforward import (
+    as_matrix,
+    assignment_comps,
+    equal_product_pair,
+    mixture_weights,
+    pure_cdf_batch,
+    weighted_rows,
+)
 
 
 @dataclass(frozen=True)
@@ -151,27 +160,31 @@ def _rep_block(args) -> tuple[np.ndarray, float]:
     they took.
 
     Replication r draws n points of m_sample at level beta from
-    ``root.child(r, 0)``, builds its grid from ``root.child(r, 1)`` and
-    counts dominance on it, keeping only the grid and the counts; then one
-    ``mixture_cdf_batch`` call evaluates m_target's mixture CDF on the
-    block's concatenated grids.  The closed form is pointwise, so every
-    statistic equals the one ``empirical.sup_stat`` gives alone.
+    ``root.child(r, 0)`` and its corner indices from ``root.child(r, 1)``.
+    ``empirical._corner_counts`` counts the corners of consecutive
+    replications of up to ``laws._SLICE_POINTS`` points in all (at least
+    one) as one stacked sample.  Then one ``pure_cdf_batch`` call per
+    nonzero-weight assignment evaluates m_target's mixture CDF on the
+    block's concatenated grids, summed as ``PureFields.combine`` sums; the
+    corners never repeat, so the rows skip the row cache.  The closed form
+    is pointwise, so every statistic equals the one ``empirical.sup_stat``
+    gives alone.
     """
     (m_sample, m_target, beta, n, grid, xi, zeta, root), indices = args
     t0 = time.perf_counter()
-    grids, counts = [], []
-    for r in indices:
-        sample = draw_sample(m_sample, beta, n, root.child(r, 0), xi=xi, zeta=zeta)
-        points = build_eval_grid(sample, grid, root.child(r, 1).generator())
-        grids.append(points)
-        counts.append(EmpiricalCdf(sample).dominance_counts(points))
+    points = np.stack([
+        draw_sample(m_sample, beta, n, root.child(r, 0), xi=xi, zeta=zeta).points
+        for r in indices
+    ])
+    flat = np.stack([_corner_indices(n, grid, root.child(r, 1).generator()) for r in indices])
+    pts, weak, strict = _corner_counts(points, flat)
+    comps = assignment_comps(xi, zeta)
+    target = weighted_rows(
+        mixture_weights(beta), lambda a: pure_cdf_batch(m_target, comps[a], pts), len(pts)
+    )
     # every grid of a job has the same size, so the target splits into rows
-    target = mixture_cdf_batch(m_target, beta, np.concatenate(grids), xi, zeta)
-    stats = [
-        _scaled_sup(weak, strict, n, part)
-        for (weak, strict), part in zip(counts, target.reshape(len(grids), -1))
-    ]
-    return np.array(stats), (time.perf_counter() - t0) * 1e3
+    stats = _scaled_sup(weak, strict, n, target.reshape(len(indices), -1))
+    return stats, (time.perf_counter() - t0) * 1e3
 
 
 def _scenario_job(s: Scenario) -> tuple:

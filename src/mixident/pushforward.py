@@ -648,6 +648,16 @@ def assignment_comps(xi: ComponentLaw, zeta: ComponentLaw):
     return [tuple(xi if flag else zeta for flag in a) for a in ASSIGNMENTS]
 
 
+def weighted_rows(weights, row, size: int) -> np.ndarray:
+    """sum_a weights[a] * row(a) over ``size`` points, skipping zero
+    weights, in row order; ``row(a)`` gives assignment a's pure CDF row."""
+    total = np.zeros(size)
+    for a, wa in enumerate(weights):
+        if wa != 0:
+            total += wa * row(a)
+    return total
+
+
 # rows of recent PureFields instances, least recently read first, by
 # (matrix entries' bytes, points shape, points SHA-1 digest, component pair);
 # at most 12 rows and 1 MiB, which holds the twelve rows of the 101x101
@@ -711,11 +721,7 @@ class PureFields:
 
     def combine(self, weights) -> np.ndarray:
         """sum_a weights[a] * row(a), skipping zero weights, in row order."""
-        total = np.zeros(self.points.shape[0])
-        for a, wa in enumerate(weights):
-            if wa != 0:
-                total += wa * self.row(a)
-        return total
+        return weighted_rows(weights, self.row, self.points.shape[0])
 
     def mixture(self, beta: float) -> np.ndarray:
         """P(A e <= x) with coordinates i.i.d. beta*xi + (1-beta)*zeta."""

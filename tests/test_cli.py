@@ -122,6 +122,74 @@ def test_flags_a_subcommand_does_not_read_exit_one(tmp_path, monkeypatch, capsys
     assert list(tmp_path.iterdir()) == []
 
 
+_MATRIX_A = "-1,0.5,0,1"
+_MATRIX_B = "-0.5,1,1,0"
+
+
+@pytest.mark.parametrize(
+    "spaced",
+    [
+        ["cdf", "--matrix", "-1,0.5,0,1", "--beta", "0.3", "--x", "0,0"],
+        ["cdf", "--beta", "0.3", "--x", "-0.5,0"],
+        ["cdf", "--beta", "0.3", "--x", "-.5,-inf"],
+        ["cdf", "--matrix-a", _MATRIX_A, "--matrix-b", _MATRIX_B, "--beta", "0.3", "--x", "0,1"],
+        ["gamma", "--order", "1", "--grid", "-1:1:3"],
+    ],
+    ids=["cdf-matrix", "cdf-x", "cdf-x-point-inf", "cdf-matrix-a-b", "gamma-grid"],
+)
+def test_negative_list_values_parse_spaced(tmp_path, monkeypatch, capsys, spaced):
+    # "--flag value" with a value that starts with "-" and a digit, "." or
+    # "inf" reads like "--flag=value"
+    monkeypatch.chdir(tmp_path)
+    joined = []
+    for arg in spaced:
+        if joined and joined[-1].startswith("--") and arg.startswith("-") and arg[1] != "-":
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    assert joined != spaced
+    outputs = []
+    for argv in (spaced, joined):
+        assert main(argv) == 0
+        written = (tmp_path / "gamma.csv").read_text() if spaced[0] == "gamma" else ""
+        outputs.append((capsys.readouterr().out, written))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("flag", ["--bogus", "-q", "-x"])
+def test_unknown_options_still_exit_one(capsys, flag):
+    assert main(["cdf", "--beta", "0.3", "--x", "0,0", flag]) == 1
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_gamma_and_limit_metadata_name_their_inputs(tmp_path, capsys):
+    def meta(argv):
+        out = tmp_path / "t.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        return [ln for ln in out.read_text().splitlines() if ln.startswith("#")]
+
+    # the same grid and order on two matrices: the tables differ, so must
+    # their metadata
+    explicit = meta(["gamma", "--order", "1", "--matrix", "1,0,0.5,1", "--grid=-1:1:2"])
+    default = meta(["gamma", "--order", "1", "--grid=-1:1:2"])
+    assert explicit != default
+    assert "# matrix: 1.0,0.0,0.5,1.0" in explicit
+    assert "# grid: -1.0:1.0:2" in explicit
+    limit = meta(["limit", "--n0", "50", "--reps", "2", "--grid-points", "16", "--matrix", "1,0,0.5,1"])
+    assert limit == [
+        "# command: limit",
+        "# n0: 50",
+        "# matrix: 1.0,0.0,0.5,1.0",
+        "# reps: 2",
+        "# grid_points: 16",
+        "# seed: 20260819",
+    ]
+    # neither echoes a setting it never reads
+    for unread in ("rho_list", "n_list", "c", "reps", "grid_points", "seed", "alpha"):
+        assert not any(ln.startswith(f"# {unread}:") for ln in explicit)
+    capsys.readouterr()
+
+
 def test_validation_errors_exit_one(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("alpha=2.0\n")
@@ -229,8 +297,13 @@ def test_gamma_writes_field_table(tmp_path, capsys):
     lines = out.read_text().splitlines()
     meta = [ln for ln in lines if ln.startswith("#")]
     body = [ln for ln in lines if not ln.startswith("#")]
-    assert any("command: gamma" in ln for ln in meta)
-    assert any("seed:" in ln for ln in meta)
+    assert meta == [
+        "# command: gamma",
+        "# order: 1",
+        "# grid: -3.0:3.0:4",
+        f"# matrix: 1.0,0.0,0.4,{float(np.sqrt(0.84))!r}",
+        "# center_xi: true",
+    ]
     assert body[0] == "x1,x2,value"
     assert len(body) == 1 + 16
     x1, x2, value = body[1].split(",")

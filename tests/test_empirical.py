@@ -13,6 +13,7 @@ from mixident.empirical import (
     EvalGridSpec,
     Sample2D,
     _STRIP_CHUNK,
+    _corner_counts,
     _strip_width,
     build_eval_grid,
     corner_grid,
@@ -20,7 +21,7 @@ from mixident.empirical import (
     naive_dominance_counts,
     sup_stat,
 )
-from mixident.laws import STANDARD_NORMAL, RngStream
+from mixident.laws import _SLICE_POINTS, STANDARD_NORMAL, RngStream
 from mixident.pushforward import (
     equal_product_pair,
     mixture_cdf_batch,
@@ -237,6 +238,51 @@ def test_blocked_count_matches_naive(case):
     assert weak.dtype == strict.dtype == np.int64
     np.testing.assert_array_equal(weak, weak_ref)
     np.testing.assert_array_equal(strict, strict_ref)
+
+
+# (replications, n) of stacks whose R n points sit on or next to a multiple
+# of the strip width, and on both sides of the split into stacks of at most
+# _SLICE_POINTS points
+_STACK_EDGES = [
+    (reps, n) for reps in range(1, 7) for n in range(1, 400)
+    if (reps * n + 1) % _strip_width(reps * n) <= 2
+]
+_STACK_SPLITS = [(reps, _SLICE_POINTS // reps + d) for reps in range(1, 7) for d in (0, 1)]
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    shape=st.one_of(
+        st.tuples(st.integers(1, 6), st.integers(1, 40)),
+        st.sampled_from(_STACK_EDGES),
+        st.sampled_from(_STACK_SPLITS),
+    ),
+    spread=st.integers(0, 6),
+    step=st.sampled_from([-1, 0, 1]),
+    every=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_corner_counts_match_naive(shape, spread, step, every, seed):
+    # integer lattices tie both axes; with step = +-1 replication r holds the
+    # values r * spread + [-spread, spread] (or the mirror), so its top tie
+    # group equals the next replication's bottom one
+    reps, n = shape
+    rng = np.random.default_rng(seed)
+    offset = step * spread * np.arange(reps)[:, None, None]
+    points = (rng.integers(-spread, spread + 1, size=(reps, n, 2)) + offset).astype(float)
+    if every and n <= 40:
+        flat = np.stack([rng.permutation(n * n) for _ in range(reps)])
+    else:
+        m = int(rng.integers(1, min(n * n, 300) + 1))
+        flat = np.stack([rng.choice(n * n, m, replace=False) for _ in range(reps)])
+    corners, weak, strict = _corner_counts(points, flat)
+    corners = corners.reshape(reps, -1, 2)
+    for r in range(reps):
+        i, j = np.divmod(flat[r], n)
+        np.testing.assert_array_equal(corners[r], np.column_stack([points[r, i, 0], points[r, j, 1]]))
+        weak_ref, strict_ref = naive_dominance_counts(points[r], corners[r])
+        np.testing.assert_array_equal(weak[r], weak_ref)
+        np.testing.assert_array_equal(strict[r], strict_ref)
 
 
 def test_count_memory_is_bounded_in_the_queries(traced_peak):

@@ -16,7 +16,7 @@ import pytest
 from mixident import montecarlo
 from mixident.empirical import EvalGridSpec, build_eval_grid, draw_sample, sup_stat
 from mixident.expansion import estimate_K
-from mixident.laws import CENTERED_EXPONENTIAL, STANDARD_NORMAL, RngStream
+from mixident.laws import _SLICE_POINTS, CENTERED_EXPONENTIAL, STANDARD_NORMAL, RngStream
 from mixident.montecarlo import (
     CSV_HEADER,
     PRESET_NAMES,
@@ -31,7 +31,7 @@ from mixident.montecarlo import (
     run_replication,
     run_sweep,
 )
-from mixident.pushforward import equal_product_pair, mixture_cdf_batch
+from mixident.pushforward import equal_product_pair, mixture_cdf_batch, pure_cdf_batch
 
 A_PAIR = equal_product_pair(0.4)
 
@@ -152,38 +152,51 @@ def _block(root, n, spec, beta, reps) -> np.ndarray:
 
 
 @pytest.mark.parametrize(
-    "m_points, beta, reps",
-    [(300, 0.2, 30), (1000, 0.2, 9), (300, 0.0, 14), (1000, 0.0, 1)],
+    "m_points, beta, reps, n",
+    [
+        pytest.param(300, 0.2, 30, 150, id="300-0.2-30"),
+        pytest.param(1000, 0.2, 9, 150, id="1000-0.2-9"),
+        pytest.param(300, 0.0, 14, 150, id="300-0.0-14"),
+        pytest.param(1000, 0.0, 1, 150, id="1000-0.0-1"),
+        pytest.param(500, 0.2, 6, 5000, id="n5000-stacks-of-3"),
+        pytest.param(500, 0.0, 2, 20_000, id="n20000-stacks-of-1"),
+    ],
 )
-def test_rep_block_equals_per_stream_rebuild(m_points, beta, reps):
-    # blocks larger than any _run_jobs cuts, or a single replication
+def test_rep_block_equals_per_stream_rebuild(m_points, beta, reps, n):
+    # blocks larger than any _run_jobs cuts, a single replication, or a
+    # block that splits into several stacks of replications
     spec = EvalGridSpec(m_points=m_points)
     root = RngStream(17).child(2)
-    got = _block(root, 150, spec, beta, reps)
-    want = [_rebuilt_statistic(*A_PAIR, beta, 150, spec, root.child(r)) for r in range(reps)]
-    assert reps * m_points > montecarlo._TARGET_CHUNK or reps == 1
+    got = _block(root, n, spec, beta, reps)
+    want = [_rebuilt_statistic(*A_PAIR, beta, n, spec, root.child(r)) for r in range(reps)]
+    assert reps * m_points > montecarlo._TARGET_CHUNK or reps == 1 or reps * n > _SLICE_POINTS
     assert got.tolist() == want
 
 
 def test_rep_block_makes_one_target_call(monkeypatch):
+    # one pure-assignment row per nonzero mixture weight, over the whole
+    # block: four at a positive level, the Gaussian row alone at level zero
     calls = []
 
-    def counted(m, beta, pts, *args):
+    def counted(m, comps, pts):
         calls.append(len(pts))
-        return mixture_cdf_batch(m, beta, pts, *args)
+        return pure_cdf_batch(m, comps, pts)
 
-    monkeypatch.setattr(montecarlo, "mixture_cdf_batch", counted)
+    monkeypatch.setattr(montecarlo, "pure_cdf_batch", counted)
     _block(RngStream(17).child(2), 150, EvalGridSpec(m_points=300), 0.2, 30)
+    assert calls == [30 * 300] * 4
+    calls.clear()
+    _block(RngStream(17).child(2), 150, EvalGridSpec(m_points=300), 0.0, 30)
     assert calls == [30 * 300]
 
 
 def test_rep_block_rejects_non_finite_target(monkeypatch):
-    def broken(m, beta, pts, *args):
+    def broken(m, comps, pts):
         out = np.zeros(len(pts))
         out[-1] = np.nan
         return out
 
-    monkeypatch.setattr(montecarlo, "mixture_cdf_batch", broken)
+    monkeypatch.setattr(montecarlo, "pure_cdf_batch", broken)
     with pytest.raises(ValueError, match="non-finite"):
         _block(RngStream(1), 50, EvalGridSpec(m_points=40), 0.1, 3)
 
