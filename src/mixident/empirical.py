@@ -49,6 +49,7 @@ evaluates the target CDF once per block of replications.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -360,32 +361,33 @@ def build_eval_grid(sample: Sample2D, spec: EvalGridSpec, rng: np.random.Generat
     return np.column_stack([sample.points[i, 0], sample.points[j, 1]])
 
 
-def _corner_counts(points: np.ndarray, flat: np.ndarray):
+def _corner_counts(replications, n: int):
     """Corners of R samples and their dominance counts, counted in stacks.
 
-    ``points`` holds R samples of n points, shape (R, n, 2), and row r of
-    ``flat`` the corner indices i n + j that ``_corner_indices`` drew for
-    sample r.  Returns the (R m, 2) corners (x_i^(1), x_j^(2)) in
+    ``replications`` yields, for each sample of n points in turn, its
+    (n, 2) points and the corner indices i n + j that ``_corner_indices``
+    drew for it.  Returns the (R m, 2) corners (x_i^(1), x_j^(2)) in
     replication order and the (R, m) weak and strict counts of each corner
-    in its own sample.  Consecutive samples of up to ``laws._SLICE_POINTS``
-    points in all (at least one sample) are counted as one stacked sample
-    (``_StackRanks``), and each corner's cuts come from the ranks of its
-    points i and j, so no query is searched.
+    in its own sample.  The samples are read a stack at a time: up to
+    ``laws._SLICE_POINTS`` points of consecutive samples (at least one
+    sample) are counted as one stacked sample (``_StackRanks``), and each
+    corner's cuts come from the ranks of its points i and j, so no query
+    is searched.
     """
-    reps, n, _ = points.shape
     per_stack = max(1, _SLICE_POINTS // n)
+    reps = iter(replications)
     corners, weak, strict = [], [], []
-    for lo in range(0, reps, per_stack):
-        stack = points[lo:lo + per_stack]
-        base = np.arange(0, stack.shape[0] * n, n)[:, None]
-        i, j = np.divmod(flat[lo:lo + per_stack], n)
+    while stack := list(itertools.islice(reps, per_stack)):
+        points = np.stack([p for p, _ in stack])
+        base = np.arange(0, len(stack) * n, n)[:, None]
+        i, j = np.divmod(np.stack([f for _, f in stack]), n)
         ix, iy = (i + base).ravel(), (j + base).ravel()
-        ranks = _StackRanks(stack)
+        ranks = _StackRanks(points)
         w, s = ranks.counts(ranks.corner_cuts(ix, iy))
-        pts = stack.reshape(-1, 2)
+        pts = points.reshape(-1, 2)
         corners.append(np.column_stack([pts[ix, 0], pts[iy, 1]]))
-        weak.append(w.reshape(len(base), -1) - base)
-        strict.append(s.reshape(len(base), -1) - base)
+        weak.append(w.reshape(len(stack), -1) - base)
+        strict.append(s.reshape(len(stack), -1) - base)
     return np.concatenate(corners), np.concatenate(weak), np.concatenate(strict)
 
 

@@ -172,12 +172,15 @@ def _rep_block(args) -> tuple[np.ndarray, float]:
     """
     (m_sample, m_target, beta, n, grid, xi, zeta, root), indices = args
     t0 = time.perf_counter()
-    points = np.stack([
-        draw_sample(m_sample, beta, n, root.child(r, 0), xi=xi, zeta=zeta).points
+    # drawn a stack at a time, as the count reads them
+    replications = (
+        (
+            draw_sample(m_sample, beta, n, root.child(r, 0), xi=xi, zeta=zeta).points,
+            _corner_indices(n, grid, root.child(r, 1).generator()),
+        )
         for r in indices
-    ])
-    flat = np.stack([_corner_indices(n, grid, root.child(r, 1).generator()) for r in indices])
-    pts, weak, strict = _corner_counts(points, flat)
+    )
+    pts, weak, strict = _corner_counts(replications, n)
     comps = assignment_comps(xi, zeta)
     target = weighted_rows(
         mixture_weights(beta), lambda a: pure_cdf_batch(m_target, comps[a], pts), len(pts)

@@ -275,7 +275,7 @@ def test_stacked_corner_counts_match_naive(shape, spread, step, every, seed):
     else:
         m = int(rng.integers(1, min(n * n, 300) + 1))
         flat = np.stack([rng.choice(n * n, m, replace=False) for _ in range(reps)])
-    corners, weak, strict = _corner_counts(points, flat)
+    corners, weak, strict = _corner_counts(zip(points, flat), n)
     corners = corners.reshape(reps, -1, 2)
     for r in range(reps):
         i, j = np.divmod(flat[r], n)
