@@ -52,6 +52,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -114,6 +115,20 @@ def _strip_width(n: int) -> int:
     return max(4, math.isqrt(n) // 2)
 
 
+class _TieGroups(NamedTuple):
+    """Runs of equal values on one sorted axis of a stack.
+
+    The group of sorted position k holds the positions [start[k], end[k]).
+    Each point's key is start * (N + 1) + (its rank on the other axis);
+    sorted, the keys below l * (N + 1) are the l points before the group
+    that starts at l, so one search counts a group's points below a cut.
+    """
+
+    start: np.ndarray
+    end: np.ndarray
+    keys: np.ndarray
+
+
 class _StackRanks:
     """Ranks of R samples of n points each, stacked as one sample of
     N = R n points keyed by (replication, coordinate).
@@ -136,8 +151,7 @@ class _StackRanks:
         self.sorted, self.rank, orders = [], [], []
         for axis in (0, 1):
             order = np.argsort(points[:, :, axis], axis=1)
-            if reps > 1:
-                order += np.arange(0, size, n)[:, None]
+            order += np.arange(0, size, n)[:, None]
             order = order.ravel()
             rank = np.empty(size, dtype=dt)
             rank[order] = ids
@@ -148,13 +162,9 @@ class _StackRanks:
         self.other = [self.rank[1][orders[0]], self.rank[0][orders[1]]]
         self.groups = [self._tie_groups(s, o) for s, o in zip(self.sorted, self.other)]
 
-    def _tie_groups(self, s: np.ndarray, other: np.ndarray):
-        """(start, end, keys) of the tie groups of one sorted axis, or None
-        when no group holds two points.  The group of sorted position k
-        holds the positions [start[k], end[k]).  Each point's key is
-        start * (N + 1) + (its rank on the other axis); sorted, the keys
-        below l * (N + 1) are the l points before the group that starts at
-        l, so one search counts a group's points below a cut."""
+    def _tie_groups(self, s: np.ndarray, other: np.ndarray) -> _TieGroups | None:
+        """The tie groups of one sorted axis, or None when no group holds
+        two points."""
         same = s[1:] == s[:-1]
         same[self.n - 1::self.n] = False
         if not same.any():
@@ -163,7 +173,8 @@ class _StackRanks:
         starts = np.flatnonzero(new)
         group = np.cumsum(new) - 1
         start = starts[group]
-        return start, np.append(starts[1:], self.size)[group], np.sort(start * (self.size + 1) + other)
+        end = np.append(starts[1:], self.size)[group]
+        return _TieGroups(start, end, np.sort(start * (self.size + 1) + other))
 
     def corner_cuts(self, ix: np.ndarray, iy: np.ndarray):
         """Cuts of corner queries (x of point ix, y of point iy), per axis
@@ -172,7 +183,7 @@ class _StackRanks:
         cuts = []
         for rank, groups, i in zip(self.rank, self.groups, (ix, iy)):
             k = rank[i]
-            cuts.append((k + 1, k) if groups is None else (groups[1][k], groups[0][k]))
+            cuts.append((k + 1, k) if groups is None else (groups.end[k], groups.start[k]))
         return cuts
 
     def searched_cuts(self, q: np.ndarray):
@@ -183,7 +194,7 @@ class _StackRanks:
             k = np.searchsorted(s, v, side="right")
             last = np.maximum(k - 1, 0)
             tied = s[last] == v
-            cuts.append((k, k - tied if groups is None else np.where(tied, groups[0][last], k)))
+            cuts.append((k, k - tied if groups is None else np.where(tied, groups.start[last], k)))
         return cuts
 
     def counts(self, cuts) -> tuple[np.ndarray, np.ndarray]:
@@ -232,7 +243,7 @@ class _StackRanks:
         if groups is None:
             return (lo < hi) & (self.other[axis][np.maximum(hi - 1, 0)] < other_cut)
         keys = lo.astype(np.int64) * (self.size + 1) + other_cut * (lo < hi)
-        return np.searchsorted(groups[2], keys) - lo
+        return np.searchsorted(groups.keys, keys) - lo
 
 
 @dataclass(frozen=True, eq=False)
