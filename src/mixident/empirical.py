@@ -141,22 +141,24 @@ class _StackRanks:
     Rank arrays are int32 (intp from 2^31 points).
     """
 
-    def __init__(self, points: np.ndarray):
-        reps, n, _ = points.shape
+    def __init__(self, xs: np.ndarray, ys: np.ndarray):
+        """``xs`` and ``ys`` hold the coordinates, shape (R, n): row r is
+        replication r's sample."""
+        reps, n = xs.shape
         size = reps * n
         dt = np.int32 if size < 2**31 else np.intp
-        flat = points.reshape(size, 2)
         ids = np.arange(size, dtype=dt)
         self.n, self.size = n, size
         self.sorted, self.rank, orders = [], [], []
-        for axis in (0, 1):
-            order = np.argsort(points[:, :, axis], axis=1)
-            order += np.arange(0, size, n)[:, None]
+        for values in (xs, ys):
+            order = np.argsort(values, axis=1)
+            if reps > 1:
+                order += np.arange(0, size, n)[:, None]
             order = order.ravel()
             rank = np.empty(size, dtype=dt)
             rank[order] = ids
             orders.append(order)
-            self.sorted.append(flat[order, axis])
+            self.sorted.append(values.ravel()[order])
             self.rank.append(rank)
         # the other axis's rank of each point, listed in this axis's order
         self.other = [self.rank[1][orders[0]], self.rank[0][orders[1]]]
@@ -284,7 +286,7 @@ class EmpiricalCdf:
             raise ValueError(f"queries must have shape (m, 2), got {q.shape}")
         if np.isnan(q).any():
             raise ValueError("query coordinates must not be NaN")
-        ranks = _StackRanks(self.sample.points[None])
+        ranks = _StackRanks(*self.sample.points.T[:, None])
         return ranks.counts(ranks.searched_cuts(q))
 
 
@@ -389,14 +391,14 @@ def _corner_counts(replications, n: int):
     reps = iter(replications)
     corners, weak, strict = [], [], []
     while stack := list(itertools.islice(reps, per_stack)):
-        points = np.stack([p for p, _ in stack])
+        # one contiguous (R, n) array per axis
+        xs, ys = (np.stack([p[:, axis] for p, _ in stack]) for axis in (0, 1))
         base = np.arange(0, len(stack) * n, n)[:, None]
         i, j = np.divmod(np.stack([f for _, f in stack]), n)
         ix, iy = (i + base).ravel(), (j + base).ravel()
-        ranks = _StackRanks(points)
+        ranks = _StackRanks(xs, ys)
         w, s = ranks.counts(ranks.corner_cuts(ix, iy))
-        pts = points.reshape(-1, 2)
-        corners.append(np.column_stack([pts[ix, 0], pts[iy, 1]]))
+        corners.append(np.column_stack([xs.ravel()[ix], ys.ravel()[iy]]))
         weak.append(w.reshape(len(stack), -1) - base)
         strict.append(s.reshape(len(stack), -1) - base)
     return np.concatenate(corners), np.concatenate(weak), np.concatenate(strict)
