@@ -12,7 +12,9 @@ the command's base (for experiment, the --preset's rho_list, n_list, c,
 reps, grid_points and seed; limit and gamma write to limit.csv and
 gamma.csv), then the --config file, then the flags.  A flag exists only
 on the subcommands that read its setting: --seed and --grid-points on
-experiment and limit, --out on those two and gamma.  The statistic is
+experiment and limit, --out on those two and gamma.  experiment compares
+two models and takes --matrix-a and --matrix-b; cdf, gamma and limit
+evaluate one and take --matrix, which sets matrix_a.  The statistic is
 always evaluated on a uniform subsample of grid_points of the n^2 sample
 corners.
 """
@@ -59,7 +61,8 @@ class Config:
 
     Mixing matrices come either from ``alpha`` (the equal-product pair)
     or from explicit row-major ``matrix_a``/``matrix_b`` entries, which
-    must be given together and take precedence.
+    take precedence.  The single-model commands read only ``matrix_a``;
+    ``config_matrices`` asks for both.
     """
 
     alpha: float = 0.4
@@ -77,8 +80,6 @@ class Config:
     def __post_init__(self):
         if not abs(self.alpha) < 1.0:
             raise ValueError(f"need |alpha| < 1, got {self.alpha}")
-        if (self.matrix_a is None) != (self.matrix_b is None):
-            raise ValueError("matrix_a and matrix_b must be given together")
         for name in ("matrix_a", "matrix_b"):
             m = getattr(self, name)
             if m is not None and len(m) != 4:
@@ -168,23 +169,26 @@ def _render_value(value) -> str:
     return str(value)
 
 
-def render_config(config: Config) -> str:
-    """Canonical key=value text; parse(render(c)) == c."""
-    lines = []
-    for f in fields(Config):
-        value = getattr(config, f.name)
-        if value is None:
-            continue
-        lines.append(f"{f.name}={_render_value(value)}")
-    return "\n".join(lines) + "\n"
+def _as_matrix(entries):
+    return as_matrix(np.asarray(entries).reshape(2, 2))
+
+
+def _single_matrix(config: Config):
+    """The one model of cdf, gamma and limit: ``matrix_a``, else the
+    first matrix of the equal-product pair at ``alpha``."""
+    if config.matrix_a is not None:
+        return _as_matrix(config.matrix_a)
+    return equal_product_pair(config.alpha)[0]
 
 
 def config_matrices(config: Config):
+    """The pair (A, B) that experiment compares: ``matrix_a`` and
+    ``matrix_b``, which must be given together, else the equal-product
+    pair at ``alpha``."""
+    if (config.matrix_a is None) != (config.matrix_b is None):
+        raise ValueError("matrix_a and matrix_b must be given together")
     if config.matrix_a is not None:
-        return (
-            as_matrix(np.asarray(config.matrix_a).reshape(2, 2)),
-            as_matrix(np.asarray(config.matrix_b).reshape(2, 2)),
-        )
+        return _as_matrix(config.matrix_a), _as_matrix(config.matrix_b)
     return equal_product_pair(config.alpha)
 
 
@@ -294,16 +298,9 @@ def cmd_experiment(args) -> int:
     return 0
 
 
-def _single_matrix(args, config: Config):
-    """The matrix for single-model subcommands; --matrix wins."""
-    if getattr(args, "matrix", None) is not None:
-        return as_matrix(np.asarray(args.matrix).reshape(2, 2))
-    return config_matrices(config)[0]
-
-
 def cmd_limit(args) -> int:
     config = _resolve_config(args, out="limit.csv")
-    m = _single_matrix(args, config)
+    m = _single_matrix(config)
     bad = [c for c in args.c_list if not c >= 0.0]
     if bad:
         raise ValueError(f"thresholds must be nonnegative, got {', '.join(map(repr, bad))}")
@@ -344,7 +341,7 @@ def cmd_verify(args) -> int:
 
 def cmd_cdf(args) -> int:
     config = _resolve_config(args)
-    m = _single_matrix(args, config)
+    m = _single_matrix(config)
     if len(args.x) != 2:
         raise CliError(f"--x needs 2 coordinates, got {len(args.x)}")
     value = mixture_pushforward_cdf(m, args.beta, args.x, xi=config_xi(config))
@@ -354,7 +351,7 @@ def cmd_cdf(args) -> int:
 
 def cmd_gamma(args) -> int:
     config = _resolve_config(args, out="gamma.csv")
-    m = _single_matrix(args, config)
+    m = _single_matrix(config)
     lo, hi, n_side = args.grid
     grid = EvalGrid.tensor(lo, hi, n_side)
     values = gamma_k_batch(m, args.order, grid.points, NuMeasure(xi=config_xi(config)))
@@ -375,10 +372,13 @@ def _parse_grid_range(text: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"expected lo:hi:n, got {text!r}")
+    lo, hi = float(parts[0]), float(parts[1])
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValueError(f"grid ends must be finite, got {lo!r}:{hi!r}")
     (n,) = _whole_numbers((float(parts[2]),))
     if n < 1:
         raise ValueError(f"grid count must be at least 1, got {n}")
-    return float(parts[0]), float(parts[1]), n
+    return lo, hi, n
 
 
 # ---------------------------------------------------------------------------
@@ -405,46 +405,31 @@ def read_results_csv(path) -> list[dict]:
     return rows
 
 
+# x column -> (the key of a row's series, the series' name from its key)
+_SERIES_AXES = {
+    "n": (
+        lambda r: r["scenario_id"].rsplit("-n", 1)[0],
+        lambda tag: f"rho={tag[3:]}" if tag.startswith("rho") else tag,
+    ),
+    "rho": (lambda r: int(r["n"]), lambda n: f"n={n}"),
+}
+
+
 def sweep_series(rows: list[dict], x_mode: str = "auto") -> tuple[list[Series], str]:
     """Group sweep rows into plot series; returns (series, x label)."""
-    n_values = sorted({int(r["n"]) for r in rows})
     if x_mode == "auto":
-        x_mode = "n" if len(n_values) > 1 else "rho"
+        x_mode = "n" if len({int(r["n"]) for r in rows}) > 1 else "rho"
+    if x_mode == "rho" and any(not r["rho"] for r in rows):
+        raise CliError("x=rho needs a schedule exponent on every row")
+    key, name = _SERIES_AXES[x_mode]
     series = []
-    if x_mode == "n":
-        tags = sorted({r["scenario_id"].rsplit("-n", 1)[0] for r in rows})
-        for tag in tags:
-            got = sorted(
-                (int(r["n"]), float(r["estimate"]), float(r["stderr"]))
-                for r in rows
-                if r["scenario_id"].rsplit("-n", 1)[0] == tag
-            )
-            name = f"rho={tag[3:]}" if tag.startswith("rho") else tag
-            series.append(
-                Series(
-                    name,
-                    tuple(float(g[0]) for g in got),
-                    tuple(g[1] for g in got),
-                    tuple(g[2] for g in got),
-                )
-            )
-    else:
-        if any(not r["rho"] for r in rows):
-            raise CliError("x=rho needs a schedule exponent on every row")
-        for n in n_values:
-            got = sorted(
-                (float(r["rho"]), float(r["estimate"]), float(r["stderr"]))
-                for r in rows
-                if int(r["n"]) == n
-            )
-            series.append(
-                Series(
-                    f"n={n}",
-                    tuple(g[0] for g in got),
-                    tuple(g[1] for g in got),
-                    tuple(g[2] for g in got),
-                )
-            )
+    for k in sorted({key(r) for r in rows}):
+        got = sorted(
+            (float(r[x_mode]), float(r["estimate"]), float(r["stderr"]))
+            for r in rows
+            if key(r) == k
+        )
+        series.append(Series(name(k), *zip(*got)))
     return series, x_mode
 
 
@@ -484,13 +469,18 @@ _MATRIX = _flag_type(_parse_matrix)
 _FLOATS = _flag_type(_parse_floats)
 
 
-def _add_config_flags(sub, out: bool = True, sampling: bool = False) -> None:
-    """--config and the matrix flags; --out for a subcommand that writes a
-    file, --seed and --grid-points for one that draws samples."""
+def _add_config_flags(sub, out: bool = True, sampling: bool = False, pair: bool = False) -> None:
+    """--config, --alpha and the matrix flags: --matrix-a and --matrix-b
+    for a subcommand that compares a pair, else --matrix, which sets
+    matrix_a; --out for a subcommand that writes a file, --seed and
+    --grid-points for one that draws samples."""
     sub.add_argument("--config", help="key=value configuration file")
     sub.add_argument("--alpha", type=float)
-    sub.add_argument("--matrix-a", dest="matrix_a", type=_MATRIX)
-    sub.add_argument("--matrix-b", dest="matrix_b", type=_MATRIX)
+    if pair:
+        sub.add_argument("--matrix-a", dest="matrix_a", type=_MATRIX)
+        sub.add_argument("--matrix-b", dest="matrix_b", type=_MATRIX)
+    else:
+        sub.add_argument("--matrix", dest="matrix_a", type=_MATRIX)
     if out:
         sub.add_argument("--out")
     if sampling:
@@ -518,11 +508,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int)
     _add_workers_flag(p)
     p.add_argument("--timing", action="store_true")
-    _add_config_flags(p, sampling=True)
+    _add_config_flags(p, sampling=True, pair=True)
     p.set_defaults(func=cmd_experiment)
 
     p = subs.add_parser("limit", help="simulate the uncontaminated limit law")
-    p.add_argument("--matrix", type=_MATRIX)
     p.add_argument("--n0", type=int, default=20_000)
     p.add_argument("--reps", type=int)
     p.add_argument(
@@ -538,14 +527,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = subs.add_parser("cdf", help="evaluate the mixture pushforward CDF")
-    p.add_argument("--matrix", type=_MATRIX)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--x", type=_FLOATS, required=True)
     _add_config_flags(p, out=False)
     p.set_defaults(func=cmd_cdf)
 
     p = subs.add_parser("gamma", help="tabulate an expansion coefficient field")
-    p.add_argument("--matrix", type=_MATRIX)
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--grid", type=_flag_type(_parse_grid_range), default=(-6.0, 6.0, 41))
     _add_config_flags(p)

@@ -1,5 +1,6 @@
 """Command-line surface: config files, subcommands, exit codes, outputs."""
 
+import argparse
 from dataclasses import fields
 
 import numpy as np
@@ -7,28 +8,26 @@ import pytest
 
 from mixident import checks, cli
 from mixident.cli import (
+    CliError,
     Config,
     _preset_items,
     _sweep_config,
+    build_parser,
     config_matrices,
     config_xi,
     main,
     parse_config,
     read_results_csv,
-    render_config,
     sweep_series,
 )
 from mixident.expansion import NuMeasure, gamma_k_batch
 from mixident.laws import CENTERED_EXPONENTIAL, STANDARD_EXPONENTIAL
 from mixident.montecarlo import CSV_HEADER, PRESET_NAMES, SweepConfig, preset_config
 from mixident.pushforward import equal_product_pair
+from mixident.svgplot import Series
 
 # ---------------------------------------------------------------------------
 # configuration
-
-
-def test_config_round_trip():
-    assert parse_config(render_config(Config())) == Config()
 
 
 def test_empty_text_gives_defaults():
@@ -47,7 +46,16 @@ def test_round_trip_with_matrices_and_comments():
         n_list=(64,),
         center_xi=False,
     )
-    assert parse_config(render_config(cfg)) == cfg
+    text = (
+        "# explicit pair\n"
+        "matrix_a = 1,0,0.4,0.5\n"
+        "\n"
+        "matrix_b=0.5, 0.4, 0, 1\n"
+        "rho_list=0.3\n"
+        "n_list=64.0\n"
+        "center_xi=FALSE\n"
+    )
+    assert parse_config(text) == cfg
     assert parse_config("# note\n\nalpha=0.2\n").alpha == 0.2
 
 
@@ -59,7 +67,6 @@ def test_config_rejections():
         "alpha=-1",
         "center_xi=maybe",
         "grid_mode=hexagonal",
-        "matrix_a=1,0,0,1",
         "matrix_a=1,0,0\nmatrix_b=1,0,0,1",
         "n_list=",
         "reps=0",
@@ -112,8 +119,18 @@ def test_usage_errors_exit_one(capsys):
         ["cdf", "--beta", "0.3", "--x", "0.1,-0.2", "--out", "zz.csv"],
         ["gamma", "--order", "1", "--grid=-1:1:3", "--grid-points", "7"],
         ["gamma", "--order", "1", "--grid=-1:1:3", "--seed", "3"],
+        ["cdf", "--beta", "0.3", "--x", "0.1,-0.2", "--matrix-a", "1,0,0,1"],
+        ["cdf", "--beta", "0.3", "--x", "0.1,-0.2", "--matrix-b", "1,0,0,1"],
+        ["gamma", "--order", "1", "--grid=-1:1:3", "--matrix-a", "1,0,0,1"],
+        ["gamma", "--order", "1", "--grid=-1:1:3", "--matrix-b", "1,0,0,1"],
+        ["limit", "--n0", "50", "--reps", "2", "--grid-points", "16", "--matrix-a", "1,0,0,1"],
+        ["limit", "--n0", "50", "--reps", "2", "--grid-points", "16", "--matrix-b", "1,0,0,1"],
     ],
-    ids=["cdf-seed", "cdf-grid-points", "cdf-out", "gamma-grid-points", "gamma-seed"],
+    ids=[
+        "cdf-seed", "cdf-grid-points", "cdf-out", "gamma-grid-points", "gamma-seed",
+        "cdf-matrix-a", "cdf-matrix-b", "gamma-matrix-a", "gamma-matrix-b",
+        "limit-matrix-a", "limit-matrix-b",
+    ],
 )
 def test_flags_a_subcommand_does_not_read_exit_one(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
@@ -132,10 +149,11 @@ _MATRIX_B = "-0.5,1,1,0"
         ["cdf", "--matrix", "-1,0.5,0,1", "--beta", "0.3", "--x", "0,0"],
         ["cdf", "--beta", "0.3", "--x", "-0.5,0"],
         ["cdf", "--beta", "0.3", "--x", "-.5,-inf"],
-        ["cdf", "--matrix-a", _MATRIX_A, "--matrix-b", _MATRIX_B, "--beta", "0.3", "--x", "0,1"],
+        ["experiment", "--matrix-a", _MATRIX_A, "--matrix-b", _MATRIX_B,
+         "--rho", "0.5", "--n-list", "10", "--reps", "1", "--grid-points", "4"],
         ["gamma", "--order", "1", "--grid", "-1:1:3"],
     ],
-    ids=["cdf-matrix", "cdf-x", "cdf-x-point-inf", "cdf-matrix-a-b", "gamma-grid"],
+    ids=["cdf-matrix", "cdf-x", "cdf-x-point-inf", "experiment-matrix-a-b", "gamma-grid"],
 )
 def test_negative_list_values_parse_spaced(tmp_path, monkeypatch, capsys, spaced):
     # "--flag value" with a value that starts with "-" and a digit, "." or
@@ -151,7 +169,8 @@ def test_negative_list_values_parse_spaced(tmp_path, monkeypatch, capsys, spaced
     outputs = []
     for argv in (spaced, joined):
         assert main(argv) == 0
-        written = (tmp_path / "gamma.csv").read_text() if spaced[0] == "gamma" else ""
+        out = {"gamma": "gamma.csv", "experiment": "results.csv"}.get(spaced[0])
+        written = (tmp_path / out).read_text() if out else ""
         outputs.append((capsys.readouterr().out, written))
     assert outputs[0] == outputs[1]
 
@@ -188,6 +207,77 @@ def test_gamma_and_limit_metadata_name_their_inputs(tmp_path, capsys):
     for unread in ("rho_list", "n_list", "c", "reps", "grid_points", "seed", "alpha"):
         assert not any(ln.startswith(f"# {unread}:") for ln in explicit)
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, output",
+    [
+        (["cdf", "--beta", "0.3", "--x", "0.1,-0.2"], None),
+        (["gamma", "--order", "1", "--grid=-1:1:3"], "gamma.csv"),
+        (["limit", "--n0", "50", "--reps", "2", "--grid-points", "16"], "limit.csv"),
+    ],
+    ids=["cdf", "gamma", "limit"],
+)
+def test_single_model_matrix_resolves_through_the_config_layers(
+    tmp_path, monkeypatch, capsys, argv, output
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a.cfg").write_text("matrix_a=1,0,0.5,1\n")
+    (tmp_path / "other.cfg").write_text("matrix_a=2,1,1,3\n")
+
+    def run(*extra):
+        assert main(argv + list(extra)) == 0
+        printed = capsys.readouterr().out
+        return (tmp_path / output).read_text() if output else printed
+
+    flag = run("--matrix", "1,0,0.5,1")
+    assert run("--config", "a.cfg") == flag
+    # the flag overrides the file's matrix_a
+    assert run("--config", "other.cfg", "--matrix", "1,0,0.5,1") == flag
+    assert run() != flag
+
+
+@pytest.mark.parametrize(
+    "lone, by_file",
+    [
+        ("matrix_a", False), ("matrix_b", False), ("matrix_a", True), ("matrix_b", True),
+    ],
+)
+def test_experiment_rejects_a_lone_matrix(tmp_path, capsys, lone, by_file):
+    out = tmp_path / "x.csv"
+    argv = ["experiment", "--rho", "0.5", "--n-list", "10", "--reps", "1", "--out", str(out)]
+    if by_file:
+        cfg = tmp_path / "lone.cfg"
+        cfg.write_text(f"{lone}=1,0,0,1\n")
+        argv += ["--config", str(cfg)]
+    else:
+        argv += [f"--{lone.replace('_', '-')}", "1,0,0,1"]
+    assert main(argv) == 1
+    assert "matrix_a and matrix_b must be given together" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_registered_options_per_subcommand():
+    (subs,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        name: [s for a in sub._actions for s in a.option_strings if s not in ("-h", "--help")]
+        for name, sub in subs.choices.items()
+    }
+    config = ["--config", "--alpha"]
+    assert options == {
+        "experiment": [
+            "--preset", "--rho", "--n-list", "--c", "--reps", "--workers", "--timing",
+            *config, "--matrix-a", "--matrix-b", "--out", "--seed", "--grid-points",
+        ],
+        "limit": [
+            "--n0", "--reps", "--c-list", "--workers",
+            *config, "--matrix", "--out", "--seed", "--grid-points",
+        ],
+        "verify": ["--check", "--out"],
+        "cdf": ["--beta", "--x", *config, "--matrix"],
+        "gamma": ["--order", "--grid", *config, "--matrix", "--out"],
+        "plot": ["--in", "--out", "--x", "--x-scale", "--title"],
+    }
 
 
 def test_validation_errors_exit_one(tmp_path, capsys):
@@ -369,6 +459,8 @@ def test_oversized_input_exits_one(tmp_path, capsys, argv, shape):
         (["cdf", "--beta", "0.1", "--x", "0", "--matrix", "1,2,3"],
          "argument --matrix: matrix needs 4 row-major entries, got 3"),
         (["experiment", "--matrix-b", "1,2"], "argument --matrix-b: matrix needs 4 row-major entries, got 2"),
+        (["gamma", "--order", "1", "--grid=inf:6:3"], "argument --grid: grid ends must be finite, got inf:6.0"),
+        (["gamma", "--order", "1", "--grid=-6:nan:3"], "argument --grid: grid ends must be finite, got -6.0:nan"),
     ],
 )
 def test_bad_typed_flag_keeps_its_reason(capsys, argv, reason):
@@ -602,6 +694,38 @@ def test_plot_by_rho_axis(sweep_csv, tmp_path, capsys):
     assert main(["plot", "--in", str(sweep_csv), "--x", "rho", "--out", str(out)]) == 0
     capsys.readouterr()
     assert out.read_text().count("<polyline") == 2
+
+
+def _row(scenario_id, rho, n, estimate, stderr) -> dict:
+    return dict(scenario_id=scenario_id, rho=rho, n=n, estimate=estimate, stderr=stderr)
+
+
+def test_sweep_series_on_both_axes():
+    by_rho = [
+        _row("rho0.5-n200", "0.5", "200", "0.3", "0.02"),
+        _row("rho0.5-n100", "0.5", "100", "0.4", "0.03"),
+        _row("rho0.25-n100", "0.25", "100", "0.9", "0.01"),
+    ]
+    fixed_beta = [
+        _row("beta0.1-n200", "", "200", "0.7", "0.04"),
+        _row("beta0.1-n100", "", "100", "0.6", "0.05"),
+    ]
+    want_n = [
+        Series("beta0.1", (100.0, 200.0), (0.6, 0.7), (0.05, 0.04)),
+        Series("rho=0.25", (100.0,), (0.9,), (0.01,)),
+        Series("rho=0.5", (100.0, 200.0), (0.4, 0.3), (0.03, 0.02)),
+    ]
+    assert sweep_series(fixed_beta + by_rho, "n") == (want_n, "n")
+    assert sweep_series(fixed_beta + by_rho) == (want_n, "n")
+    want_rho = [
+        Series("n=100", (0.25, 0.5), (0.9, 0.4), (0.01, 0.03)),
+        Series("n=200", (0.5,), (0.3,), (0.02,)),
+    ]
+    assert sweep_series(by_rho, "rho") == (want_rho, "rho")
+    # one sample size: auto puts rho on the x axis
+    assert sweep_series(by_rho[1:], "auto") == (want_rho[:1], "rho")
+    with pytest.raises(CliError, match="x=rho needs a schedule exponent on every row"):
+        sweep_series(fixed_beta + by_rho, "rho")
 
 
 def test_plot_rejects_bad_input(tmp_path, capsys):
