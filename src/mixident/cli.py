@@ -378,6 +378,8 @@ def _parse_grid_range(text: str) -> tuple[float, float, int]:
     (n,) = _whole_numbers((float(parts[2]),))
     if n < 1:
         raise ValueError(f"grid count must be at least 1, got {n}")
+    if n > 1 and not lo < hi:
+        raise ValueError(f"grid of {n} points needs lo < hi, got {lo!r}:{hi!r}")
     return lo, hi, n
 
 

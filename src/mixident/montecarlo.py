@@ -27,7 +27,14 @@ scenario's replication indices, run by ``_rep_block``: it draws each
 replication's sample and corners, counts the corners of up to
 ``laws._SLICE_POINTS`` sample points at a time as one stacked sample,
 then evaluates the target CDF once on the block's concatenated grids
-rather than once per grid.  A block holds at most ``_TARGET_CHUNK`` grid
+rather than once per grid.  When a call evaluates one target at
+``pushforward._BRACKET_NODES``^2 corners or more, its blocks bracket the
+target first: a CDF is monotone in each coordinate, so the target's
+``pushforward.bracket_table`` (its pure rows on a node grid, built once
+per process) bounds it at every corner, and the exact value is computed
+only at the corners whose deviation bound can still reach their
+replication's maximum (``_bracketed_sup``); the statistic is a maximum,
+so it does not change.  A block holds at most ``_TARGET_CHUNK`` grid
 points (at least one replication), and is cut smaller only where the
 pool would otherwise have idle workers.  All
 jobs of a call, across every scenario of a sweep, go to the pool in one
@@ -46,6 +53,7 @@ import multiprocessing.process
 import os
 import threading
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -70,8 +78,10 @@ from .laws import (
     RngStream,
 )
 from .pushforward import (
+    _BRACKET_NODES,
     as_matrix,
     assignment_comps,
+    bracket_table,
     equal_product_pair,
     mixture_weights,
     pure_cdf_batch,
@@ -127,8 +137,12 @@ class Scenario:
 
     @property
     def scenario_id(self) -> str:
-        tag = f"rho{self.rho:g}" if self.rho is not None else f"beta{self.beta:g}"
-        return f"{tag}-n{self.n}"
+        return _scenario_id(self.rho, self.beta, self.n)
+
+
+def _scenario_id(rho, beta, n) -> str:
+    tag = f"rho{rho:g}" if rho is not None else f"beta{beta:g}"
+    return f"{tag}-n{n}"
 
 
 @dataclass(frozen=True)
@@ -169,8 +183,12 @@ def _rep_block(args) -> tuple[np.ndarray, float]:
     corners never repeat, so the rows skip the row cache.  The closed form
     is pointwise, so every statistic equals the one ``empirical.sup_stat``
     gives alone.
+
+    A ``bracketed`` block evaluates the target exactly only at its candidate
+    corners (``_bracketed_sup``), from the bounds of m_target's
+    ``pushforward.bracket_table``; its statistics are the same, bit for bit.
     """
-    (m_sample, m_target, beta, n, grid, xi, zeta, root), indices = args
+    (m_sample, m_target, beta, n, grid, xi, zeta, root), indices, bracketed = args
     t0 = time.perf_counter()
     # drawn a stack at a time, as the count reads them
     replications = (
@@ -182,12 +200,56 @@ def _rep_block(args) -> tuple[np.ndarray, float]:
     )
     pts, weak, strict = _corner_counts(replications, n)
     comps = assignment_comps(xi, zeta)
-    target = weighted_rows(
-        mixture_weights(beta), lambda a: pure_cdf_batch(m_target, comps[a], pts), len(pts)
-    )
-    # every grid of a job has the same size, so the target splits into rows
-    stats = _scaled_sup(weak, strict, n, target.reshape(len(indices), -1))
+    weights = mixture_weights(beta)
+
+    def target(points):
+        return weighted_rows(
+            weights, lambda a: pure_cdf_batch(m_target, comps[a], points), len(points)
+        )
+
+    stats = None
+    if bracketed:
+        table = bracket_table(m_target, xi, zeta)
+        stats = _bracketed_sup(weak, strict, n, table.bracket(weights, pts), pts, target)
+    if stats is None:
+        # every grid of a job has the same size, so the target splits into rows
+        stats = _scaled_sup(weak, strict, n, target(pts).reshape(len(indices), -1))
     return stats, (time.perf_counter() - t0) * 1e3
+
+
+def _bracketed_sup(weak, strict, n: int, bracket, pts, target) -> np.ndarray | None:
+    """``_scaled_sup`` of the (reps, m) counts against the target, which is
+    evaluated only at the candidate corners; None if a candidate's exact
+    value leaves its bracket.
+
+    With the target G of each corner in its bracket [lo, hi], the corner's
+    deviation max(|weak/n - G|, |strict/n - G|) is at least its distance
+    from weak/n and strict/n to [lo, hi], and at most the larger of
+    weak/n - lo and hi - strict/n.  A replication's statistic is at least
+    the largest of the former, its floor, so only the corners whose bound
+    reaches the floor can attain it: ``target`` evaluates those, and the
+    maximum over them is the maximum over all corners.  A non-finite bound
+    or value raises ``ValueError``.
+    """
+    lo, hi = (b.reshape(weak.shape) for b in bracket)
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        raise ValueError("target CDF bracket has non-finite values")
+    fw, fs = weak / n, strict / n
+    floor = np.max(np.maximum(lo - fs, fw - hi), axis=1, keepdims=True)
+    at = np.flatnonzero(np.maximum(fw - lo, hi - fs) >= floor)
+    g = target(pts[at])
+    if not np.all(np.isfinite(g)):
+        raise ValueError("target CDF returned non-finite values")
+    if np.any(g < lo.flat[at]) or np.any(g > hi.flat[at]):
+        return None
+    dev = np.full(weak.shape, -np.inf)
+    dev.flat[at] = np.maximum(np.abs(fw.flat[at] - g), np.abs(fs.flat[at] - g))
+    return math.sqrt(n) * np.max(dev, axis=-1)
+
+
+def _target(job) -> tuple:
+    """The target matrix and laws of a job."""
+    return job[1], job[5], job[6]
 
 
 def _scenario_job(s: Scenario) -> tuple:
@@ -197,7 +259,7 @@ def _scenario_job(s: Scenario) -> tuple:
 
 def run_replication(scenario: Scenario, rep_index: int) -> float:
     """Statistic of one replication; pure in (seed, index, rep_index)."""
-    return float(_rep_block((_scenario_job(scenario), [rep_index]))[0][0])
+    return float(_rep_block((_scenario_job(scenario), [rep_index], False))[0][0])
 
 
 def _usable_cpus() -> int:
@@ -267,23 +329,33 @@ def _run_jobs(jobs, workers: int) -> list[tuple[np.ndarray, float]]:
     A block holds at most ``_TARGET_CHUNK`` grid points (at least one
     replication), and at most an even share of all replications per
     worker, so every worker of the pool has a block to run.
+
+    The blocks of a target (matrix and laws) that the call evaluates at
+    ``_BRACKET_NODES``^2 corners or more are bracketed (see
+    ``_bracketed_sup``): its ``pushforward.bracket_table``, which each
+    process builds once, costs about as much as evaluating that many
+    corners.  The others evaluate every corner.
     """
     (workers,) = _whole_numbers((workers,))
     if workers < 1:
         raise ValueError(f"need at least one worker, got {workers}")
     size = min(workers, max(n for _, n in jobs), _usable_cpus())
     share = math.ceil(sum(n for _, n in jobs) / size)
+    # corners per target; job[4] is the job's EvalGridSpec
+    corners = Counter()
+    for job, n in jobs:
+        corners[_target(job)] += n * job[4].m_points
     blocks, owners = [], []
     for k, (job, n) in enumerate(jobs):
-        grid = job[4]  # the job's EvalGridSpec
-        step = max(1, min(_TARGET_CHUNK // grid.m_points, share))
+        step = max(1, min(_TARGET_CHUNK // job[4].m_points, share))
+        bracketed = corners[_target(job)] >= _BRACKET_NODES**2
         for lo in range(0, n, step):
-            blocks.append((job, range(lo, min(lo + step, n))))
+            blocks.append((job, range(lo, min(lo + step, n)), bracketed))
             owners.append(k)
     stats = [np.empty(n) for _, n in jobs]
     wall_ms = [0.0] * len(jobs)
     runs = map(_rep_block, blocks) if size == 1 else _pool_map(size, _rep_block, blocks)
-    for k, (_, indices), (values, ms) in zip(owners, blocks, runs):
+    for k, (_, indices, _), (values, ms) in zip(owners, blocks, runs):
         stats[k][indices.start:indices.stop] = values
         wall_ms[k] += ms
     return list(zip(stats, wall_ms))
@@ -349,6 +421,11 @@ class SweepConfig:
             raise ValueError("empty rho list")
         if not self.n_list:
             raise ValueError("empty n list")
+        # the id names a cell in the CSV and in plots, so no two may share it
+        ids = Counter(_scenario_id(rho, None, n) for rho in self.rho_list for n in self.n_list)
+        repeated = [sid for sid, count in ids.items() if count > 1]
+        if repeated:
+            raise ValueError(f"rho and n lists give scenario id {repeated[0]} more than once")
 
     def scenarios(self) -> list[Scenario]:
         out = []

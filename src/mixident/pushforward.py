@@ -37,6 +37,12 @@ hashed once per instance, at about 16 ns per point on a 2-vCPU x86 host,
 where one kernel call takes 0.1 to 0.3 us per point.  Cached rows are
 read-only and equal, bit for bit, to what ``pure_cdf_batch`` returns,
 which itself caches nothing.
+
+A ``BracketTable`` holds the four rows of one matrix on a fixed 256 x 256
+node grid instead; since a CDF is monotone in each coordinate, its values
+at the nodes around a point bound any mixture there.  ``bracket_table``
+keeps the tables of the last two matrices and law pairs asked for, 2 MiB
+each once all four rows are read.
 """
 
 from __future__ import annotations
@@ -726,6 +732,96 @@ class PureFields:
     def mixture(self, beta: float) -> np.ndarray:
         """P(A e <= x) with coordinates i.i.d. beta*xi + (1-beta)*zeta."""
         return self.combine(mixture_weights(beta))
+
+
+# nodes per axis of a bracket table, -inf and +inf included
+_BRACKET_NODES = 256
+# node spread: axis i has nodes 1.2 * sigma_i * artanh(v), v uniform on [-1, 1]
+_BRACKET_SPREAD = 1.2
+# widens every bracket; the kernels' rows decrease by at most 2.2e-16
+# between thresholds q <= q' (tests hold them to 1e-12)
+_BRACKET_SLACK = 1e-9
+
+
+class BracketTable:
+    """The four pure-assignment rows of one matrix on a node grid, for
+    bounds on its mixture CDF by monotonicity.
+
+    Axis i has ``_BRACKET_NODES`` nodes c sigma_i artanh(v), v uniform on
+    [-1, 1] (so -inf and +inf at the ends, denser in the bulk), with
+    sigma_i = sqrt((A A^t)_ii) and c = 1.2.  A CDF is non-decreasing in each
+    coordinate, so for a point in the cell [x_a, x_a+1) x [y_b, y_b+1) a
+    nonnegative weighting of the rows lies between its values at (x_a, y_b)
+    and (x_a+1, y_b+1).  The same kernels compute the table and any exact
+    value it brackets, so only their monotonicity defect matters, which
+    ``_BRACKET_SLACK`` covers.  A row is computed by ``pure_cdf_batch`` when
+    a nonzero weight first reads it, so level zero builds the Gaussian row
+    alone.  The rows are the columns of one array, so that a point's four
+    values are read together.
+    """
+
+    def __init__(self, m, xi=CENTERED_EXPONENTIAL, zeta=STANDARD_NORMAL):
+        self.m = as_matrix(m)
+        self._scale = _BRACKET_SPREAD * np.sqrt(np.diag(self.m.aat()))
+        with np.errstate(divide="ignore"):
+            self.nodes = self._scale[:, None] * np.arctanh(np.linspace(-1.0, 1.0, _BRACKET_NODES))
+        self._comps = assignment_comps(xi, zeta)
+        # assignment a's row in column a, x node major; zero until read
+        self._rows = np.zeros((_BRACKET_NODES**2, len(ASSIGNMENTS)))
+        self._read = [False] * len(ASSIGNMENTS)
+
+    def cells(self, points) -> np.ndarray:
+        """Flat index a K + b of the lower-left node of each finite point's
+        cell, x_a <= x < x_a+1 and y_b <= y < y_b+1 exactly."""
+        pts = np.asarray(points, dtype=float)
+        if not np.isfinite(pts).all():
+            raise ValueError("bracket cells need finite points")
+        k = []
+        for x, nodes, scale in zip(np.ascontiguousarray(pts.T), self.nodes, self._scale):
+            # the inverse of the node map; the points its rounding puts in a
+            # neighbouring cell are searched
+            ka = ((np.tanh(x / scale) + 1.0) * ((_BRACKET_NODES - 1) / 2.0)).astype(np.intp)
+            np.minimum(ka, _BRACKET_NODES - 2, out=ka)
+            off = (x < nodes.take(ka)) | (x >= nodes.take(ka + 1))
+            if off.any():
+                ka[off] = np.searchsorted(nodes, x[off], side="right") - 1
+            k.append(ka)
+        return k[0] * _BRACKET_NODES + k[1]
+
+    def bracket(self, weights, points) -> tuple[np.ndarray, np.ndarray]:
+        """Bounds lo <= sum_a weights[a] * P_a(A e <= x) <= hi at each finite
+        point, for nonnegative weights, widened by ``_BRACKET_SLACK``."""
+        for a in np.flatnonzero(weights):
+            if not self._read[a]:
+                x, y = np.meshgrid(*self.nodes, indexing="ij")
+                nodes = np.column_stack([x.ravel(), y.ravel()])
+                self._rows[:, a] = pure_cdf_batch(self.m, self._comps[a], nodes)
+                self._read[a] = True
+        cell = self.cells(points)
+        # the cell's lower-left node, then its upper-right one
+        lo, hi = (self._rows.take(at, axis=0) @ weights for at in (cell, cell + _BRACKET_NODES + 1))
+        return lo - _BRACKET_SLACK, hi + _BRACKET_SLACK
+
+
+# the tables of the last two targets, by (matrix entries' bytes, xi, zeta)
+_BRACKET_TABLES: OrderedDict = OrderedDict()
+_BRACKET_TABLES_KEPT = 2
+_BRACKET_TABLES_LOCK = threading.Lock()
+
+
+def bracket_table(m, xi=CENTERED_EXPONENTIAL, zeta=STANDARD_NORMAL) -> BracketTable:
+    """This process's ``BracketTable`` of matrix m under (xi, zeta): the
+    tables of the last two targets asked for are kept."""
+    m = as_matrix(m)
+    key = (m.as_array().tobytes(), xi, zeta)
+    with _BRACKET_TABLES_LOCK:
+        table = _BRACKET_TABLES.get(key)
+        if table is None:
+            table = _BRACKET_TABLES[key] = BracketTable(m, xi, zeta)
+            while len(_BRACKET_TABLES) > _BRACKET_TABLES_KEPT:
+                _BRACKET_TABLES.popitem(last=False)
+        _BRACKET_TABLES.move_to_end(key)
+    return table
 
 
 def mixture_cdf_batch(

@@ -9,9 +9,11 @@ from mixident import montecarlo, pushforward
 
 @pytest.fixture(autouse=True)
 def empty_row_cache():
-    """Every test starts with no cached pure rows, so that a row another
-    test computed never stands in for a kernel call this one patches."""
+    """Every test starts with no cached pure rows and no bracket tables, so
+    that a row another test computed never stands in for a kernel call this
+    one patches."""
     pushforward._ROW_CACHE.clear()
+    pushforward._BRACKET_TABLES.clear()
 
 
 @pytest.fixture(autouse=True)
@@ -66,8 +68,8 @@ def fake_pool(monkeypatch):
 
         def map(self, fn, blocks):
             blocks = list(blocks)
-            assert all(indices for _, indices in blocks), "empty block submitted"
-            built.maps.append([len(indices) for _, indices in blocks])
+            assert all(indices for _, indices, _ in blocks), "empty block submitted"
+            built.maps.append([len(indices) for _, indices, _ in blocks])
             return map(fn, blocks)
 
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", FakePool)

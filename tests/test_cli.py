@@ -257,6 +257,30 @@ def test_experiment_rejects_a_lone_matrix(tmp_path, capsys, lone, by_file):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "rho, n, by_file, sid",
+    [
+        ("0.5", "100,100", False, "rho0.5-n100"),
+        ("0.5", "100,100", True, "rho0.5-n100"),
+        # distinct values that print alike under :g
+        ("0.3333331 0.3333334", "50", False, "rho0.333333-n50"),
+    ],
+)
+def test_experiment_rejects_repeated_scenario_ids(tmp_path, capsys, rho, n, by_file, sid):
+    out = tmp_path / "x.csv"
+    argv = ["experiment", "--reps", "4", "--grid-points", "50", "--out", str(out)]
+    if by_file:
+        cfg = tmp_path / "repeat.cfg"
+        cfg.write_text(f"rho_list={rho.replace(' ', ',')}\nn_list={n}\n")
+        argv += ["--config", str(cfg)]
+    else:
+        argv += [arg for r in rho.split() for arg in ("--rho", r)] + ["--n-list", n]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"scenario id {sid} more than once" in err
+    assert not out.exists()
+
+
 def test_registered_options_per_subcommand():
     (subs,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     options = {
@@ -410,6 +434,9 @@ def test_gamma_grid_count_parses_like_other_sizes(tmp_path, capsys, monkeypatch)
     out = tmp_path / "gamma.csv"
     assert main(["gamma", "--order", "1", "--grid=-3:3:4.0", "--out", str(out)]) == 0
     assert len(_gamma_table(out)) == 16
+    # one point needs no increasing range: it sits at lo
+    assert main(["gamma", "--order", "1", "--grid=2:1:1", "--out", str(out)]) == 0
+    assert _gamma_table(out)[:, :2].tolist() == [[2.0, 2.0]]
     # bad counts fail while the arguments are parsed, before any field
     monkeypatch.setattr(cli, "gamma_k_batch", None)
     for count in ("0", "-2", "2.5", "nan"):
@@ -461,6 +488,8 @@ def test_oversized_input_exits_one(tmp_path, capsys, argv, shape):
         (["experiment", "--matrix-b", "1,2"], "argument --matrix-b: matrix needs 4 row-major entries, got 2"),
         (["gamma", "--order", "1", "--grid=inf:6:3"], "argument --grid: grid ends must be finite, got inf:6.0"),
         (["gamma", "--order", "1", "--grid=-6:nan:3"], "argument --grid: grid ends must be finite, got -6.0:nan"),
+        (["gamma", "--order", "1", "--grid=1:1:5"], "argument --grid: grid of 5 points needs lo < hi, got 1.0:1.0"),
+        (["gamma", "--order", "1", "--grid=2:1:5"], "argument --grid: grid of 5 points needs lo < hi, got 2.0:1.0"),
     ],
 )
 def test_bad_typed_flag_keeps_its_reason(capsys, argv, reason):

@@ -13,10 +13,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mixident import montecarlo
+from mixident import montecarlo, pushforward
 from mixident.empirical import EvalGridSpec, build_eval_grid, draw_sample, sup_stat
 from mixident.expansion import estimate_K
-from mixident.laws import _SLICE_POINTS, CENTERED_EXPONENTIAL, STANDARD_NORMAL, RngStream
+from mixident.laws import (
+    _SLICE_POINTS,
+    CENTERED_EXPONENTIAL,
+    STANDARD_EXPONENTIAL,
+    STANDARD_NORMAL,
+    RngStream,
+)
 from mixident.montecarlo import (
     CSV_HEADER,
     PRESET_NAMES,
@@ -148,7 +154,7 @@ def _rebuilt_statistic(m_sample, m_target, beta, n, spec, stream):
 def _block(root, n, spec, beta, reps) -> np.ndarray:
     """Statistics of replications 0..reps-1 under ``root``, in one block."""
     job = (*A_PAIR, beta, n, spec, CENTERED_EXPONENTIAL, STANDARD_NORMAL, root)
-    return montecarlo._rep_block((job, range(reps)))[0]
+    return montecarlo._rep_block((job, range(reps), False))[0]
 
 
 @pytest.mark.parametrize(
@@ -199,6 +205,135 @@ def test_rep_block_rejects_non_finite_target(monkeypatch):
     monkeypatch.setattr(montecarlo, "pure_cdf_batch", broken)
     with pytest.raises(ValueError, match="non-finite"):
         _block(RngStream(1), 50, EvalGridSpec(m_points=40), 0.1, 3)
+
+
+# ---------------------------------------------------------------------------
+# bracketed blocks: the exact target only at the candidate corners
+
+
+def _random_pair(seed: int):
+    rng = np.random.default_rng(seed)
+    pair = []
+    while len(pair) < 2:
+        a = rng.normal(size=(2, 2))
+        if abs(np.linalg.det(a)) > 0.05:
+            pair.append(a)
+    return pair
+
+
+def _bracketed(s: Scenario, reps=None) -> np.ndarray:
+    reps = s.n_reps if reps is None else reps
+    return montecarlo._rep_block((montecarlo._scenario_job(s), range(reps), True))[0]
+
+
+@pytest.mark.parametrize(
+    "pair, n, m_points, reps, level, xi",
+    [
+        pytest.param(0, 150, 300, 8, dict(beta=0.3), CENTERED_EXPONENTIAL, id="random-beta0.3"),
+        pytest.param(1, 400, 500, 4, dict(beta=0.0), CENTERED_EXPONENTIAL, id="random-beta0"),
+        pytest.param(2, 200, 1000, 6, dict(beta=0.5), STANDARD_EXPONENTIAL, id="uncentered"),
+        pytest.param(3, 250, 500, 5, dict(beta=1.0), CENTERED_EXPONENTIAL, id="random-beta1"),
+        pytest.param(None, 500, 500, 6, dict(rho=0.25), STANDARD_EXPONENTIAL, id="worked-uncentered"),
+        pytest.param(4, 30, 900, 3, dict(beta=0.2), CENTERED_EXPONENTIAL, id="every-corner"),
+        pytest.param(5, 1, 1, 2, dict(beta=0.4), CENTERED_EXPONENTIAL, id="one-point"),
+        pytest.param(6, 5000, 500, 6, dict(beta=0.1), CENTERED_EXPONENTIAL, id="stacks-of-3"),
+        pytest.param(7, 20_000, 500, 2, dict(rho=0.4), CENTERED_EXPONENTIAL, id="stacks-of-1"),
+    ],
+)
+def test_bracketed_block_equals_run_replication(pair, n, m_points, reps, level, xi):
+    m_a, m_b = A_PAIR if pair is None else _random_pair(pair)
+    s = Scenario(
+        m_a, m_b, n, n_reps=reps, grid=EvalGridSpec(m_points=m_points),
+        master_seed=41, index=3, xi=xi, **level,
+    )
+    assert m_points <= n * n
+    got = _bracketed(s)
+    assert got.tolist() == [run_replication(s, r) for r in range(reps)]
+    # and the same again with the table already built
+    np.testing.assert_array_equal(_bracketed(s), got)
+
+
+def _counting(monkeypatch):
+    """Wrap ``pure_cdf_batch`` where the engine and the bracket table call
+    it; returns the list of (caller, points) of every call."""
+    calls = []
+
+    def wrap(where, fn):
+        def counted(m, comps, pts):
+            calls.append((where, len(pts)))
+            return fn(m, comps, pts)
+
+        return counted
+
+    monkeypatch.setattr(montecarlo, "pure_cdf_batch", wrap("engine", pure_cdf_batch))
+    monkeypatch.setattr(pushforward, "pure_cdf_batch", wrap("table", pure_cdf_batch))
+    return calls
+
+
+def _table_job(m_points: int, beta: float = 0.2):
+    return (*A_PAIR, beta, 150, EvalGridSpec(m_points=m_points), CENTERED_EXPONENTIAL,
+            STANDARD_NORMAL, RngStream(23))
+
+
+def test_blocks_are_bracketed_from_the_table_size_on(monkeypatch):
+    corners = pushforward._BRACKET_NODES ** 2
+    assert corners == 65_536
+    calls = _counting(monkeypatch)
+    # 63 replications of 1024 corners: every corner of every block, as before
+    below = montecarlo._run_jobs([(_table_job(1024), 63)], 1)
+    assert pushforward._BRACKET_TABLES == {}
+    assert calls == [("engine", 4 * 1024)] * (15 * 4) + [("engine", 3 * 1024)] * 4
+    calls.clear()
+    # 64: the table's four rows, then fewer corners per block
+    at = montecarlo._run_jobs([(_table_job(1024), 64)], 1)
+    assert len(pushforward._BRACKET_TABLES) == 1
+    assert calls[:4] == [("table", corners)] * 4
+    engine = [size for where, size in calls[4:] if where == "engine"]
+    assert len(engine) == 16 * 4 and max(engine) < 4 * 1024
+    assert [where for where, _ in calls[4:]] == ["engine"] * 64
+    np.testing.assert_array_equal(at[0][0][:63], below[0][0])
+    # two jobs of one target add up; the table is built once per process
+    calls.clear()
+    pushforward._BRACKET_TABLES.clear()
+    both = montecarlo._run_jobs([(_table_job(1024), 32), (_table_job(1024, 0.0), 32)], 1)
+    assert [where for where, _ in calls].count("table") == 4
+    np.testing.assert_array_equal(both[0][0], at[0][0][:32])
+    # a level-zero target builds its Gaussian row alone
+    calls.clear()
+    pushforward._BRACKET_TABLES.clear()
+    montecarlo._run_jobs([(_table_job(1024, 0.0), 64)], 1)
+    assert calls[0] == ("table", corners) and [w for w, _ in calls].count("table") == 1
+
+
+def test_bracketed_block_falls_back_when_a_value_leaves_its_bracket(monkeypatch):
+    # the engine's kernel evaluates another matrix than the table brackets,
+    # so exact values leave their brackets and the block evaluates every
+    # corner, as an unbracketed block does
+    other = _random_pair(11)[0]
+    calls = []
+
+    def elsewhere(m, comps, pts):
+        calls.append(len(pts))
+        return pure_cdf_batch(other, comps, pts)
+
+    monkeypatch.setattr(montecarlo, "pure_cdf_batch", elsewhere)
+    s = tiny_scenario(n=400, n_reps=6, grid=EvalGridSpec(m_points=500))
+    got = _bracketed(s)
+    assert calls[4:] == [6 * 500] * 4 and max(calls[:4]) < 6 * 500
+    assert got.tolist() == [run_replication(s, r) for r in range(6)]
+
+
+@pytest.mark.parametrize("where", ["table", "engine"])
+def test_bracketed_block_rejects_non_finite_values(monkeypatch, where):
+    # every table value, or the exact value at one candidate, is NaN
+    def broken(m, comps, pts):
+        out = pure_cdf_batch(m, comps, pts)
+        out[len(out) // 2 if where == "engine" else slice(None)] = np.nan
+        return out
+
+    monkeypatch.setattr(montecarlo if where == "engine" else pushforward, "pure_cdf_batch", broken)
+    with pytest.raises(ValueError, match="non-finite"):
+        _bracketed(tiny_scenario(n=150, grid=EvalGridSpec(m_points=300)), reps=3)
 
 
 def test_worker_count_does_not_change_stats():
@@ -521,6 +656,19 @@ def test_sweep_rejects_empty_lists():
         SweepConfig(A_PAIR[0], A_PAIR[1], rho_list=(), n_list=(50,))
     with pytest.raises(ValueError):
         SweepConfig(A_PAIR[0], A_PAIR[1], rho_list=(0.25,), n_list=())
+
+
+@pytest.mark.parametrize(
+    "rho_list, n_list, sid",
+    [
+        ((0.5,), (100, 100), "rho0.5-n100"),
+        ((0.25, 0.5, 0.25), (40, 60), "rho0.25-n40"),
+        ((0.3333331, 0.3333334), (50,), "rho0.333333-n50"),
+    ],
+)
+def test_sweep_rejects_repeated_scenario_ids(rho_list, n_list, sid):
+    with pytest.raises(ValueError, match=f"scenario id {sid} more than once"):
+        SweepConfig(A_PAIR[0], A_PAIR[1], rho_list=rho_list, n_list=n_list)
 
 
 def test_sweep_rejects_fractional_sample_sizes():

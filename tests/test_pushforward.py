@@ -538,6 +538,120 @@ def test_non_finite_engine_value_raises(monkeypatch, bad):
         mixture_cdf_batch(worked_matrix(), 0.3, [[0.1, 0.2]])
 
 
+# ---------------------------------------------------------------------------
+# monotonicity: the bracket table's assumption
+
+
+@st.composite
+def _monotone_cases(draw):
+    """A random, steep, near-triangular or near-singular matrix, a
+    contaminant, and 200 threshold pairs q <= q' (offsets 1e-12 to 1 per
+    coordinate, or none), some coordinates at -inf (q) or +inf (q')."""
+    kind = draw(st.sampled_from(["random", "steep", "near-triangular", "near-singular"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sign = rng.choice([-1.0, 1.0], size=(2, 2))
+    if kind == "random":
+        m = random_invertible(rng)
+    elif kind == "steep":
+        a1 = sign[:, 0] * 10.0 ** rng.uniform(-1.0, 3.0, 2)
+        m = as_matrix(np.column_stack([a1, a1 / (sign[:, 1] * 10.0 ** rng.uniform(-3.0, 3.0, 2))]))
+    elif kind == "near-triangular":
+        off = sign[0, 0] * 10.0 ** rng.uniform(-15.0, -6.0)
+        m = MixingMatrix2(rng.uniform(0.5, 2.0), off, rng.uniform(-1.0, 1.0), rng.uniform(0.5, 2.0))
+    else:
+        a, b = rng.uniform(0.5, 2.0, 2) * sign[0]
+        m = MixingMatrix2(a, b, a, b * (1.0 + 10.0 ** rng.uniform(-10.0, -6.0)))
+    sigma = np.sqrt(np.diag(m.aat()))
+    q = rng.uniform(-5.0, 5.0, size=(200, 2)) * sigma
+    step = 10.0 ** rng.uniform(-12.0, 0.0, size=(200, 2)) * sigma
+    q_hi = q + np.where(rng.random((200, 2)) < 0.2, 0.0, step)
+    q = np.where(rng.random((200, 2)) < 0.05, -np.inf, q)
+    q_hi = np.where(rng.random((200, 2)) < 0.05, np.inf, q_hi)
+    return m, draw(st.sampled_from([E, U])), q, q_hi
+
+
+@settings(
+    max_examples=60, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(_monotone_cases())
+def test_pure_rows_are_monotone_in_each_coordinate(case):
+    # the bracket of montecarlo._rep_block reads the rows at the nodes around
+    # a corner, so each row may decrease by no more than its slack of 1e-9
+    # between q <= q'; the kernels are held to 1e-12
+    m, xi, q, q_hi = case
+    assert np.all(q <= q_hi)
+    for comps in assignment_comps(xi, N):
+        low, high = pure_cdf_batch(m, comps, q), pure_cdf_batch(m, comps, q_hi)
+        assert np.min(high - low) >= -1e-12, (m, comps)
+
+
+def _bracket_points(table, rng):
+    """Points in the bulk and tails, on nodes and just inside each side of
+    a node cell."""
+    inner = [nodes[1:-1] for nodes in table.nodes]
+    k = rng.integers(0, len(inner[0]), size=(2, 300))
+    on = np.column_stack([inner[0][k[0]], inner[1][k[1]]])
+    sigma = np.sqrt(np.diag(table.m.aat()))
+    pts = [rng.normal(size=(300, 2)) * 3.0 * sigma, rng.uniform(-12.0, 12.0, size=(40, 2)) * sigma, on]
+    pts += [on + 1e-13, np.nextafter(on, -np.inf), on - 1e-13]
+    return np.concatenate(pts)
+
+
+@pytest.mark.parametrize("xi", [E, U], ids=["centered", "uncentered"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_bracket_table_cells_and_bounds(xi, seed):
+    rng = np.random.default_rng(seed)
+    m = random_invertible(rng)
+    table = pushforward.BracketTable(m, xi, N)
+    x_nodes, y_nodes = table.nodes
+    assert x_nodes[0] == y_nodes[0] == -np.inf and x_nodes[-1] == y_nodes[-1] == np.inf
+    assert np.all(np.diff(x_nodes) > 0) and np.all(np.diff(y_nodes) > 0)
+    pts = _bracket_points(table, rng)
+    a, b = np.divmod(table.cells(pts), pushforward._BRACKET_NODES)
+    assert np.all((x_nodes[a] <= pts[:, 0]) & (pts[:, 0] < x_nodes[a + 1]))
+    assert np.all((y_nodes[b] <= pts[:, 1]) & (pts[:, 1] < y_nodes[b + 1]))
+    for beta in (0.0, 0.3, 1.0):
+        lo, hi = table.bracket(mixture_weights(beta), pts)
+        exact = mixture_cdf_batch(m, beta, pts, xi=xi)
+        assert np.all((lo <= exact) & (exact <= hi)), beta
+    with pytest.raises(ValueError, match="finite"):
+        table.cells([[0.1, np.inf]])
+
+
+def test_bracket_slack_covers_a_monotonicity_defect(monkeypatch):
+    # a kernel that dithers each value down by up to 1e-10 decreases by that
+    # much between nearby thresholds; the slack keeps every value bracketed
+    def dithered(m, comps, pts):
+        finite = np.nan_to_num(pts, posinf=1.0, neginf=-1.0)
+        return kernel(m, comps, pts) - 1e-10 * np.sin(finite @ [1e4, 3e4]) ** 2
+
+    kernel = pure_cdf_batch
+    monkeypatch.setattr(pushforward, "pure_cdf_batch", dithered)
+    m = worked_matrix()
+    table = pushforward.BracketTable(m)
+    pts = _bracket_points(table, np.random.default_rng(4))
+    weights = mixture_weights(0.3)
+    lo, hi = table.bracket(weights, pts)
+    exact = pushforward.weighted_rows(
+        weights, lambda a: dithered(m, assignment_comps(E, N)[a], pts), len(pts)
+    )
+    assert np.all((lo <= exact) & (exact <= hi))
+
+
+def test_bracket_tables_keep_the_last_two_targets():
+    a, b = MixingMatrix2(1.0, 0.0, 0.1, 1.0), MixingMatrix2(1.0, 0.0, 0.2, 1.0)
+    first = pushforward.bracket_table(a)
+    assert pushforward.bracket_table(a) is first
+    other = pushforward.bracket_table(a, U, N)
+    assert other is not first
+    pushforward.bracket_table(a)  # read again, so the latest
+    pushforward.bracket_table(b)
+    assert len(pushforward._BRACKET_TABLES) == 2
+    assert pushforward.bracket_table(a) is first
+    assert pushforward.bracket_table(a, U, N) is not other
+
+
 @pytest.mark.parametrize("n_inner", [0, 1, 2, 3])
 def test_interior_row_ordering_equals_sort(n_inner):
     # the breakpoint rows of the closed form: tlo, the candidates clipped to
