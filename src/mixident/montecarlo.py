@@ -28,8 +28,9 @@ replication's sample and corners, counts the corners of up to
 ``laws._SLICE_POINTS`` sample points at a time as one stacked sample,
 then evaluates the target CDF once on the block's concatenated grids
 rather than once per grid.  When a call evaluates one target at
-``pushforward._BRACKET_NODES``^2 corners or more, its blocks bracket the
-target first: a CDF is monotone in each coordinate, so the target's
+``pushforward._BRACKET_NODES``^2 corners or more of contaminated jobs
+with n up to ``_BRACKET_MAX_N``, those jobs' blocks bracket the target
+first: a CDF is monotone in each coordinate, so the target's
 ``pushforward.bracket_table`` (its pure rows on a node grid, built once
 per process) bounds it at every corner, and the exact value is computed
 only at the corners whose deviation bound can still reach their
@@ -168,6 +169,15 @@ class ScenarioResult:
 # overhead once per block of replications, not once per grid
 _TARGET_CHUNK = 4096
 
+# largest n at which whole runs were measured faster with brackets (the
+# fig1-left-desk cells).  Candidates grow with n, from 3-6% of the corners
+# at 5000 to 8-28% at 20 000 and 64-90% at 100 000 to 200 000 (rho 0.75),
+# where a block stops gaining; whole fig1-right-desk and fig1-right runs
+# showed no gain.  At level zero the target is the one cheap Gaussian
+# row, whose bracket saved at most 7% of a block (n = 100) and lost from
+# n = 5000 on, so level-zero jobs are never bracketed.
+_BRACKET_MAX_N = 5000
+
 
 def _rep_block(args) -> tuple[np.ndarray, float]:
     """Statistics of replications ``indices`` of a job, and the milliseconds
@@ -245,11 +255,6 @@ def _bracketed_sup(weak, strict, n: int, bracket, pts, target) -> np.ndarray | N
     dev = np.full(weak.shape, -np.inf)
     dev.flat[at] = np.maximum(np.abs(fw.flat[at] - g), np.abs(fs.flat[at] - g))
     return math.sqrt(n) * np.max(dev, axis=-1)
-
-
-def _target(job) -> tuple:
-    """The target matrix and laws of a job."""
-    return job[1], job[5], job[6]
 
 
 def _scenario_job(s: Scenario) -> tuple:
@@ -330,25 +335,29 @@ def _run_jobs(jobs, workers: int) -> list[tuple[np.ndarray, float]]:
     replication), and at most an even share of all replications per
     worker, so every worker of the pool has a block to run.
 
-    The blocks of a target (matrix and laws) that the call evaluates at
-    ``_BRACKET_NODES``^2 corners or more are bracketed (see
-    ``_bracketed_sup``): its ``pushforward.bracket_table``, which each
-    process builds once, costs about as much as evaluating that many
-    corners.  The others evaluate every corner.
+    A job is bracketed (see ``_bracketed_sup``) when its level is above
+    zero and its n is at most ``_BRACKET_MAX_N``, and the call's jobs that
+    are both hold ``_BRACKET_NODES``^2 corners or more in all; every job
+    of a call has the same target.  The other jobs evaluate every corner.
+    Each process that runs a bracketed block builds the target's
+    ``pushforward.bracket_table`` once, 50-70 ms for its four rows, and
+    keeps it for later calls; the bracket saves about 0.5 us per corner.
+    So a one-off call just above the threshold on two workers pays more
+    for its two tables than it saves, while repeated calls on the same
+    pool, and larger calls, gain.
     """
     (workers,) = _whole_numbers((workers,))
     if workers < 1:
         raise ValueError(f"need at least one worker, got {workers}")
     size = min(workers, max(n for _, n in jobs), _usable_cpus())
     share = math.ceil(sum(n for _, n in jobs) / size)
-    # corners per target; job[4] is the job's EvalGridSpec
-    corners = Counter()
-    for job, n in jobs:
-        corners[_target(job)] += n * job[4].m_points
+    # job = (m_sample, m_target, beta, n, grid, ...)
+    eligible = [job[2] > 0.0 and job[3] <= _BRACKET_MAX_N for job, _ in jobs]
+    corners = sum(n * job[4].m_points for (job, n), ok in zip(jobs, eligible) if ok)
     blocks, owners = [], []
-    for k, (job, n) in enumerate(jobs):
+    for k, ((job, n), ok) in enumerate(zip(jobs, eligible)):
         step = max(1, min(_TARGET_CHUNK // job[4].m_points, share))
-        bracketed = corners[_target(job)] >= _BRACKET_NODES**2
+        bracketed = ok and corners >= _BRACKET_NODES**2
         for lo in range(0, n, step):
             blocks.append((job, range(lo, min(lo + step, n)), bracketed))
             owners.append(k)

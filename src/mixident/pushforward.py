@@ -755,8 +755,8 @@ class BracketTable:
     and (x_a+1, y_b+1).  The same kernels compute the table and any exact
     value it brackets, so only their monotonicity defect matters, which
     ``_BRACKET_SLACK`` covers.  A row is computed by ``pure_cdf_batch`` when
-    a nonzero weight first reads it, so level zero builds the Gaussian row
-    alone.  The rows are the columns of one array, so that a point's four
+    a nonzero weight first reads it, so level one builds the all-exponential
+    row alone.  The rows are the columns of one array, so that a point's four
     values are read together.
     """
 

@@ -270,8 +270,8 @@ def _counting(monkeypatch):
     return calls
 
 
-def _table_job(m_points: int, beta: float = 0.2):
-    return (*A_PAIR, beta, 150, EvalGridSpec(m_points=m_points), CENTERED_EXPONENTIAL,
+def _table_job(m_points: int, beta: float = 0.2, n: int = 150):
+    return (*A_PAIR, beta, n, EvalGridSpec(m_points=m_points), CENTERED_EXPONENTIAL,
             STANDARD_NORMAL, RngStream(23))
 
 
@@ -295,14 +295,27 @@ def test_blocks_are_bracketed_from_the_table_size_on(monkeypatch):
     # two jobs of one target add up; the table is built once per process
     calls.clear()
     pushforward._BRACKET_TABLES.clear()
-    both = montecarlo._run_jobs([(_table_job(1024), 32), (_table_job(1024, 0.0), 32)], 1)
+    both = montecarlo._run_jobs([(_table_job(1024), 32), (_table_job(1024, 0.5), 32)], 1)
     assert [where for where, _ in calls].count("table") == 4
     np.testing.assert_array_equal(both[0][0], at[0][0][:32])
-    # a level-zero target builds its Gaussian row alone
+    # a level-one target builds its all-exponential row alone
+    calls.clear()
+    pushforward._BRACKET_TABLES.clear()
+    montecarlo._run_jobs([(_table_job(1024, 1.0), 64)], 1)
+    assert calls[0] == ("table", corners) and [w for w, _ in calls].count("table") == 1
+    # level-zero jobs neither bracket nor count towards the threshold
     calls.clear()
     pushforward._BRACKET_TABLES.clear()
     montecarlo._run_jobs([(_table_job(1024, 0.0), 64)], 1)
-    assert calls[0] == ("table", corners) and [w for w, _ in calls].count("table") == 1
+    montecarlo._run_jobs([(_table_job(1024), 32), (_table_job(1024, 0.0), 32)], 1)
+    assert pushforward._BRACKET_TABLES == {}
+    assert {size for _, size in calls} == {4 * 1024}
+    # nor do jobs with n above _BRACKET_MAX_N
+    calls.clear()
+    big = _table_job(corners, n=montecarlo._BRACKET_MAX_N + 1)
+    montecarlo._run_jobs([(big, 1), (_table_job(1024), 32)], 1)
+    assert pushforward._BRACKET_TABLES == {}
+    assert [where for where, _ in calls] == ["engine"] * len(calls)
 
 
 def test_bracketed_block_falls_back_when_a_value_leaves_its_bracket(monkeypatch):
