@@ -27,6 +27,7 @@ from .expansion import (
     sup_on_grid,
 )
 from .laws import ContaminatedLaw, _distances_to_background, _scan
+from .montecarlo import table_lines
 from .pushforward import PureFields, as_matrix, equal_product_pair, mixture_cdf_batch
 
 # central tolerance table; acceptance criteria cite these entries
@@ -243,24 +244,12 @@ def run_checks(which: str = "all") -> list[CheckReport]:
 
 
 def reports_csv_lines(reports: list[CheckReport], metadata: dict | None = None) -> list[str]:
-    lines = [f"# {k}: {v}" for k, v in (metadata or {}).items()]
-    lines.append("check,quantity,value,comparator,threshold,ok")
+    rows = []
     for rep in reports:
         for row in rep.rows:
             thr = row.threshold
-            thr_txt = (
-                f"[{thr[0]:g};{thr[1]:g}]" if isinstance(thr, tuple) else repr(float(thr))
-            )
-            lines.append(
-                ",".join(
-                    [
-                        rep.check_id,
-                        row.quantity,
-                        repr(row.value),
-                        row.comparator,
-                        thr_txt,
-                        "1" if row.ok else "0",
-                    ]
-                )
-            )
-    return lines
+            thr_cell = f"[{thr[0]:g};{thr[1]:g}]" if isinstance(thr, tuple) else float(thr)
+            rows.append((
+                rep.check_id, row.quantity, row.value, row.comparator, thr_cell, int(row.ok)
+            ))
+    return table_lines("check,quantity,value,comparator,threshold,ok", rows, metadata)

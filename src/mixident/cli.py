@@ -5,7 +5,8 @@ on success, 1 on a validation or usage error, 2 when a numerical check
 fails.  Every CSV the tool writes starts with '#'-prefixed metadata
 lines so a result file is self-describing: experiment echoes its whole
 resolved configuration, limit and gamma the matrix they used and the
-settings they read.
+settings they read.  Each table is laid out by ``montecarlo.table_lines``,
+and every file, SVG included, is written by ``montecarlo.write_text``.
 
 A run's settings resolve in layers, each overriding the one before:
 the command's base (for experiment, the --preset's rho_list, n_list, c,
@@ -42,6 +43,8 @@ from .montecarlo import (
     preset_config,
     results_csv_lines,
     run_sweep,
+    table_lines,
+    write_text,
 )
 from .pushforward import as_matrix, equal_product_pair, mixture_pushforward_cdf
 from .svgplot import AxesSpec, Series, render_line_chart
@@ -251,8 +254,7 @@ def _resolve_config(args, **base) -> Config:
 
 def _write_text(path, text: str) -> None:
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        write_text(path, text)
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc}") from exc
 
@@ -359,10 +361,7 @@ def cmd_gamma(args) -> int:
         config, "gamma", ("center_xi",),
         order=str(args.order), grid=f"{lo!r}:{hi!r}:{n_side}", matrix=_render_matrix(m),
     )
-    lines = [f"# {k}: {v}" for k, v in meta.items()]
-    lines.append("x1,x2,value")
-    for (x1, x2), v in zip(grid.points, values):
-        lines.append(f"{float(x1)!r},{float(x2)!r},{float(v)!r}")
+    lines = table_lines("x1,x2,value", np.column_stack([grid.points, values]), meta)
     _write_text(config.out, "\n".join(lines) + "\n")
     print(f"wrote {len(values)} field values to {config.out}")
     return 0

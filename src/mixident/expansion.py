@@ -133,10 +133,14 @@ def estimate_K(m_a, m_b, grid: EvalGrid | None = None) -> float:
     """
     if grid is None:
         grid = EvalGrid.tensor()
-    base_gap = mixture_sup_gap(m_a, m_b, 0.0, grid)
+    # one PureFields per matrix, so that the guard's Gaussian rows serve the
+    # field gap too on grids whose rows are too large for the row cache
+    f_a, f_b = (PureFields(m, grid.points) for m in (m_a, m_b))
+    base_gap = sup_on_grid(f_a.mixture(0.0) - f_b.mixture(0.0))
     if base_gap > 1e-8:
         raise ValueError(
             f"uncontaminated models differ by {base_gap:.2e}; K is undefined"
         )
-    gap = gamma_k_batch(m_a, 1, grid.points) - gamma_k_batch(m_b, 1, grid.points)
-    return DEFAULT_MEASURE.norm_c * sup_on_grid(gap)
+    c = DEFAULT_MEASURE.norm_c
+    gap = f_a.combine(GAMMA_WEIGHTS[1]) / c - f_b.combine(GAMMA_WEIGHTS[1]) / c
+    return c * sup_on_grid(gap)

@@ -125,6 +125,10 @@ class RngStream:
     master_seed: int
     path: tuple[int, ...] = ()
 
+    def __post_init__(self):
+        if self.master_seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.master_seed}")
+
     def child(self, *indices: int) -> "RngStream":
         return RngStream(self.master_seed, self.path + tuple(indices))
 

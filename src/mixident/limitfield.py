@@ -32,7 +32,7 @@ import numpy as np
 from .empirical import GRID_MODE, EvalGridSpec, _check_sample_size, _whole_numbers
 from .expansion import DEFAULT_MEASURE, P_DIM
 from .laws import CENTERED_EXPONENTIAL, STANDARD_NORMAL, RngStream
-from .montecarlo import _run_jobs
+from .montecarlo import _run_jobs, table_lines
 from .pushforward import as_matrix
 
 
@@ -143,21 +143,8 @@ def limit_results_csv_lines(
     metadata: dict | None = None,
 ) -> list[str]:
     """Survival table rows for the CLI: one line per threshold."""
-    lines = [f"# {k}: {v}" for k, v in (metadata or {}).items()]
-    lines.append("c,estimate,stderr,n0,n_draws,grid_mode,grid_points")
+    rows = []
     for c in c_list:
         p, se = limit.survival(float(c))
-        lines.append(
-            ",".join(
-                [
-                    repr(float(c)),
-                    repr(p),
-                    repr(se),
-                    str(limit.n0),
-                    str(limit.n_draws),
-                    GRID_MODE,
-                    str(limit.grid.m_points),
-                ]
-            )
-        )
-    return lines
+        rows.append((float(c), p, se, limit.n0, limit.n_draws, GRID_MODE, limit.grid.m_points))
+    return table_lines("c,estimate,stderr,n0,n_draws,grid_mode,grid_points", rows, metadata)

@@ -12,6 +12,10 @@ are identical no matter how replications are scheduled across workers.
 Scenario CSV output is byte-identical across worker counts; wall-clock
 timing is therefore kept out of the CSV unless explicitly requested.
 
+Tables: ``table_lines`` lays out every table the tool writes (the sweep
+results here, the limit law's survival table, the ``verify`` report and
+the ``gamma`` field), and ``write_text`` writes every file it writes.
+
 Parallelism: a call runs every replication it needs as one job queue on
 one process pool.  The pool size is the requested worker count clamped
 to the largest scenario's replication count and to the CPUs available to
@@ -500,12 +504,24 @@ CSV_HEADER = (
 )
 
 
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+def table_lines(header: str, rows, metadata: dict | None = None) -> list[str]:
+    """A table the tool writes, as lines: ``# key: value`` per metadata
+    item, the header, then each row's cells joined by commas; None prints
+    empty, a float by ``repr``, anything else by ``str``."""
+    lines = [f"# {key}: {value}" for key, value in (metadata or {}).items()]
+    lines.append(header)
+    for row in rows:
+        lines.append(",".join(
+            "" if v is None else repr(float(v)) if isinstance(v, float) else str(v) for v in row
+        ))
+    return lines
+
+
+def write_text(path, text: str) -> None:
+    """Writes ``text`` to ``path`` as UTF-8 with bare newlines; every file
+    the tool writes goes through here."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
 
 
 def results_csv_lines(
@@ -514,31 +530,15 @@ def results_csv_lines(
     timing: bool = False,
 ) -> list[str]:
     """CSV content as lines; timing off keeps output byte-reproducible."""
-    lines = []
-    for key, value in (metadata or {}).items():
-        lines.append(f"# {key}: {value}")
-    lines.append(CSV_HEADER)
+    rows = []
     for res in results:
         s = res.scenario
-        lines.append(
-            ",".join(
-                [
-                    s.scenario_id,
-                    _fmt(s.rho),
-                    _fmt(float(s.beta_n)),
-                    str(s.n),
-                    _fmt(float(s.c)),
-                    str(s.n_reps),
-                    GRID_MODE,
-                    str(s.grid.m_points),
-                    _fmt(res.estimate),
-                    _fmt(res.stderr),
-                    str(s.master_seed),
-                    _fmt(res.wall_ms) if timing else "",
-                ]
-            )
-        )
-    return lines
+        rows.append((
+            s.scenario_id, s.rho, float(s.beta_n), s.n, float(s.c), s.n_reps, GRID_MODE,
+            s.grid.m_points, res.estimate, res.stderr, s.master_seed,
+            res.wall_ms if timing else None,
+        ))
+    return table_lines(CSV_HEADER, rows, metadata)
 
 
 def write_results_csv(
@@ -547,9 +547,7 @@ def write_results_csv(
     metadata: dict | None = None,
     timing: bool = False,
 ) -> None:
-    text = "\n".join(results_csv_lines(results, metadata, timing)) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    write_text(path, "\n".join(results_csv_lines(results, metadata, timing)) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,7 @@ each once all four rows are read.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import threading
@@ -248,7 +249,8 @@ def _bvn_upper(h: np.ndarray, k: np.ndarray, r: float) -> np.ndarray:
             )
             b = np.sqrt(bs)
             sp = _SQRT_TWOPI * ndtr(-b / a)
-            e1 = np.exp(np.maximum(-hk / 2.0, -745.0))
+            # clamped from above too: the lanes with -hk >= 100 are dropped
+            e1 = np.exp(np.clip(-hk / 2.0, -745.0, 50.0))
             bvn = bvn - np.where(
                 -hk < 100.0,
                 e1 * sp * b * (1.0 - c * bs * (1.0 - d * bs / 5.0) / 3.0),
@@ -803,25 +805,16 @@ class BracketTable:
         return lo - _BRACKET_SLACK, hi + _BRACKET_SLACK
 
 
-# the tables of the last two targets, by (matrix entries' bytes, xi, zeta)
-_BRACKET_TABLES: OrderedDict = OrderedDict()
-_BRACKET_TABLES_KEPT = 2
-_BRACKET_TABLES_LOCK = threading.Lock()
-
-
 def bracket_table(m, xi=CENTERED_EXPONENTIAL, zeta=STANDARD_NORMAL) -> BracketTable:
     """This process's ``BracketTable`` of matrix m under (xi, zeta): the
     tables of the last two targets asked for are kept."""
-    m = as_matrix(m)
-    key = (m.as_array().tobytes(), xi, zeta)
-    with _BRACKET_TABLES_LOCK:
-        table = _BRACKET_TABLES.get(key)
-        if table is None:
-            table = _BRACKET_TABLES[key] = BracketTable(m, xi, zeta)
-            while len(_BRACKET_TABLES) > _BRACKET_TABLES_KEPT:
-                _BRACKET_TABLES.popitem(last=False)
-        _BRACKET_TABLES.move_to_end(key)
-    return table
+    # bytes, not the dataclass: -0.0 and 0.0 entries stay apart
+    return _bracket_table(as_matrix(m).as_array().tobytes(), xi, zeta)
+
+
+@functools.lru_cache(maxsize=2)
+def _bracket_table(entries: bytes, xi, zeta) -> BracketTable:
+    return BracketTable(np.frombuffer(entries).reshape(2, 2), xi, zeta)
 
 
 def mixture_cdf_batch(

@@ -13,7 +13,7 @@ def empty_row_cache():
     that a row another test computed never stands in for a kernel call this
     one patches."""
     pushforward._ROW_CACHE.clear()
-    pushforward._BRACKET_TABLES.clear()
+    pushforward._bracket_table.cache_clear()
 
 
 @pytest.fixture(autouse=True)

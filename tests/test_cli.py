@@ -348,6 +348,20 @@ def test_nan_threshold_exits_one(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["experiment", "--rho", "0.25", "--n-list", "60", "--seed", "-1"],
+        ["limit", "--n0", "50", "--seed", "-5"],
+    ],
+)
+def test_negative_seed_exits_one_naming_it(tmp_path, capsys, argv):
+    out = tmp_path / "s.csv"
+    assert main([*argv, "--reps", "3", "--grid-points", "16", "--out", str(out)]) == 1
+    assert f"seed must be nonnegative, got {argv[-1]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("c_list", ["nan", "0.5,-0.1", "-inf,1.0"])
 def test_limit_rejects_bad_thresholds_before_simulating(tmp_path, monkeypatch, capsys, c_list):
     simulated = []

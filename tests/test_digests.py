@@ -1,9 +1,12 @@
-"""Standing bit-identity gate on the replication engine's raw statistics.
+"""Standing bit-identity gate on the replication engine's raw statistics
+and on the files the command line writes.
 
-Each case hashes the float64 statistics of a fixed run with SHA-256.  A
-change that only makes the engine faster must leave every digest as it
-is.  A change that means to alter the draws or the bits of a statistic
-re-pins the digests here, with a CHANGES.md line saying why.
+Each case hashes, with SHA-256, the float64 statistics of a fixed run or
+the exact bytes of a file a fixed command writes.  A change that only
+makes the engine faster, or only reorganizes how tables are written, must
+leave every digest as it is.  A change that means to alter the draws, the
+bits of a statistic or the layout of a file re-pins the digests here,
+with a CHANGES.md line saying why.
 """
 
 import hashlib
@@ -12,6 +15,7 @@ import numpy as np
 import pytest
 
 from mixident import pushforward
+from mixident.cli import main
 from mixident.laws import STANDARD_EXPONENTIAL
 from mixident.limitfield import simulate_limit_sup
 from mixident.montecarlo import estimate_probability, preset_config, run_sweep
@@ -24,9 +28,19 @@ DIGESTS = {
     "limit": "a0080e17d6edba5997180b9984895609dded8a21394e860f1092bb1916cd89fb",
 }
 
+# the files of fixed commands: a reduced left-desk sweep and its plot, a
+# small limit law, the verify report and the first-order gamma field
+FILE_DIGESTS = {
+    "experiment": "44545aa9ec1ce4c9c2ae86101e6bf81703dba3b2beb263e69851d18a7180c355",
+    "plot": "46c8f042925f55cbdc543f656a3ffe32af19774b977bdbb9abba4440c5500ef1",
+    "limit": "332b0092f78be143a39a89d090fdc385d8d6ea8adb30b5b0bd7855304f0f60a7",
+    "verify": "0f3f6cb72d257f5c5ae4b9295333caee356e504d67fc6bcccb2cd064a58307d1",
+    "gamma": "284576b83d14e46898a859f5dd1b10115dd834001a857e5ac6493a8f7d14a4de",
+}
+
 _REPIN = (
-    "raw statistics of {name} changed bits; a deliberate change of draws or "
-    "bits re-pins the digests in tests/test_digests.py, with a CHANGES.md "
+    "{name} changed bits; a deliberate change of draws, bits or layout "
+    "re-pins the digests in tests/test_digests.py, with a CHANGES.md "
     "line saying why"
 )
 
@@ -36,7 +50,12 @@ def _digest(stats) -> str:
 
 
 def _check(name, stats):
-    assert _digest(stats) == DIGESTS[name], _REPIN.format(name=name)
+    assert _digest(stats) == DIGESTS[name], _REPIN.format(name=f"raw statistics of {name}")
+
+
+def _check_file(name, path):
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == FILE_DIGESTS[name], _REPIN.format(name=f"the {name} file")
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -67,3 +86,27 @@ def test_right_desk_cell_statistics_are_pinned():
 def test_limit_draws_are_pinned():
     m = equal_product_pair(0.4)[0]
     _check("limit", simulate_limit_sup(m, n0=2000, n_draws=20).draws)
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_experiment_and_plot_files_are_pinned(tmp_path, workers):
+    csv, svg = tmp_path / "x.csv", tmp_path / "x.svg"
+    argv = ["experiment", "--preset", "fig1-left-desk", "--reps", "2", "--workers", workers]
+    assert main([*argv, "--out", str(csv)]) == 0
+    _check_file("experiment", csv)
+    assert main(["plot", "--in", str(csv), "--out", str(svg)]) == 0
+    _check_file("plot", svg)
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("limit", ["limit", "--n0", "500", "--reps", "5"]),
+        ("verify", ["verify"]),
+        ("gamma", ["gamma", "--order", "1"]),
+    ],
+)
+def test_table_files_are_pinned(tmp_path, name, argv):
+    out = tmp_path / f"{name}.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    _check_file(name, out)

@@ -19,6 +19,7 @@ from mixident.laws import (
     STANDARD_EXPONENTIAL,
     STANDARD_NORMAL,
 )
+from mixident import pushforward
 from mixident.pushforward import (
     as_matrix,
     equal_product_pair,
@@ -264,6 +265,20 @@ def test_estimate_K_is_scaled_grid_sup_of_field_gap():
     g = EvalGrid.tensor(-6.0, 6.0, 41)
     sup = sup_on_grid(gamma_k_batch(m_a, 1, g.points) - gamma_k_batch(m_b, 1, g.points))
     assert estimate_K(m_a, m_b, g) == DEFAULT_MEASURE.norm_c * sup
+
+
+@pytest.mark.parametrize("n, k_const", [(101, 0.09351603186261476), (400, 0.10660498561694615)])
+def test_estimate_K_computes_each_pure_row_once(monkeypatch, n, k_const):
+    # a 400^2 row is too large for the row cache, so the level-zero guard's
+    # Gaussian rows must be the ones the field gap reads: six kernel calls,
+    # NN, EN and NE of each matrix
+    calls = []
+    real = pushforward.pure_cdf_batch
+    monkeypatch.setattr(
+        pushforward, "pure_cdf_batch", lambda *args: calls.append(args[1]) or real(*args)
+    )
+    assert estimate_K(*equal_product_pair(0.4), EvalGrid.tensor(n=n)) == k_const
+    assert len(calls) == 6
 
 
 def test_divergence_rate_matches_small_level_slope():

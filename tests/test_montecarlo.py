@@ -281,12 +281,12 @@ def test_blocks_are_bracketed_from_the_table_size_on(monkeypatch):
     calls = _counting(monkeypatch)
     # 63 replications of 1024 corners: every corner of every block, as before
     below = montecarlo._run_jobs([(_table_job(1024), 63)], 1)
-    assert pushforward._BRACKET_TABLES == {}
+    assert pushforward._bracket_table.cache_info().currsize == 0
     assert calls == [("engine", 4 * 1024)] * (15 * 4) + [("engine", 3 * 1024)] * 4
     calls.clear()
     # 64: the table's four rows, then fewer corners per block
     at = montecarlo._run_jobs([(_table_job(1024), 64)], 1)
-    assert len(pushforward._BRACKET_TABLES) == 1
+    assert pushforward._bracket_table.cache_info().currsize == 1
     assert calls[:4] == [("table", corners)] * 4
     engine = [size for where, size in calls[4:] if where == "engine"]
     assert len(engine) == 16 * 4 and max(engine) < 4 * 1024
@@ -294,27 +294,27 @@ def test_blocks_are_bracketed_from_the_table_size_on(monkeypatch):
     np.testing.assert_array_equal(at[0][0][:63], below[0][0])
     # two jobs of one target add up; the table is built once per process
     calls.clear()
-    pushforward._BRACKET_TABLES.clear()
+    pushforward._bracket_table.cache_clear()
     both = montecarlo._run_jobs([(_table_job(1024), 32), (_table_job(1024, 0.5), 32)], 1)
     assert [where for where, _ in calls].count("table") == 4
     np.testing.assert_array_equal(both[0][0], at[0][0][:32])
     # a level-one target builds its all-exponential row alone
     calls.clear()
-    pushforward._BRACKET_TABLES.clear()
+    pushforward._bracket_table.cache_clear()
     montecarlo._run_jobs([(_table_job(1024, 1.0), 64)], 1)
     assert calls[0] == ("table", corners) and [w for w, _ in calls].count("table") == 1
     # level-zero jobs neither bracket nor count towards the threshold
     calls.clear()
-    pushforward._BRACKET_TABLES.clear()
+    pushforward._bracket_table.cache_clear()
     montecarlo._run_jobs([(_table_job(1024, 0.0), 64)], 1)
     montecarlo._run_jobs([(_table_job(1024), 32), (_table_job(1024, 0.0), 32)], 1)
-    assert pushforward._BRACKET_TABLES == {}
+    assert pushforward._bracket_table.cache_info().currsize == 0
     assert {size for _, size in calls} == {4 * 1024}
     # nor do jobs with n above _BRACKET_MAX_N
     calls.clear()
     big = _table_job(corners, n=montecarlo._BRACKET_MAX_N + 1)
     montecarlo._run_jobs([(big, 1), (_table_job(1024), 32)], 1)
-    assert pushforward._BRACKET_TABLES == {}
+    assert pushforward._bracket_table.cache_info().currsize == 0
     assert [where for where, _ in calls] == ["engine"] * len(calls)
 
 

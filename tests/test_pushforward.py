@@ -209,6 +209,18 @@ def test_bvn_high_correlation_batch_equals_scalar():
     np.testing.assert_array_equal(batch, scalar)
 
 
+def test_high_correlation_rows_are_quiet_far_in_the_tails():
+    # correlation 0.995: thresholds of opposite sign with h k below -1419
+    # sit on lanes the branch drops, whose exponent must not overflow (the
+    # suite makes that RuntimeWarning an error)
+    m = MixingMatrix2(1.0, 0.0, 0.99, 0.1)
+    sigma = np.sqrt(np.diag(m.aat()))
+    t = np.geomspace(1.0, 1e3, 31)
+    row = pure_cdf_batch(m, (N, N), np.column_stack([np.r_[t, -t], np.r_[-t, t]]))
+    # one coordinate far below, the other far above: the lower margin
+    np.testing.assert_allclose(row, np.r_[ndtr(-t / sigma[1]), ndtr(-t)], rtol=0, atol=1e-12)
+
+
 def test_bvn_infinite_thresholds_take_their_limits():
     x = np.array([-1.3, 0.0, 0.7])
     inf = np.full(3, np.inf)
@@ -647,9 +659,11 @@ def test_bracket_tables_keep_the_last_two_targets():
     assert other is not first
     pushforward.bracket_table(a)  # read again, so the latest
     pushforward.bracket_table(b)
-    assert len(pushforward._BRACKET_TABLES) == 2
+    assert pushforward._bracket_table.cache_info().currsize == 2
     assert pushforward.bracket_table(a) is first
     assert pushforward.bracket_table(a, U, N) is not other
+    # keyed by the entries' bytes: a -0.0 entry is another target
+    assert pushforward.bracket_table(MixingMatrix2(1.0, -0.0, 0.1, 1.0)) is not first
 
 
 @pytest.mark.parametrize("n_inner", [0, 1, 2, 3])
