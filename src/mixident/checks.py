@@ -7,8 +7,8 @@ ids double as CLI tokens, so they are short and stable.
 
 The checks measure the same public calls that users run
 (``mixture_cdf_batch``, ``gamma_k_batch``, ``mixture_sup_gap`` and
-``estimate_K``); calls on one grid share their pure rows through the row
-cache of ``pushforward.PureFields``.
+``estimate_K``); calls on one grid share its digest and their pure rows
+through the row cache of ``pushforward.PureFields``.
 """
 
 from __future__ import annotations
@@ -97,14 +97,14 @@ def check_thm31() -> CheckReport:
     """
     c = DEFAULT_MEASURE.norm_c
     m = equal_product_pair(0.4)[0]
-    points = EvalGrid.tensor().points
-    base = mixture_cdf_batch(m, 0.0, points)
-    first = gamma_k_batch(m, 1, points)
+    grid = EvalGrid.tensor()
+    base = mixture_cdf_batch(m, 0.0, grid)
+    first = gamma_k_batch(m, 1, grid)
     betas = (0.02, 0.01, 0.005)
     devs = []
     raw_gaps = []
     for beta in betas:
-        fb = mixture_cdf_batch(m, beta, points)
+        fb = mixture_cdf_batch(m, beta, grid)
         devs.append(float(np.max(np.abs((fb - base) / (beta * c) - first))))
         raw_gaps.append(float(np.max(np.abs(fb - base))))
     lo, hi = TOLERANCES["thm31.ratio_lo"], TOLERANCES["thm31.ratio_hi"]
@@ -128,12 +128,12 @@ def check_lem33_lemA1() -> CheckReport:
     worst_field = 0.0
     worst_single = 0.0
     c = DEFAULT_MEASURE.norm_c
-    points = EvalGrid.tensor().points
+    grid = EvalGrid.tensor()
     for m in matrices:
-        worst_field = max(worst_field, sup_on_grid(gamma_k_batch(m, 1, points)))
+        worst_field = max(worst_field, sup_on_grid(gamma_k_batch(m, 1, grid)))
         # single placements: contaminant on one coordinate (rows EN, NE),
         # read back from the rows gamma_k_batch just computed
-        fields = PureFields(m, points)
+        fields = PureFields(m, grid)
         for a in (1, 2):
             term = (fields.row(a) - fields.row(0)) / c
             worst_single = max(worst_single, sup_on_grid(term))

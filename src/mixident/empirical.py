@@ -43,8 +43,9 @@ strictly below and left of every corner of replication r and its counts
 are the stack's minus r n.  Tie groups stop at replication boundaries.
 
 The replication loop that draws, grids and counts many samples against
-one target lives in ``mixident.montecarlo`` (``_rep_block``), which
-evaluates the target CDF once per block of replications.
+one target lives in ``mixident.montecarlo`` (``_run_task``), which
+evaluates the target CDF once per block of replications, or once per
+task of bracketed blocks.
 """
 
 from __future__ import annotations

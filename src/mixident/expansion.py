@@ -11,7 +11,8 @@ Every coefficient field is a fixed weight vector (``GAMMA_WEIGHTS``) over
 the four pure-assignment CDF rows of ``pushforward.PureFields``, the rows
 the mixture itself combines with binomial weights.  Each call builds
 its own ``PureFields``; calls on equal points share the rows through its
-row cache, so ``mixident.checks`` measures these same public calls.
+row cache, and calls on one ``EvalGrid`` share its digest, so
+``mixident.checks`` measures these same public calls.
 
 Coefficients are normalized by the uniform-norm distance between the
 contaminant and the background, so the first-order field is O(1) and the
@@ -30,7 +31,7 @@ from .laws import (
     ComponentLaw,
     kolmogorov_distance_univ,
 )
-from .pushforward import PureFields, mixture_cdf_batch
+from .pushforward import EvalGrid, PureFields, mixture_cdf_batch
 
 P_DIM = 2  # the analytic engine is two-dimensional throughout
 
@@ -57,38 +58,15 @@ class NuMeasure:
 DEFAULT_MEASURE = NuMeasure()
 
 
-@dataclass(frozen=True, eq=False)
-class EvalGrid:
-    """Finite set of evaluation points in the plane, shape (n, 2)."""
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
-            raise ValueError(f"points must have shape (n >= 1, 2), got {pts.shape}")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("grid points must be finite")
-        object.__setattr__(self, "points", pts)
-
-    @classmethod
-    def tensor(cls, lo: float = -6.0, hi: float = 6.0, n: int = 101) -> "EvalGrid":
-        axis = np.linspace(lo, hi, n)
-        g1, g2 = np.meshgrid(axis, axis, indexing="ij")
-        return cls(np.column_stack([g1.ravel(), g2.ravel()]))
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-
 # Rows NN, EN, NE, EE (pushforward.ASSIGNMENTS) of the beta^k coefficient:
 # F_beta = (1-beta)^2 F_NN + beta (1-beta) (F_EN + F_NE) + beta^2 F_EE.
 GAMMA_WEIGHTS = ((1, 0, 0, 0), (-2, 1, 1, 0), (1, -1, -1, 1))
 
 
 def gamma_k_batch(m, k: int, points, measure: NuMeasure = DEFAULT_MEASURE) -> np.ndarray:
-    """Order-k expansion coefficient field over an (n, 2) point array: the
-    beta^k coefficient of the mixture CDF over norm_c**k."""
+    """Order-k expansion coefficient field over an (n, 2) point array or an
+    ``EvalGrid``: the beta^k coefficient of the mixture CDF over
+    norm_c**k."""
     if not 0 <= k <= P_DIM:
         raise ValueError(f"order must lie in [0, {P_DIM}], got {k}")
     fields = PureFields(m, points, measure.xi, measure.zeta)
@@ -120,8 +98,7 @@ def mixture_sup_gap(m_a, m_b, beta: float, grid: EvalGrid | None = None) -> floa
     """Grid sup of |F_A - F_B| at contamination level beta."""
     if grid is None:
         grid = EvalGrid.tensor()
-    pts = grid.points
-    return sup_on_grid(mixture_cdf_batch(m_a, beta, pts) - mixture_cdf_batch(m_b, beta, pts))
+    return sup_on_grid(mixture_cdf_batch(m_a, beta, grid) - mixture_cdf_batch(m_b, beta, grid))
 
 
 def estimate_K(m_a, m_b, grid: EvalGrid | None = None) -> float:
@@ -135,7 +112,7 @@ def estimate_K(m_a, m_b, grid: EvalGrid | None = None) -> float:
         grid = EvalGrid.tensor()
     # one PureFields per matrix, so that the guard's Gaussian rows serve the
     # field gap too on grids whose rows are too large for the row cache
-    f_a, f_b = (PureFields(m, grid.points) for m in (m_a, m_b))
+    f_a, f_b = (PureFields(m, grid) for m in (m_a, m_b))
     base_gap = sup_on_grid(f_a.mixture(0.0) - f_b.mixture(0.0))
     if base_gap > 1e-8:
         raise ValueError(

@@ -26,28 +26,33 @@ it, later calls of that size reuse its workers, which wait idle between
 calls, and a call of another size, or a call after a worker died, starts
 a new one.  The pool closes when the interpreter exits, and a process
 forked from one that holds a pool starts its own.  Results do not depend
-on which pool, or how many, ran them.  A job is a contiguous block of one
-scenario's replication indices, run by ``_rep_block``: it draws each
-replication's sample and corners, counts the corners of up to
-``laws._SLICE_POINTS`` sample points at a time as one stacked sample,
-then evaluates the target CDF once on the block's concatenated grids
-rather than once per grid.  When a call evaluates one target at
-``pushforward._BRACKET_NODES``^2 corners or more of contaminated jobs
-with n up to ``_BRACKET_MAX_N``, those jobs' blocks bracket the target
-first: a CDF is monotone in each coordinate, so the target's
-``pushforward.bracket_table`` (its pure rows on a node grid, built once
-per process) bounds it at every corner, and the exact value is computed
-only at the corners whose deviation bound can still reach their
-replication's maximum (``_bracketed_sup``); the statistic is a maximum,
-so it does not change.  A block holds at most ``_TARGET_CHUNK`` grid
-points (at least one replication), and is cut smaller only where the
-pool would otherwise have idle workers.  All
-jobs of a call, across every scenario of a sweep, go to the pool in one
-batch, so a free worker takes the next job instead of waiting for the
-rest of a scenario.  A scenario's ``wall_ms`` is therefore not an
-elapsed time: it sums the time its blocks spent running in their
-workers.  The limit law of ``mixident.limitfield`` runs its draws
-through the same queue.
+on which pool, or how many, ran them.  A job is cut into blocks, each a
+contiguous range of one scenario's replication indices, and the blocks
+are grouped into tasks, each run by ``_run_task``: a block draws each
+replication's sample and corners and counts the corners of up to
+``laws._SLICE_POINTS`` sample points at a time as one stacked sample.  An
+unbracketed block then evaluates the target CDF once on its concatenated
+grids rather than once per grid, and is a task of its own.  When a call
+evaluates one target at ``pushforward._BRACKET_NODES``^2 corners or more
+of contaminated jobs with n up to ``_BRACKET_MAX_N``, those jobs' blocks
+bracket the target first: a CDF is monotone in each coordinate, so the
+target's ``pushforward.bracket_table`` (its pure rows on a node grid,
+built once per process) bounds it at every corner, and the exact value
+is needed only at the corners whose deviation bound can still reach
+their replication's maximum (``_Candidates``); the statistic is a
+maximum, so it does not change.  Those bracketed blocks are dealt
+round-robin into one task per worker, and a task evaluates the
+candidates of all its blocks together, one kernel call per assignment,
+since the per-call cost, not the number of corners, is what the target
+costs there.  A block holds at most ``_TARGET_CHUNK`` grid points (at
+least one replication), and is cut smaller only where the pool would
+otherwise have idle workers.  All tasks of a call, across every scenario
+of a sweep, go to the pool in one batch, so a free worker takes the next
+unbracketed block instead of waiting for the rest of a scenario.  A
+scenario's ``wall_ms`` is therefore not an elapsed time: it sums the time
+its blocks spent running in their workers, a shared kernel call split
+over its blocks by their candidate counts.  The limit law of
+``mixident.limitfield`` runs its draws through the same queue.
 """
 
 from __future__ import annotations
@@ -77,6 +82,7 @@ from .empirical import (
     draw_sample,
 )
 from .laws import (
+    _SLICE_POINTS,
     CENTERED_EXPONENTIAL,
     STANDARD_NORMAL,
     ComponentLaw,
@@ -156,6 +162,9 @@ class ScenarioResult:
 
     ``wall_ms`` sums the in-worker times of the scenario's replication
     blocks; with workers shared across scenarios it is not elapsed time.
+    The time of a kernel call that bracketed blocks of several scenarios
+    share is split over the blocks by their candidate counts, so the
+    scenarios' times still add up to the time spent in the workers.
     """
 
     scenario: Scenario
@@ -183,82 +192,137 @@ _TARGET_CHUNK = 4096
 _BRACKET_MAX_N = 5000
 
 
-def _rep_block(args) -> tuple[np.ndarray, float]:
-    """Statistics of replications ``indices`` of a job, and the milliseconds
-    they took.
+def _run_task(blocks) -> list[tuple[np.ndarray, float]]:
+    """Statistics of each block of a task, in task order, with the
+    milliseconds each took.
 
-    Replication r draws n points of m_sample at level beta from
+    A block ``(job, indices, bracketed)`` holds replications ``indices`` of
+    a job.  Replication r draws n points of m_sample at level beta from
     ``root.child(r, 0)`` and its corner indices from ``root.child(r, 1)``.
     ``empirical._corner_counts`` counts the corners of consecutive
     replications of up to ``laws._SLICE_POINTS`` points in all (at least
-    one) as one stacked sample.  Then one ``pure_cdf_batch`` call per
-    nonzero-weight assignment evaluates m_target's mixture CDF on the
-    block's concatenated grids, summed as ``PureFields.combine`` sums; the
-    corners never repeat, so the rows skip the row cache.  The closed form
-    is pointwise, so every statistic equals the one ``empirical.sup_stat``
-    gives alone.
+    one) as one stacked sample.
 
-    A ``bracketed`` block evaluates the target exactly only at its candidate
-    corners (``_bracketed_sup``), from the bounds of m_target's
-    ``pushforward.bracket_table``; its statistics are the same, bit for bit.
+    An unbracketed block then evaluates m_target's mixture CDF on its
+    concatenated grids: one ``pure_cdf_batch`` call per nonzero-weight
+    assignment, summed as ``PureFields.combine`` sums; the corners never
+    repeat, so the rows skip the row cache.
+
+    A bracketed block keeps only its candidate corners (``_Candidates``),
+    from the bounds of m_target's ``pushforward.bracket_table``.  The task
+    evaluates the kept candidates of its bracketed blocks together: when
+    they reach ``laws._SLICE_POINTS`` points, when the next block's target
+    differs, and when the task ends, it makes one ``pure_cdf_batch`` call
+    per assignment whose weight is nonzero in any kept block, and each
+    block sums its own slice of those rows with its own weights, in
+    ``weighted_rows`` order.  A block whose exact value leaves its bracket
+    runs again, alone and unbracketed.
+
+    The closed form is pointwise and a lane's value does not depend on its
+    batch, so every statistic equals the one ``empirical.sup_stat`` gives
+    alone, bit for bit.  The time of a kernel call that several blocks
+    share is split over them by their candidate counts, so the
+    milliseconds of a task's blocks add up to the task's time.
     """
-    (m_sample, m_target, beta, n, grid, xi, zeta, root), indices, bracketed = args
-    t0 = time.perf_counter()
-    # drawn a stack at a time, as the count reads them
-    replications = (
-        (
-            draw_sample(m_sample, beta, n, root.child(r, 0), xi=xi, zeta=zeta).points,
-            _corner_indices(n, grid, root.child(r, 1).generator()),
-        )
-        for r in indices
-    )
-    pts, weak, strict = _corner_counts(replications, n)
-    comps = assignment_comps(xi, zeta)
-    weights = mixture_weights(beta)
+    results = [None] * len(blocks)
+    kept = []  # (slot, block, candidates, milliseconds so far) of bracketed blocks
 
-    def target(points):
-        return weighted_rows(
-            weights, lambda a: pure_cdf_batch(m_target, comps[a], points), len(points)
-        )
+    def flush():
+        t0 = time.perf_counter()
+        _, m_target, _, _, _, xi, zeta, _ = kept[0][1][0]
+        comps = assignment_comps(xi, zeta)
+        corners = np.concatenate([cand.corners for _, _, cand, _ in kept])
+        used = np.any([cand.weights != 0 for _, _, cand, _ in kept], axis=0)
+        rows = [pure_cdf_batch(m_target, c, corners) if u else None for c, u in zip(comps, used)]
+        ms_per_point = (time.perf_counter() - t0) * 1e3 / len(corners)
+        start = 0
+        for slot, (job, indices, _), cand, ms in kept:
+            t1 = time.perf_counter()
+            stop = start + len(cand.corners)
+            g = weighted_rows(cand.weights, lambda a: rows[a][start:stop], stop - start)
+            stats = cand.sup(g)
+            ms += ms_per_point * (stop - start)
+            if stats is None:
+                ((stats, again),) = _run_task([(job, indices, False)])
+                ms += again
+            results[slot] = (stats, ms + (time.perf_counter() - t1) * 1e3)
+            start = stop
+        kept.clear()
 
-    stats = None
-    if bracketed:
+    for slot, block in enumerate(blocks):
+        job, indices, bracketed = block
+        m_sample, m_target, beta, n, grid, xi, zeta, root = job
+        t0 = time.perf_counter()
+        # drawn a stack at a time, as the count reads them
+        replications = (
+            (
+                draw_sample(m_sample, beta, n, root.child(r, 0), xi=xi, zeta=zeta).points,
+                _corner_indices(n, grid, root.child(r, 1).generator()),
+            )
+            for r in indices
+        )
+        pts, weak, strict = _corner_counts(replications, n)
+        weights = mixture_weights(beta)
+        if not bracketed:
+            comps = assignment_comps(xi, zeta)
+            target = weighted_rows(
+                weights, lambda a: pure_cdf_batch(m_target, comps[a], pts), len(pts)
+            )
+            # every grid of a job has the same size, so the target splits into rows
+            stats = _scaled_sup(weak, strict, n, target.reshape(len(indices), -1))
+            results[slot] = (stats, (time.perf_counter() - t0) * 1e3)
+            continue
+        # the same table object names the same target
         table = bracket_table(m_target, xi, zeta)
-        stats = _bracketed_sup(weak, strict, n, table.bracket(weights, pts), pts, target)
-    if stats is None:
-        # every grid of a job has the same size, so the target splits into rows
-        stats = _scaled_sup(weak, strict, n, target(pts).reshape(len(indices), -1))
-    return stats, (time.perf_counter() - t0) * 1e3
+        if kept and table is not kept_table:
+            flush()
+        kept_table = table
+        cand = _Candidates(weak, strict, n, weights, table.bracket(weights, pts), pts)
+        kept.append((slot, block, cand, (time.perf_counter() - t0) * 1e3))
+        if sum(len(cand.corners) for _, _, cand, _ in kept) >= _SLICE_POINTS:
+            flush()
+    if kept:
+        flush()
+    return results
 
 
-def _bracketed_sup(weak, strict, n: int, bracket, pts, target) -> np.ndarray | None:
-    """``_scaled_sup`` of the (reps, m) counts against the target, which is
-    evaluated only at the candidate corners; None if a candidate's exact
-    value leaves its bracket.
+class _Candidates:
+    """The corners of a (reps, m) stack of counts at which the target must
+    be evaluated to find each replication's ``_scaled_sup``.
 
     With the target G of each corner in its bracket [lo, hi], the corner's
     deviation max(|weak/n - G|, |strict/n - G|) is at least its distance
     from weak/n and strict/n to [lo, hi], and at most the larger of
     weak/n - lo and hi - strict/n.  A replication's statistic is at least
     the largest of the former, its floor, so only the corners whose bound
-    reaches the floor can attain it: ``target`` evaluates those, and the
-    maximum over them is the maximum over all corners.  A non-finite bound
-    or value raises ``ValueError``.
+    reaches the floor can attain it: they are kept, with their flat
+    indices, fractions and brackets, and the maximum over them is the
+    maximum over all corners.  ``weights`` are the mixture weights of the
+    block's level.  A non-finite bound raises ``ValueError``.
     """
-    lo, hi = (b.reshape(weak.shape) for b in bracket)
-    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-        raise ValueError("target CDF bracket has non-finite values")
-    fw, fs = weak / n, strict / n
-    floor = np.max(np.maximum(lo - fs, fw - hi), axis=1, keepdims=True)
-    at = np.flatnonzero(np.maximum(fw - lo, hi - fs) >= floor)
-    g = target(pts[at])
-    if not np.all(np.isfinite(g)):
-        raise ValueError("target CDF returned non-finite values")
-    if np.any(g < lo.flat[at]) or np.any(g > hi.flat[at]):
-        return None
-    dev = np.full(weak.shape, -np.inf)
-    dev.flat[at] = np.maximum(np.abs(fw.flat[at] - g), np.abs(fs.flat[at] - g))
-    return math.sqrt(n) * np.max(dev, axis=-1)
+
+    def __init__(self, weak, strict, n: int, weights, bracket, corners):
+        lo, hi = (b.reshape(weak.shape) for b in bracket)
+        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+            raise ValueError("target CDF bracket has non-finite values")
+        fw, fs = weak / n, strict / n
+        floor = np.max(np.maximum(lo - fs, fw - hi), axis=1, keepdims=True)
+        self.at = np.flatnonzero(np.maximum(fw - lo, hi - fs) >= floor)
+        self.corners = corners[self.at]
+        self.fw, self.fs, self.lo, self.hi = (v.flat[self.at] for v in (fw, fs, lo, hi))
+        self.n, self.shape, self.weights = n, weak.shape, weights
+
+    def sup(self, g) -> np.ndarray | None:
+        """The statistics from the target's values ``g`` at the kept
+        corners; None if a value leaves its bracket.  A non-finite value
+        raises ``ValueError``."""
+        if not np.all(np.isfinite(g)):
+            raise ValueError("target CDF returned non-finite values")
+        if np.any(g < self.lo) or np.any(g > self.hi):
+            return None
+        dev = np.full(self.shape, -np.inf)
+        dev.flat[self.at] = np.maximum(np.abs(self.fw - g), np.abs(self.fs - g))
+        return math.sqrt(self.n) * np.max(dev, axis=-1)
 
 
 def _scenario_job(s: Scenario) -> tuple:
@@ -268,7 +332,7 @@ def _scenario_job(s: Scenario) -> tuple:
 
 def run_replication(scenario: Scenario, rep_index: int) -> float:
     """Statistic of one replication; pure in (seed, index, rep_index)."""
-    return float(_rep_block((_scenario_job(scenario), [rep_index], False))[0][0])
+    return float(_run_task([(_scenario_job(scenario), [rep_index], False)])[0][0][0])
 
 
 def _usable_cpus() -> int:
@@ -328,9 +392,9 @@ def _pool_map(size: int, fn, blocks) -> list:
 
 def _run_jobs(jobs, workers: int) -> list[tuple[np.ndarray, float]]:
     """Run ``n_reps`` replications of each ``(job, n_reps)`` through one
-    queue of contiguous blocks on one pool; give each job's statistics,
-    ordered by replication index, and the in-worker milliseconds of its
-    blocks.  ``workers`` is clamped to the largest ``n_reps`` and to the
+    queue of tasks of contiguous blocks on one pool; give each job's
+    statistics, ordered by replication index, and the in-worker
+    milliseconds of its blocks.  ``workers`` is clamped to the largest ``n_reps`` and to the
     CPUs available; a size of one runs the blocks in-process, a larger one
     on the process's pool of that size, whose workers outlive the call (see
     the module docstring).
@@ -339,16 +403,22 @@ def _run_jobs(jobs, workers: int) -> list[tuple[np.ndarray, float]]:
     replication), and at most an even share of all replications per
     worker, so every worker of the pool has a block to run.
 
-    A job is bracketed (see ``_bracketed_sup``) when its level is above
-    zero and its n is at most ``_BRACKET_MAX_N``, and the call's jobs that
-    are both hold ``_BRACKET_NODES``^2 corners or more in all; every job
-    of a call has the same target.  The other jobs evaluate every corner.
-    Each process that runs a bracketed block builds the target's
+    A job is bracketed (see ``_Candidates``) when its level is above zero
+    and its n is at most ``_BRACKET_MAX_N``, and the call's jobs that are
+    both hold ``_BRACKET_NODES``^2 corners or more in all; every job of a
+    call has the same target.  The other jobs evaluate every corner, and
+    each of their blocks is a task of its own.  The bracketed blocks are
+    dealt round-robin, in block order, into one task per worker, which
+    evaluates the candidates of all its blocks in one kernel call per
+    assignment (``_run_task``); at a pool size of one they form one
+    in-process task.  These tasks go to the pool first.  One task per
+    worker gives up the queue's balancing among the bracketed blocks: a
+    worker that finishes its task early does not take over blocks of
+    another.  Each process that runs a bracketed block builds the target's
     ``pushforward.bracket_table`` once, 50-70 ms for its four rows, and
-    keeps it for later calls; the bracket saves about 0.5 us per corner.
-    So a one-off call just above the threshold on two workers pays more
-    for its two tables than it saves, while repeated calls on the same
-    pool, and larger calls, gain.
+    keeps it for later calls.  So a one-off call just above the threshold
+    on two workers gains least, or loses, since it pays for two tables,
+    while repeated calls on the same pool, and larger calls, gain.
     """
     (workers,) = _whole_numbers((workers,))
     if workers < 1:
@@ -365,12 +435,20 @@ def _run_jobs(jobs, workers: int) -> list[tuple[np.ndarray, float]]:
         for lo in range(0, n, step):
             blocks.append((job, range(lo, min(lo + step, n)), bracketed))
             owners.append(k)
+    # bracketed blocks dealt round-robin into one task per worker, first, so
+    # that each worker starts on one; then each other block alone
+    dealt = [i for i, (_, _, bracketed) in enumerate(blocks) if bracketed]
+    tasks = [dealt[w::size] for w in range(min(size, len(dealt)))]
+    tasks += [[i] for i, (_, _, bracketed) in enumerate(blocks) if not bracketed]
+    work = [[blocks[i] for i in task] for task in tasks]
+    runs = map(_run_task, work) if size == 1 else _pool_map(size, _run_task, work)
     stats = [np.empty(n) for _, n in jobs]
     wall_ms = [0.0] * len(jobs)
-    runs = map(_rep_block, blocks) if size == 1 else _pool_map(size, _rep_block, blocks)
-    for k, (_, indices, _), (values, ms) in zip(owners, blocks, runs):
-        stats[k][indices.start:indices.stop] = values
-        wall_ms[k] += ms
+    for task, results in zip(tasks, runs):
+        for i, (values, ms) in zip(task, results):
+            indices = blocks[i][1]
+            stats[owners[i]][indices.start:indices.stop] = values
+            wall_ms[owners[i]] += ms
     return list(zip(stats, wall_ms))
 
 

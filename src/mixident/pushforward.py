@@ -33,8 +33,9 @@ the last 12 rows it computed, up to 1 MiB in all (the twelve rows of the
 101x101 grid fit; a row above 1 MiB is never kept), keyed by
 matrix, component pair and the shape and SHA-1 digest of the points, and
 any later instance on equal points reads them from there.  The points are
-hashed once per instance, at about 16 ns per point on a 2-vCPU x86 host,
-where one kernel call takes 0.1 to 0.3 us per point.  Cached rows are
+hashed once per instance, or once per ``EvalGrid`` that instances share,
+at about 16 ns per point on a 2-vCPU x86 host, where one kernel call takes
+0.1 to 0.3 us per point.  Cached rows are
 read-only and equal, bit for bit, to what ``pure_cdf_batch`` returns,
 which itself caches nothing.
 
@@ -666,6 +667,43 @@ def weighted_rows(weights, row, size: int) -> np.ndarray:
     return total
 
 
+@dataclass(frozen=True, eq=False)
+class EvalGrid:
+    """Finite set of evaluation points in the plane, shape (n, 2).
+
+    The points are a read-only copy.  ``digest``, their SHA-1 digest, is
+    computed when first read; ``PureFields`` on a grid keys its rows on it,
+    so a grid is hashed once however many fields read it.  ``tensor`` keeps
+    the last two grids it built, so the calls that build the default grid
+    share one.
+    """
+
+    points: np.ndarray
+
+    def __post_init__(self):
+        pts = np.array(self.points, dtype=float, order="C")
+        if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
+            raise ValueError(f"points must have shape (n >= 1, 2), got {pts.shape}")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("grid points must be finite")
+        pts.setflags(write=False)
+        object.__setattr__(self, "points", pts)
+
+    @functools.cached_property
+    def digest(self) -> bytes:
+        return hashlib.sha1(self.points).digest()
+
+    @classmethod
+    @functools.lru_cache(maxsize=2)
+    def tensor(cls, lo: float = -6.0, hi: float = 6.0, n: int = 101) -> "EvalGrid":
+        axis = np.linspace(lo, hi, n)
+        g1, g2 = np.meshgrid(axis, axis, indexing="ij")
+        return cls(np.column_stack([g1.ravel(), g2.ravel()]))
+
+    def __len__(self) -> int:
+        return self.points.shape[0]
+
+
 # rows of recent PureFields instances, least recently read first, by
 # (matrix entries' bytes, points shape, points SHA-1 digest, component pair);
 # at most 12 rows and 1 MiB, which holds the twelve rows of the 101x101
@@ -687,15 +725,21 @@ class PureFields:
     that an instance on the same matrix, laws and equal points computed
     recently is read back instead: the module keeps the last 12 rows
     computed, up to 1 MiB in all; a larger row stays only here.  The
-    points are copied at construction and hashed when a row is first
-    read; rows are read-only.
+    points, an (n, 2) array or an ``EvalGrid``, are copied at construction
+    and hashed when a row is first read, unless they are a grid, whose
+    read-only points and digest are used as they are; rows are read-only.
     """
 
     def __init__(self, m, points, xi=CENTERED_EXPONENTIAL, zeta=STANDARD_NORMAL):
         self.m = as_matrix(m)
-        # a private copy, so that every row belongs to the points the key names
-        self.points = np.array(points, dtype=float, order="C")
-        self.points.setflags(write=False)
+        # a grid's read-only points, or a private copy, so that every row
+        # belongs to the points the key names
+        self._grid = points if isinstance(points, EvalGrid) else None
+        if self._grid is not None:
+            self.points = self._grid.points
+        else:
+            self.points = np.array(points, dtype=float, order="C")
+            self.points.setflags(write=False)
         self._comps = assignment_comps(xi, zeta)
         self._rows: list[np.ndarray | None] = [None] * len(ASSIGNMENTS)
         self._key = None
@@ -707,7 +751,8 @@ class PureFields:
                 self._key = (
                     self.m.as_array().tobytes(),
                     self.points.shape,
-                    hashlib.sha1(self.points).digest(),
+                    self._grid.digest if self._grid is not None
+                    else hashlib.sha1(self.points).digest(),
                 )
             key = (*self._key, self._comps[a])
             with _ROW_CACHE_LOCK:
@@ -825,7 +870,7 @@ def mixture_cdf_batch(
     zeta: ComponentLaw = STANDARD_NORMAL,
     method: str = "closed",
 ) -> np.ndarray:
-    """Mixture CDF over an (n, 2) point array.
+    """Mixture CDF over an (n, 2) point array or an ``EvalGrid``.
 
     ``method`` accepts only "closed"; it stays so that callers passing
     ``method="closed"`` keep working.  The quadrature reference is

@@ -45,17 +45,20 @@ def fake_pool(monkeypatch):
     """An in-process stand-in for the process pool, on a 4-CPU budget.
 
     Returns the list of ``max_workers`` of every pool built; its ``maps``
-    attribute lists, for each ``map`` call, the sizes of the blocks it was
-    given, and its ``closed`` attribute the ``max_workers`` of every pool
-    shut down.  No process starts.
+    attribute lists, for each ``map`` call, the sizes of the blocks of the
+    tasks it was given, in task order; its ``tasks`` attribute, the same
+    sizes grouped by task; and its ``closed`` attribute the ``max_workers``
+    of every pool shut down.  No process starts.
     """
 
     class Built(list):
         maps: list[list[int]]
+        tasks: list[list[list[int]]]
         closed: list[int]
 
     built = Built()
     built.maps = []
+    built.tasks = []
     built.closed = []
 
     class FakePool:
@@ -66,11 +69,14 @@ def fake_pool(monkeypatch):
         def shutdown(self):
             built.closed.append(self.max_workers)
 
-        def map(self, fn, blocks):
-            blocks = list(blocks)
-            assert all(indices for _, indices, _ in blocks), "empty block submitted"
-            built.maps.append([len(indices) for _, indices, _ in blocks])
-            return map(fn, blocks)
+        def map(self, fn, tasks):
+            tasks = list(tasks)
+            sizes = [[len(indices) for _, indices, _ in task] for task in tasks]
+            assert all(sizes), "empty task submitted"
+            assert all(all(task) for task in sizes), "empty block submitted"
+            built.maps.append([size for task in sizes for size in task])
+            built.tasks.append(sizes)
+            return map(fn, tasks)
 
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 4)

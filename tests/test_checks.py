@@ -13,8 +13,9 @@ from mixident.checks import (
     reports_csv_lines,
     run_checks,
 )
-from mixident.expansion import DEFAULT_MEASURE
+from mixident.expansion import DEFAULT_MEASURE, EvalGrid, estimate_K, mixture_sup_gap
 from mixident.laws import ContaminatedLaw
+from mixident.pushforward import equal_product_pair
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +55,21 @@ def test_suite_computes_each_pure_field_once(monkeypatch):
     calls.clear()
     run_checks("all")
     assert len(calls) == 60 - 3 - 8
+
+
+def test_suite_hashes_its_grid_once(monkeypatch):
+    # every check, K and the mixture gap read the one default tensor grid,
+    # whose digest keys their rows
+    EvalGrid.tensor.cache_clear()
+    digests = []
+    real = pushforward.hashlib.sha1
+    monkeypatch.setattr(
+        pushforward.hashlib, "sha1", lambda data: digests.append(len(data)) or real(data)
+    )
+    run_checks("all")
+    estimate_K(*equal_product_pair(0.4))
+    mixture_sup_gap(*equal_product_pair(0.4), 0.3)
+    assert digests == [101 * 101]
 
 
 def test_single_check_selection():

@@ -1,7 +1,11 @@
 """Command-line surface: config files, subcommands, exit codes, outputs."""
 
 import argparse
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -388,6 +392,20 @@ def test_cdf_prints_mixture_value(capsys):
     assert main(["cdf", "--beta", "0.3", "--x", "0.3,-0.2"]) == 0
     value = float(capsys.readouterr().out.strip())
     assert value == pytest.approx(0.356603028955747, abs=1e-9)
+
+
+def test_package_runs_as_the_command_line():
+    # python -m mixident prints what python -m mixident.cli prints
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    argv = ["cdf", "--beta", "0.3", "--x=0.1,-0.2"]
+    runs = [
+        subprocess.run([sys.executable, "-m", module, *argv], capture_output=True, text=True,
+                       env=env, timeout=120)
+        for module in ("mixident", "mixident.cli")
+    ]
+    assert [run.returncode for run in runs] == [0, 0], runs[0].stderr
+    assert runs[0].stdout == runs[1].stdout and float(runs[0].stdout) > 0.0
+    assert runs[0].stderr == runs[1].stderr == ""
 
 
 def test_cdf_accepts_explicit_matrix(capsys):

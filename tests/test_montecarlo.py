@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -154,7 +155,8 @@ def _rebuilt_statistic(m_sample, m_target, beta, n, spec, stream):
 def _block(root, n, spec, beta, reps) -> np.ndarray:
     """Statistics of replications 0..reps-1 under ``root``, in one block."""
     job = (*A_PAIR, beta, n, spec, CENTERED_EXPONENTIAL, STANDARD_NORMAL, root)
-    return montecarlo._rep_block((job, range(reps), False))[0]
+    ((stats, _),) = montecarlo._run_task([(job, range(reps), False)])
+    return stats
 
 
 @pytest.mark.parametrize(
@@ -223,7 +225,8 @@ def _random_pair(seed: int):
 
 def _bracketed(s: Scenario, reps=None) -> np.ndarray:
     reps = s.n_reps if reps is None else reps
-    return montecarlo._rep_block((montecarlo._scenario_job(s), range(reps), True))[0]
+    ((stats, _),) = montecarlo._run_task([(montecarlo._scenario_job(s), range(reps), True)])
+    return stats
 
 
 @pytest.mark.parametrize(
@@ -284,13 +287,14 @@ def test_blocks_are_bracketed_from_the_table_size_on(monkeypatch):
     assert pushforward._bracket_table.cache_info().currsize == 0
     assert calls == [("engine", 4 * 1024)] * (15 * 4) + [("engine", 3 * 1024)] * 4
     calls.clear()
-    # 64: the table's four rows, then fewer corners per block
+    # 64: the table's four rows, then the candidates of all 16 blocks in one
+    # call per row, fewer corners than one block holds
     at = montecarlo._run_jobs([(_table_job(1024), 64)], 1)
     assert pushforward._bracket_table.cache_info().currsize == 1
     assert calls[:4] == [("table", corners)] * 4
     engine = [size for where, size in calls[4:] if where == "engine"]
-    assert len(engine) == 16 * 4 and max(engine) < 4 * 1024
-    assert [where for where, _ in calls[4:]] == ["engine"] * 64
+    assert engine == engine[:1] * 4 and engine[0] < 4 * 1024
+    assert [where for where, _ in calls[4:]] == ["engine"] * 4
     np.testing.assert_array_equal(at[0][0][:63], below[0][0])
     # two jobs of one target add up; the table is built once per process
     calls.clear()
@@ -347,6 +351,158 @@ def test_bracketed_block_rejects_non_finite_values(monkeypatch, where):
     monkeypatch.setattr(montecarlo if where == "engine" else pushforward, "pure_cdf_batch", broken)
     with pytest.raises(ValueError, match="non-finite"):
         _bracketed(tiny_scenario(n=150, grid=EvalGridSpec(m_points=300)), reps=3)
+
+
+# ---------------------------------------------------------------------------
+# tasks: a worker's bracketed blocks share one kernel call per assignment
+
+
+def _cells():
+    """Scenarios of one random target at several levels and sizes: stacks
+    of several replications, beta = 1 (no Gaussian row), stacks of one
+    (n = 10 000) and a one-point grid."""
+    m_a, m_b = _random_pair(8)
+    cells = [
+        (dict(beta=0.3), 150, 300, 8),
+        (dict(beta=1.0), 250, 500, 5),
+        (dict(rho=0.25), 5000, 500, 6),
+        (dict(beta=0.05), 10_000, 200, 3),
+        (dict(beta=0.4), 1, 1, 2),
+    ]
+    return [
+        Scenario(m_a, m_b, n, n_reps=reps, grid=EvalGridSpec(m_points=m_points),
+                 master_seed=41, index=i, **level)
+        for i, (level, n, m_points, reps) in enumerate(cells)
+    ]
+
+
+def _task(cells):
+    """Each scenario's replications cut into two bracketed blocks, in
+    scenario order, as one task; gives the blocks and their scenarios."""
+    blocks, owners = [], []
+    for s in cells:
+        half = math.ceil(s.n_reps / 2)
+        for indices in (range(half), range(half, s.n_reps)):
+            blocks.append((montecarlo._scenario_job(s), indices, True))
+            owners.append(s)
+    return blocks, owners
+
+
+def _assert_task_equals_run_replication(blocks, owners, results):
+    assert len(results) == len(blocks)
+    for (_, indices, _), s, (stats, ms) in zip(blocks, owners, results):
+        assert stats.tolist() == [run_replication(s, r) for r in indices]
+        assert np.isfinite(ms) and ms > 0.0
+
+
+def test_task_evaluates_its_candidates_in_one_call_per_assignment(monkeypatch):
+    blocks, owners = _task(_cells())
+    calls = _counting(monkeypatch)
+    results = montecarlo._run_task(blocks)
+    assert [where for where, _ in calls[:4]] == ["table"] * 4
+    # one flush: one call per assignment on the candidates of all ten blocks
+    engine = [size for _, size in calls[4:]]
+    corners = sum(len(indices) * s.grid.m_points for (_, indices, _), s in zip(blocks, owners))
+    assert engine == engine[:1] * 4 and len(blocks) <= engine[0] < corners
+    _assert_task_equals_run_replication(blocks, owners, results)
+    # blocks at level one read the all-exponential row alone
+    calls.clear()
+    cells = _cells()
+    ones, owners = _task([cells[1], replace(cells[0], beta=1.0)])
+    results = montecarlo._run_task(ones)
+    assert [where for where, _ in calls] == ["engine"]
+    _assert_task_equals_run_replication(ones, owners, results)
+
+
+def test_task_flushes_when_its_candidates_pass_the_slice(monkeypatch):
+    # about a tenth of the corners are candidates at n = 20 000, so sixteen
+    # replications of 16 384 corners hold well over one slice of them
+    s = Scenario(*A_PAIR, 20_000, rho=0.4, n_reps=16, grid=EvalGridSpec(m_points=16_384),
+                 master_seed=43)
+    blocks = [(montecarlo._scenario_job(s), range(r, r + 1), True) for r in range(s.n_reps)]
+    calls = _counting(monkeypatch)
+    results = montecarlo._run_task(blocks)
+    engine = [size for where, size in calls if where == "engine"]
+    flushes = engine[::4]
+    assert engine == [size for size in flushes for _ in range(4)]
+    assert len(flushes) >= 2 and all(size >= _SLICE_POINTS for size in flushes[:-1])
+    _assert_task_equals_run_replication(blocks, [s] * len(blocks), results)
+
+
+def test_task_flushes_when_the_target_changes(monkeypatch):
+    # blocks of two targets, A B B A: each run of one target is evaluated
+    # together, and no block reads another target's rows
+    cells = _cells()[:2]
+    other = [replace(s, m_b=_random_pair(9)[1]) for s in cells]
+    blocks, owners = _task([cells[0], *other, cells[1]])
+    calls = _counting(monkeypatch)
+    results = montecarlo._run_task(blocks)
+    engine = [size for where, size in calls if where == "engine"]
+    # four rows for A at level 0.3, four for B, then EE alone for A at level one
+    assert len(engine) == 4 + 4 + 1
+    assert engine[:4] == engine[:1] * 4 and engine[4:8] == engine[4:5] * 4
+    _assert_task_equals_run_replication(blocks, owners, results)
+
+
+def test_bracket_escape_falls_back_for_its_block_alone(monkeypatch):
+    # the third block's bracket is shifted up by 2, above every probability,
+    # so all its exact values leave it; the other blocks keep theirs
+    real = pushforward.BracketTable.bracket
+    seen = []
+
+    def shifted(self, weights, points):
+        lo, hi = real(self, weights, points)
+        seen.append(len(points))
+        return (lo + 2.0, hi + 2.0) if len(seen) == 3 else (lo, hi)
+
+    monkeypatch.setattr(pushforward.BracketTable, "bracket", shifted)
+    blocks, owners = _task(_cells())
+    calls = _counting(monkeypatch)
+    results = montecarlo._run_task(blocks)
+    engine = [size for where, size in calls if where == "engine"]
+    # the shared flush, then the third block (3 of the five level-one
+    # replications) alone on all its corners, on the one row its level reads
+    assert engine[:4] == engine[:1] * 4 and engine[4:] == [3 * 500]
+    _assert_task_equals_run_replication(blocks, owners, results)
+
+
+@pytest.mark.parametrize("where", ["table", "engine"])
+def test_task_rejects_non_finite_values(monkeypatch, where):
+    # every table value, or the exact value at one candidate of the shared
+    # call, is NaN
+    def broken(m, comps, pts):
+        out = pure_cdf_batch(m, comps, pts)
+        out[len(out) // 2 if where == "engine" else slice(None)] = np.nan
+        return out
+
+    monkeypatch.setattr(montecarlo if where == "engine" else pushforward, "pure_cdf_batch", broken)
+    with pytest.raises(ValueError, match="non-finite"):
+        montecarlo._run_task(_task(_cells())[0])
+
+
+def test_bracketed_blocks_are_dealt_one_task_per_worker(fake_pool, monkeypatch):
+    # fig1-left-desk at 6 replications: 28 bracketed blocks of 6, dealt
+    # into two tasks of 14, each making one call per assignment
+    cfg = preset_config("fig1-left-desk", n_reps=6)
+    calls = _counting(monkeypatch)
+    pooled = run_sweep(cfg, workers=2, retain_stats=True)
+    assert fake_pool == [2] and fake_pool.tasks == [[[6] * 14, [6] * 14]]
+    assert [where for where, _ in calls].count("engine") == 2 * 4
+    serial = run_sweep(cfg, workers=1, retain_stats=True)  # one task, in-process
+    for a, b in zip(pooled, serial):
+        np.testing.assert_array_equal(a.stats, b.stats)
+    # bracketed tasks first, then each unbracketed block (n above
+    # _BRACKET_MAX_N) as a task of its own
+    mixed = SweepConfig(
+        *A_PAIR, rho_list=(0.25, 0.5), n_list=(400, 6000), n_reps=8,
+        grid=EvalGridSpec(m_points=4096), master_seed=7,
+    )
+    pooled = run_sweep(mixed, workers=2, retain_stats=True)
+    assert fake_pool.tasks[-1] == [[1] * 8, [1] * 8] + [[1]] * 16
+    serial = run_sweep(mixed, workers=1, retain_stats=True)
+    for a, b in zip(pooled, serial):
+        np.testing.assert_array_equal(a.stats, b.stats)
+        assert a.stats.tolist() == [run_replication(a.scenario, r) for r in range(8)]
 
 
 def test_worker_count_does_not_change_stats():

@@ -28,6 +28,7 @@ from mixident.oracles import (
 import mixident.pushforward as pushforward
 from mixident.pushforward import (
     ASSIGNMENTS,
+    EvalGrid,
     MixingMatrix2,
     PureFields,
     _j_exp_expfactor,
@@ -849,6 +850,30 @@ def test_other_matrix_law_or_points_miss_the_cache(kernel_calls):
     np.testing.assert_array_equal(one_ulp, pure_cdf_batch(m, (E, N), nudged))
     assert not np.array_equal(other_m, base)
     assert not np.array_equal(other_law, base)
+
+
+def test_a_grid_is_hashed_once_and_shares_the_rows_of_equal_points(kernel_calls, monkeypatch):
+    digests = []
+    real = pushforward.hashlib.sha1
+    monkeypatch.setattr(
+        pushforward.hashlib, "sha1", lambda data: digests.append(len(data)) or real(data)
+    )
+    m = worked_matrix()
+    pts = _cache_points()
+    grid = EvalGrid(pts)
+    pts[0, 0] += 1.0  # the grid keeps its own read-only copy
+    assert grid.points[0, 0] == _cache_points()[0, 0] and not grid.points.flags.writeable
+    rows = [PureFields(m, grid).row(1) for _ in range(3)]
+    assert PureFields(m, grid).points is grid.points
+    assert len(digests) == 1 and kernel_calls == [(E, N)]
+    # the same key as an array of equal points, bit for bit
+    assert PureFields(m, _cache_points()).row(1) is rows[0]
+    assert all(row is rows[0] for row in rows) and len(kernel_calls) == 1
+    np.testing.assert_array_equal(rows[0], pure_cdf_batch(m, (E, N), _cache_points()))
+    np.testing.assert_array_equal(
+        mixture_cdf_batch(m, 0.3, grid), mixture_cdf_batch(m, 0.3, _cache_points())
+    )
+    assert len(digests) == 3  # once per array instance, never the grid again
 
 
 def test_mutated_caller_points_get_fresh_values():
