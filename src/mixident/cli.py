@@ -356,7 +356,7 @@ def cmd_gamma(args) -> int:
     m = _single_matrix(config)
     lo, hi, n_side = args.grid
     grid = EvalGrid.tensor(lo, hi, n_side)
-    values = gamma_k_batch(m, args.order, grid.points, NuMeasure(xi=config_xi(config)))
+    values = gamma_k_batch(m, args.order, grid, NuMeasure(xi=config_xi(config)))
     meta = _config_metadata(
         config, "gamma", ("center_xi",),
         order=str(args.order), grid=f"{lo!r}:{hi!r}:{n_side}", matrix=_render_matrix(m),

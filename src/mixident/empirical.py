@@ -42,10 +42,14 @@ ranks offset by r n, so every point of an earlier replication lies
 strictly below and left of every corner of replication r and its counts
 are the stack's minus r n.  Tie groups stop at replication boundaries.
 
-The replication loop that draws, grids and counts many samples against
-one target lives in ``mixident.montecarlo`` (``_run_task``), which
-evaluates the target CDF once per block of replications, or once per
-task of bracketed blocks.
+One path leads from counts to the statistic: ``_Candidates`` holds a
+(reps, m) stack of counts, the corners at which the target is needed
+(all of them, or those a bracket of the target leaves able to attain a
+maximum) and, given the target there, each replication's statistic.
+``sup_stat`` is a stack of one; the replication loop that draws, grids
+and counts many samples against one target, ``mixident.montecarlo``
+(``_run_task``), evaluates the target once on the kept corners of a
+task's blocks.
 """
 
 from __future__ import annotations
@@ -254,17 +258,9 @@ class EmpiricalCdf:
     """Immutable dominance-count index over one sample.
 
     Each ``dominance_counts`` call ranks the sample as a stack of one
-    (``_StackRanks``) and searches its sorted axes for each query's weak
-    and strict cuts.  A weak count is one entry of a 2-D prefix sum over
-    coarse cells of S x S ranks (``_strip_width(n)``, about 4n cells) plus
-    two strips of at most S ranks, gathered in chunks of ``_STRIP_CHUNK``
-    entries.  The strict counts need no table:
-    strict = weak - #{x = qx, y <= qy} - #{x < qx, y = qy}, and the two
-    tie-group terms cost one gather, or one search per query when the axis
-    has ties.  The replication engine runs the same count on stacks of
-    samples with cuts read from ranks (``_corner_counts``).  A call costs
-    O(n log n + M log n + M sqrt(n)) time and O(n + M) memory.
-    Construction does no work.  Safe for shared concurrent reads.
+    (``_StackRanks``), searches its sorted axes for each query's cuts and
+    runs the count the module docstring describes.  Construction does no
+    work.  Safe for shared concurrent reads.
     """
 
     sample: Sample2D
@@ -409,13 +405,47 @@ def _corner_counts(replications, n: int):
 # the scaled uniform-distance statistic
 
 
-def _scaled_sup(weak: np.ndarray, strict: np.ndarray, n: int, target: np.ndarray):
-    """sqrt(n) * max of |weak/n - target| and |strict/n - target| over the
-    last axis: one statistic per row of a (reps, m) stack of grids."""
-    if not np.all(np.isfinite(target)):
-        raise ValueError("target CDF returned non-finite values")
-    dev = np.maximum(np.abs(weak / n - target), np.abs(strict / n - target))
-    return math.sqrt(n) * np.max(dev, axis=-1)
+class _Candidates:
+    """The corners of a (reps, m) stack of counts at which the target G
+    must be evaluated to find each replication's statistic, sqrt(n) times
+    the maximum over its corners of max(|weak/n - G|, |strict/n - G|).
+
+    Without a ``bracket`` every corner is kept (``at`` is a full slice, so
+    the corners are a view).  With bounds lo <= G <= hi at each corner, a
+    corner's deviation is at least its distance from weak/n and strict/n
+    to [lo, hi], and at most the larger of weak/n - lo and hi - strict/n.
+    A replication's statistic is at least the largest of the former, its
+    floor, so only the corners whose bound reaches the floor can attain
+    it: they are kept, with their flat indices ``at``, and the maximum over
+    them is the maximum over all corners.  A non-finite bound raises
+    ``ValueError``.
+    """
+
+    def __init__(self, weak, strict, n: int, corners, bracket=None):
+        fw, fs = weak / n, strict / n
+        self.at, self.lo, self.hi = slice(None), None, None
+        if bracket is not None:
+            lo, hi = (b.reshape(weak.shape) for b in bracket)
+            if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+                raise ValueError("target CDF bracket has non-finite values")
+            floor = np.max(np.maximum(lo - fs, fw - hi), axis=1, keepdims=True)
+            self.at = np.flatnonzero(np.maximum(fw - lo, hi - fs) >= floor)
+            self.lo, self.hi = lo.ravel()[self.at], hi.ravel()[self.at]
+        self.corners = corners[self.at]
+        self.fw, self.fs = fw.ravel()[self.at], fs.ravel()[self.at]
+        self.n, self.shape = n, weak.shape
+
+    def sup(self, g) -> np.ndarray | None:
+        """Each replication's statistic from the target's values ``g`` at
+        the kept corners; None if a value leaves its bracket.  A
+        non-finite value raises ``ValueError``."""
+        if not np.all(np.isfinite(g)):
+            raise ValueError("target CDF returned non-finite values")
+        if self.lo is not None and (np.any(g < self.lo) or np.any(g > self.hi)):
+            return None
+        dev = np.full(self.shape, -np.inf)
+        dev.flat[self.at] = np.maximum(np.abs(self.fw - g), np.abs(self.fs - g))
+        return math.sqrt(self.n) * np.max(dev, axis=-1)
 
 
 def sup_stat(sample: Sample2D, target_cdf, grid) -> float:
@@ -439,5 +469,5 @@ def sup_stat(sample: Sample2D, target_cdf, grid) -> float:
     target = np.asarray(target_cdf(g), dtype=float)
     if target.shape != (g.shape[0],):
         raise ValueError("target_cdf must return one probability per grid point")
-    return float(_scaled_sup(weak, strict, sample.n, target))
+    return float(_Candidates(weak[None], strict[None], sample.n, g).sup(target)[0])
 

@@ -28,30 +28,32 @@ a new one.  The pool closes when the interpreter exits, and a process
 forked from one that holds a pool starts its own.  Results do not depend
 on which pool, or how many, ran them.  A job is cut into blocks, each a
 contiguous range of one scenario's replication indices, and the blocks
-are grouped into tasks, each run by ``_run_task``: a block draws each
-replication's sample and corners and counts the corners of up to
-``laws._SLICE_POINTS`` sample points at a time as one stacked sample.  An
-unbracketed block then evaluates the target CDF once on its concatenated
-grids rather than once per grid, and is a task of its own.  When a call
-evaluates one target at ``pushforward._BRACKET_NODES``^2 corners or more
-of contaminated jobs with n up to ``_BRACKET_MAX_N``, those jobs' blocks
-bracket the target first: a CDF is monotone in each coordinate, so the
+are grouped into tasks, each run by ``_run_task``.  Every block takes one
+path from counts to statistic: it draws each replication's sample and
+corners, counts the corners of up to ``laws._SLICE_POINTS`` sample points
+at a time as one stacked sample, and keeps its corners as
+``empirical._Candidates``; the task then evaluates the target CDF once on
+the kept corners of its blocks rather than once per grid, one kernel call
+per assignment, and each block takes its statistics from its own slice.
+A block keeps every corner unless it is bracketed: when a call evaluates
+one target at ``pushforward._BRACKET_NODES``^2 corners or more of
+contaminated jobs with n up to ``_BRACKET_MAX_N``, those jobs' blocks
+bracket the target first.  A CDF is monotone in each coordinate, so the
 target's ``pushforward.bracket_table`` (its pure rows on a node grid,
 built once per process) bounds it at every corner, and the exact value
 is needed only at the corners whose deviation bound can still reach
-their replication's maximum (``_Candidates``); the statistic is a
-maximum, so it does not change.  Those bracketed blocks are dealt
-round-robin into one task per worker, and a task evaluates the
-candidates of all its blocks together, one kernel call per assignment,
-since the per-call cost, not the number of corners, is what the target
-costs there.  A block holds at most ``_TARGET_CHUNK`` grid points (at
-least one replication), and is cut smaller only where the pool would
-otherwise have idle workers.  All tasks of a call, across every scenario
-of a sweep, go to the pool in one batch, so a free worker takes the next
-unbracketed block instead of waiting for the rest of a scenario.  A
-scenario's ``wall_ms`` is therefore not an elapsed time: it sums the time
-its blocks spent running in their workers, a shared kernel call split
-over its blocks by their candidate counts.  The limit law of
+their replication's maximum; the statistic is a maximum, so it does not
+change.  Those bracketed blocks are dealt round-robin into one task per
+worker, since the per-call cost, not the number of corners, is what the
+target costs there; every other block is a task of its own.  A block
+holds at most ``_TARGET_CHUNK`` grid points (at least one replication),
+and is cut smaller only where the pool would otherwise have idle
+workers.  All tasks of a call, across every scenario of a sweep, go to
+the pool in one batch, so a free worker takes the next unbracketed block
+instead of waiting for the rest of a scenario.  A scenario's ``wall_ms``
+is therefore not an elapsed time: it sums the time its blocks spent
+running in their workers, a shared kernel call split over its blocks by
+their kept corner counts.  The limit law of
 ``mixident.limitfield`` runs its draws through the same queue.
 """
 
@@ -73,10 +75,10 @@ import numpy as np
 from .empirical import (
     GRID_MODE,
     EvalGridSpec,
+    _Candidates,
     _check_sample_size,
     _corner_counts,
     _corner_indices,
-    _scaled_sup,
     _whole_fields,
     _whole_numbers,
     draw_sample,
@@ -162,9 +164,10 @@ class ScenarioResult:
 
     ``wall_ms`` sums the in-worker times of the scenario's replication
     blocks; with workers shared across scenarios it is not elapsed time.
-    The time of a kernel call that bracketed blocks of several scenarios
-    share is split over the blocks by their candidate counts, so the
-    scenarios' times still add up to the time spent in the workers.
+    The time of a kernel call that blocks of several scenarios share is
+    split over the blocks by their kept corner counts
+    (``empirical._Candidates``), so the scenarios' times still add up to
+    the time spent in the workers.
     """
 
     scenario: Scenario
@@ -197,49 +200,47 @@ def _run_task(blocks) -> list[tuple[np.ndarray, float]]:
     milliseconds each took.
 
     A block ``(job, indices, bracketed)`` holds replications ``indices`` of
-    a job.  Replication r draws n points of m_sample at level beta from
-    ``root.child(r, 0)`` and its corner indices from ``root.child(r, 1)``.
-    ``empirical._corner_counts`` counts the corners of consecutive
-    replications of up to ``laws._SLICE_POINTS`` points in all (at least
-    one) as one stacked sample.
+    a job, and every block takes the same path.  Replication r draws n
+    points of m_sample at level beta from ``root.child(r, 0)`` and its
+    corner indices from ``root.child(r, 1)``; ``empirical._corner_counts``
+    counts the corners of consecutive replications of up to
+    ``laws._SLICE_POINTS`` points in all (at least one) as one stacked
+    sample.  The block keeps its corners as ``empirical._Candidates``:
+    every corner, or, when it is bracketed, only those that m_target's
+    ``pushforward.bracket_table`` leaves able to attain a maximum.
 
-    An unbracketed block then evaluates m_target's mixture CDF on its
-    concatenated grids: one ``pure_cdf_batch`` call per nonzero-weight
-    assignment, summed as ``PureFields.combine`` sums; the corners never
-    repeat, so the rows skip the row cache.
-
-    A bracketed block keeps only its candidate corners (``_Candidates``),
-    from the bounds of m_target's ``pushforward.bracket_table``.  The task
-    evaluates the kept candidates of its bracketed blocks together: when
-    they reach ``laws._SLICE_POINTS`` points, when the next block's target
-    differs, and when the task ends, it makes one ``pure_cdf_batch`` call
-    per assignment whose weight is nonzero in any kept block, and each
-    block sums its own slice of those rows with its own weights, in
-    ``weighted_rows`` order.  A block whose exact value leaves its bracket
-    runs again, alone and unbracketed.
+    The task evaluates the kept corners of its blocks together: when they
+    reach ``laws._SLICE_POINTS`` points, when the next block's target (its
+    matrix entries' bytes, xi and zeta) differs, and when the task ends, it
+    makes one ``pure_cdf_batch`` call per assignment whose weight is
+    nonzero in any kept block; the corners never repeat, so the rows skip
+    the row cache.  Each block sums its own slice of those rows with its
+    own mixture weights, in ``weighted_rows`` order, as
+    ``PureFields.combine`` sums.  A block whose exact value leaves its
+    bracket runs again, alone and unbracketed.
 
     The closed form is pointwise and a lane's value does not depend on its
     batch, so every statistic equals the one ``empirical.sup_stat`` gives
     alone, bit for bit.  The time of a kernel call that several blocks
-    share is split over them by their candidate counts, so the
+    share is split over them by their kept corner counts, so the
     milliseconds of a task's blocks add up to the task's time.
     """
     results = [None] * len(blocks)
-    kept = []  # (slot, block, candidates, milliseconds so far) of bracketed blocks
+    kept = []  # (slot, block, mixture weights, candidates, milliseconds so far)
 
     def flush():
         t0 = time.perf_counter()
         _, m_target, _, _, _, xi, zeta, _ = kept[0][1][0]
         comps = assignment_comps(xi, zeta)
-        corners = np.concatenate([cand.corners for _, _, cand, _ in kept])
-        used = np.any([cand.weights != 0 for _, _, cand, _ in kept], axis=0)
+        corners = np.concatenate([cand.corners for *_, cand, _ in kept])
+        used = np.any([weights != 0 for _, _, weights, _, _ in kept], axis=0)
         rows = [pure_cdf_batch(m_target, c, corners) if u else None for c, u in zip(comps, used)]
         ms_per_point = (time.perf_counter() - t0) * 1e3 / len(corners)
         start = 0
-        for slot, (job, indices, _), cand, ms in kept:
+        for slot, (job, indices, _), weights, cand, ms in kept:
             t1 = time.perf_counter()
             stop = start + len(cand.corners)
-            g = weighted_rows(cand.weights, lambda a: rows[a][start:stop], stop - start)
+            g = weighted_rows(weights, lambda a: rows[a][start:stop], stop - start)
             stats = cand.sup(g)
             ms += ms_per_point * (stop - start)
             if stats is None:
@@ -252,6 +253,11 @@ def _run_task(blocks) -> list[tuple[np.ndarray, float]]:
     for slot, block in enumerate(blocks):
         job, indices, bracketed = block
         m_sample, m_target, beta, n, grid, xi, zeta, root = job
+        # bytes, not the dataclass: -0.0 and 0.0 entries stay apart
+        target = (m_target.as_array().tobytes(), xi, zeta)
+        if kept and target != kept_target:
+            flush()
+        kept_target = target
         t0 = time.perf_counter()
         # drawn a stack at a time, as the count reads them
         replications = (
@@ -263,66 +269,14 @@ def _run_task(blocks) -> list[tuple[np.ndarray, float]]:
         )
         pts, weak, strict = _corner_counts(replications, n)
         weights = mixture_weights(beta)
-        if not bracketed:
-            comps = assignment_comps(xi, zeta)
-            target = weighted_rows(
-                weights, lambda a: pure_cdf_batch(m_target, comps[a], pts), len(pts)
-            )
-            # every grid of a job has the same size, so the target splits into rows
-            stats = _scaled_sup(weak, strict, n, target.reshape(len(indices), -1))
-            results[slot] = (stats, (time.perf_counter() - t0) * 1e3)
-            continue
-        # the same table object names the same target
-        table = bracket_table(m_target, xi, zeta)
-        if kept and table is not kept_table:
-            flush()
-        kept_table = table
-        cand = _Candidates(weak, strict, n, weights, table.bracket(weights, pts), pts)
-        kept.append((slot, block, cand, (time.perf_counter() - t0) * 1e3))
-        if sum(len(cand.corners) for _, _, cand, _ in kept) >= _SLICE_POINTS:
+        bracket = bracket_table(m_target, xi, zeta).bracket(weights, pts) if bracketed else None
+        cand = _Candidates(weak, strict, n, pts, bracket)
+        kept.append((slot, block, weights, cand, (time.perf_counter() - t0) * 1e3))
+        if sum(len(cand.corners) for *_, cand, _ in kept) >= _SLICE_POINTS:
             flush()
     if kept:
         flush()
     return results
-
-
-class _Candidates:
-    """The corners of a (reps, m) stack of counts at which the target must
-    be evaluated to find each replication's ``_scaled_sup``.
-
-    With the target G of each corner in its bracket [lo, hi], the corner's
-    deviation max(|weak/n - G|, |strict/n - G|) is at least its distance
-    from weak/n and strict/n to [lo, hi], and at most the larger of
-    weak/n - lo and hi - strict/n.  A replication's statistic is at least
-    the largest of the former, its floor, so only the corners whose bound
-    reaches the floor can attain it: they are kept, with their flat
-    indices, fractions and brackets, and the maximum over them is the
-    maximum over all corners.  ``weights`` are the mixture weights of the
-    block's level.  A non-finite bound raises ``ValueError``.
-    """
-
-    def __init__(self, weak, strict, n: int, weights, bracket, corners):
-        lo, hi = (b.reshape(weak.shape) for b in bracket)
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-            raise ValueError("target CDF bracket has non-finite values")
-        fw, fs = weak / n, strict / n
-        floor = np.max(np.maximum(lo - fs, fw - hi), axis=1, keepdims=True)
-        self.at = np.flatnonzero(np.maximum(fw - lo, hi - fs) >= floor)
-        self.corners = corners[self.at]
-        self.fw, self.fs, self.lo, self.hi = (v.flat[self.at] for v in (fw, fs, lo, hi))
-        self.n, self.shape, self.weights = n, weak.shape, weights
-
-    def sup(self, g) -> np.ndarray | None:
-        """The statistics from the target's values ``g`` at the kept
-        corners; None if a value leaves its bracket.  A non-finite value
-        raises ``ValueError``."""
-        if not np.all(np.isfinite(g)):
-            raise ValueError("target CDF returned non-finite values")
-        if np.any(g < self.lo) or np.any(g > self.hi):
-            return None
-        dev = np.full(self.shape, -np.inf)
-        dev.flat[self.at] = np.maximum(np.abs(self.fw - g), np.abs(self.fs - g))
-        return math.sqrt(self.n) * np.max(dev, axis=-1)
 
 
 def _scenario_job(s: Scenario) -> tuple:
@@ -403,22 +357,24 @@ def _run_jobs(jobs, workers: int) -> list[tuple[np.ndarray, float]]:
     replication), and at most an even share of all replications per
     worker, so every worker of the pool has a block to run.
 
-    A job is bracketed (see ``_Candidates``) when its level is above zero
-    and its n is at most ``_BRACKET_MAX_N``, and the call's jobs that are
-    both hold ``_BRACKET_NODES``^2 corners or more in all; every job of a
-    call has the same target.  The other jobs evaluate every corner, and
-    each of their blocks is a task of its own.  The bracketed blocks are
-    dealt round-robin, in block order, into one task per worker, which
-    evaluates the candidates of all its blocks in one kernel call per
-    assignment (``_run_task``); at a pool size of one they form one
-    in-process task.  These tasks go to the pool first.  One task per
-    worker gives up the queue's balancing among the bracketed blocks: a
-    worker that finishes its task early does not take over blocks of
-    another.  Each process that runs a bracketed block builds the target's
-    ``pushforward.bracket_table`` once, 50-70 ms for its four rows, and
-    keeps it for later calls.  So a one-off call just above the threshold
-    on two workers gains least, or loses, since it pays for two tables,
-    while repeated calls on the same pool, and larger calls, gain.
+    Every block runs the same path in ``_run_task``; a bracketed one keeps
+    only its candidate corners (``empirical._Candidates``).  A job is
+    bracketed when its level is above zero and its n is at most
+    ``_BRACKET_MAX_N``, and the call's jobs that are both hold
+    ``_BRACKET_NODES``^2 corners or more in all; every job of a call has
+    the same target.  The other jobs keep every corner, and each of their
+    blocks is a task of its own.  The bracketed blocks are dealt
+    round-robin, in block order, into one task per worker, which evaluates
+    the candidates of all its blocks in one kernel call per assignment; at
+    a pool size of one they form one in-process task.  These tasks go to
+    the pool first.  One task per worker gives up the queue's balancing
+    among the bracketed blocks: a worker that finishes its task early does
+    not take over blocks of another.  Each process that runs a bracketed
+    block builds the target's ``pushforward.bracket_table`` once, 50-70 ms
+    for its four rows, and keeps it for later calls.  So a one-off call
+    just above the threshold on two workers gains least, or loses, since
+    it pays for two tables, while repeated calls on the same pool, and
+    larger calls, gain.
     """
     (workers,) = _whole_numbers((workers,))
     if workers < 1:

@@ -77,10 +77,13 @@ def test_uncentered_left_desk_statistics_are_pinned():
     _check("left-desk-uncentered", np.concatenate([r.stats for r in results]))
 
 
-def test_right_desk_cell_statistics_are_pinned():
+@pytest.mark.parametrize("workers", [1, 2])
+def test_right_desk_cell_statistics_are_pinned(workers):
+    # n = 20 000 is above _BRACKET_MAX_N, so every block is unbracketed
     cell = preset_config("fig1-right-desk", n_reps=8).scenarios()[0]
     assert cell.n == 20_000
-    _check("right-desk-cell", estimate_probability(cell, retain_stats=True).stats)
+    stats = estimate_probability(cell, workers=workers, retain_stats=True).stats
+    _check("right-desk-cell", stats)
 
 
 def test_limit_draws_are_pinned():

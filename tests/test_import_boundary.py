@@ -87,3 +87,35 @@ def test_every_export_resolves():
     namespace = {}
     exec("from mixident import *", namespace)
     assert set(mixident.__all__) <= set(namespace)
+
+
+def _names_read(node: ast.AST) -> set[str]:
+    """Every name and attribute read anywhere under ``node``."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+    return names
+
+
+def test_every_private_helper_is_used():
+    # a module-level _name function or class that no code outside its own
+    # definition reads is a dead helper, to be deleted
+    statements = [
+        stmt for path in sorted(PACKAGE.glob("*.py"))
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body
+    ]
+    reads = [(stmt, _names_read(stmt)) for stmt in statements]
+    helpers = [
+        stmt for stmt in statements
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and stmt.name.startswith("_") and not stmt.name.startswith("__")
+    ]
+    unused = [
+        h.name for h in helpers
+        if not any(h.name in names for stmt, names in reads if stmt is not h)
+    ]
+    assert helpers
+    assert unused == []

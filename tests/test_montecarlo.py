@@ -444,6 +444,26 @@ def test_task_flushes_when_the_target_changes(monkeypatch):
     _assert_task_equals_run_replication(blocks, owners, results)
 
 
+def test_task_evaluates_unbracketed_and_bracketed_blocks_together(monkeypatch):
+    # one target: replications 0-2 on every corner, 3-5 on their 19
+    # candidates, evaluated in one call per assignment
+    s = tiny_scenario(n=400, rho=None, beta=0.3, n_reps=6, grid=EvalGridSpec(m_points=500))
+    job = montecarlo._scenario_job(s)
+    blocks = [(job, range(3), False), (job, range(3, 6), True)]
+    calls = _counting(monkeypatch)
+    results = montecarlo._run_task(blocks)
+    assert [size for where, size in calls if where == "engine"] == [3 * 500 + 19] * 4
+    _assert_task_equals_run_replication(blocks, [s, s], results)
+    # targets that differ only in the sign of a zero entry are flushed apart
+    signed = replace(s, m_b=replace(s.m_b, a21=-0.0))
+    assert signed.m_b == s.m_b and s.m_b.a21 == 0.0
+    blocks = [(job, range(3), False), (montecarlo._scenario_job(signed), range(3), False)]
+    calls.clear()
+    results = montecarlo._run_task(blocks)
+    assert [size for where, size in calls if where == "engine"] == [3 * 500] * 8
+    _assert_task_equals_run_replication(blocks, [s, signed], results)
+
+
 def test_bracket_escape_falls_back_for_its_block_alone(monkeypatch):
     # the third block's bracket is shifted up by 2, above every probability,
     # so all its exact values leave it; the other blocks keep theirs
