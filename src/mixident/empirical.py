@@ -15,20 +15,25 @@ weakly or strictly.
 Counting is exact at the integer level.  A count sorts the sample once
 per axis, so each point has an x rank and a y rank, and finds each
 query's cuts kx = #{x <= qx} and ky = #{y <= qy} and the strict cuts
-#{x < qx} and #{y < qy}.  The sample ranks fall into coarse cells of
-S x S ranks, S = max(4, isqrt(N) // 2) over N points, and one 2-D prefix
-sum over the (N/S + 1)^2 table of cell counts, about 4N cells, counts
-each query's full cells.  What remains of a weak count lies in two strips
-of at most S ranks: the x ranks from the query's cell edge up to kx whose
-y rank is below ky, and the y ranks from its cell edge up to ky whose x
-rank is left of the first strip.  The strips are gathered as
-(queries x S) arrays in chunks of a fixed number of entries.  The strict
-counts need no table: strict = weak - #{x = qx, y <= qy} - #{x < qx,
-y = qy} for every tie pattern, and the two tie-group terms take a gather
-per query, or one search per query into an O(N) key array when the axis
-has ties.  A count costs O(N log N + M log N + M sqrt(N)) time and
-O(N + M) memory for M queries; results match naive O(N M) counting
-exactly.
+#{x < qx} and #{y < qy}.  An axis is sorted as int64 keys that order as
+the values do, with each value's index in the low bits, so one sort
+gives the order; an axis whose keys collide above the index bits (a tie,
+or values a few ulp apart) is argsorted instead.  The sample ranks fall
+into coarse cells of S x S ranks and one 2-D prefix sum over the
+(N/S + 1)^2 table of cell counts counts each query's full cells.  What
+remains of a weak count lies in two strips of at most S ranks: the x
+ranks from the query's cell edge up to kx whose y rank is below ky, and
+the y ranks from its cell edge up to ky whose x rank is left of the
+first strip.  S balances the table against the strips of M queries over
+N points, S^3 ~ N^2 / M, within isqrt(N) // 2 <= S <= 2 isqrt(N), so
+the table and the strips' mask hold at most about 4N entries each
+(``_strip_width``).  The strips are gathered as (queries x S) arrays in
+chunks of a fixed number of entries.  The strict counts need no table:
+strict = weak - #{x = qx, y <= qy} - #{x < qx, y = qy} for every tie
+pattern, and the two tie-group terms take a gather per query, or one
+search per query into an O(N) key array when the axis has ties.  A count costs O(N log N + M S) time, plus O(M log N)
+to search arbitrary queries' cuts, and O(N + M) memory; results match
+naive O(N M) counting exactly.
 
 There are two ways to make the cuts and one count after them.
 ``EmpiricalCdf.dominance_counts`` takes arbitrary queries and searches
@@ -111,13 +116,21 @@ def draw_sample(
 
 
 _STRIP_CHUNK = 1 << 16  # strip elements gathered per chunk of queries
+# the cost of one table cell against one strip entry of a query, as
+# _strip_width balances them (fitted on stacks of 3000 to 50 000 points)
+_CELL_COST = 5
 
 
-def _strip_width(n: int) -> int:
-    """Side S, in ranks, of the count's coarse cells over n points.  A query
-    reads two strips of at most S ranks and one entry of a table of about
-    (n / S)^2 cells; S = isqrt(n) // 2 keeps the table near 4n cells."""
-    return max(4, math.isqrt(n) // 2)
+def _strip_width(n: int, m: int) -> int:
+    """Side S, in ranks, of the count's coarse cells for m queries over n
+    points.  The table of about (n / S)^2 cells and the queries' strips of
+    at most S ranks each cost about the same where S^3 = c n^2 / m, with
+    c = ``_CELL_COST``.  S lies between isqrt(n) // 2 and 2 isqrt(n), so
+    the table holds at most about 4n cells and the strips' (S + 1) x S
+    mask at most about 4n entries.  No query counts as one."""
+    root = math.isqrt(n)
+    balanced = round((_CELL_COST * n * n / max(m, 1)) ** (1 / 3))
+    return max(4, root // 2, min(balanced, 2 * root))
 
 
 class _TieGroups(NamedTuple):
@@ -134,16 +147,47 @@ class _TieGroups(NamedTuple):
     keys: np.ndarray
 
 
+def _row_orders(values: np.ndarray) -> tuple[np.ndarray, bool]:
+    """The sorting permutation of each row of ``values`` (R, n), and
+    whether a row may hold ties.
+
+    Each value becomes an int64 key that sorts as the value does (-0.0
+    folded into +0.0, then the sign-magnitude bits of the float made two's
+    complement), with its low b = bit_length(n - 1) bits replaced by the
+    value's index in its row, so one sort of the keys orders every row and
+    the low bits read the order back.  A row in which two keys agree above
+    the index bits holds a tie or a near-tie that clearing the bits made
+    one, and is sorted by ``np.argsort`` instead.
+    """
+    n = values.shape[1]
+    b = (n - 1).bit_length()
+    low = (1 << b) - 1
+    keys = (values + 0.0).view(np.int64)  # -0.0 + 0.0 is +0.0
+    keys ^= (keys >> 63) & np.int64(2**63 - 1)
+    keys &= ~low
+    keys |= np.arange(n)
+    keys.sort(axis=1)
+    high = keys >> b
+    tied = np.any(high[:, 1:] == high[:, :-1], axis=1)
+    order = keys & low
+    may_tie = bool(tied.any())
+    if may_tie:
+        order[tied] = np.argsort(values[tied], axis=1)
+    return order, may_tie
+
+
 class _StackRanks:
     """Ranks of R samples of n points each, stacked as one sample of
     N = R n points keyed by (replication, coordinate).
 
-    Each replication's axes are sorted on their own and its ranks offset by
-    r n, so replication r holds the ranks [r n, (r + 1) n) on both axes:
-    every point of an earlier replication lies strictly below and left of
-    every query of replication r, and no point of a later one does.  Tie
-    groups, runs of equal sorted values, stop at replication boundaries.
-    Rank arrays are int32 (intp from 2^31 points).
+    Each replication's axes are sorted on their own (``_row_orders``) and
+    its ranks offset by r n, so replication r holds the ranks
+    [r n, (r + 1) n) on both axes: every point of an earlier replication
+    lies strictly below and left of every query of replication r, and no
+    point of a later one does.  Tie groups, runs of equal sorted values,
+    stop at replication boundaries; an axis whose rows sort as distinct
+    keys has none, and is not scanned for them.  Rank arrays are int32
+    (intp from 2^31 points).
     """
 
     def __init__(self, xs: np.ndarray, ys: np.ndarray):
@@ -154,20 +198,24 @@ class _StackRanks:
         dt = np.int32 if size < 2**31 else np.intp
         ids = np.arange(size, dtype=dt)
         self.n, self.size = n, size
-        self.sorted, self.rank, orders = [], [], []
+        self.sorted, self.rank, orders, may_tie = [], [], [], []
         for values in (xs, ys):
-            order = np.argsort(values, axis=1)
+            order, tied = _row_orders(values)
             if reps > 1:
                 order += np.arange(0, size, n)[:, None]
             order = order.ravel()
             rank = np.empty(size, dtype=dt)
             rank[order] = ids
             orders.append(order)
+            may_tie.append(tied)
             self.sorted.append(values.ravel()[order])
             self.rank.append(rank)
         # the other axis's rank of each point, listed in this axis's order
         self.other = [self.rank[1][orders[0]], self.rank[0][orders[1]]]
-        self.groups = [self._tie_groups(s, o) for s, o in zip(self.sorted, self.other)]
+        self.groups = [
+            self._tie_groups(s, o) if t else None
+            for s, o, t in zip(self.sorted, self.other, may_tie)
+        ]
 
     def _tie_groups(self, s: np.ndarray, other: np.ndarray) -> _TieGroups | None:
         """The tie groups of one sorted axis, or None when no group holds
@@ -214,7 +262,7 @@ class _StackRanks:
         # coarse cells of s x s ranks after a leading zero row and column:
         # table[a, b] counts the points in the cells left of a and below b,
         # the query's full cells
-        s = _strip_width(size)
+        s = _strip_width(size, kx.size)
         h = size // s + 2
         cells = np.repeat(np.arange(h, h * h, h), s)[:size] + ypos // s + 1
         table = np.bincount(cells, minlength=h * h).reshape(h, h)

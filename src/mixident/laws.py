@@ -68,12 +68,19 @@ class ComponentLaw:
         return -np.expm1(-np.where(t < s, 0.0, t - s))
 
     def sample(self, rng: np.random.Generator, size=None) -> np.ndarray:
+        return self._from_draws(self._draws(rng, size))
+
+    def _draws(self, rng: np.random.Generator, size):
+        """The generator's output that ``_from_draws`` maps to this law:
+        standard normals, or uniforms on [0, 1)."""
+        return rng.standard_normal(size) if self.is_gaussian else rng.random(size)
+
+    def _from_draws(self, draws):
         if self.is_gaussian:
-            return rng.standard_normal(size)
+            return draws
         # inverse CDF: -log(U) - 1 for the centered law, with U flipped to
         # (0, 1] so the log never sees zero
-        u = rng.random(size)
-        return -np.log1p(-u) + self.shift
+        return -np.log1p(-draws) + self.shift
 
 
 STANDARD_NORMAL = ComponentLaw(ComponentKind.STANDARD_NORMAL)
@@ -102,14 +109,20 @@ class ContaminatedLaw:
         """The mixture CDF from the CDF values of its two components."""
         return self.beta * xi_cdf + (1.0 - self.beta) * zeta_cdf
 
-    def sample(self, rng: np.random.Generator, size=None) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         # Latent Bernoulli(beta) picks the contaminant.  Draw order is
         # fixed (selector, contaminant, background) so identical streams
-        # give identical output for every beta.
+        # give identical output for every beta; each component's inverse
+        # CDF runs only on the coordinates it supplies.
         pick_xi = rng.random(size) < self.beta
-        from_xi = self.xi.sample(rng, size)
-        from_zeta = self.zeta.sample(rng, size)
-        return np.where(pick_xi, from_xi, from_zeta)
+        from_xi = self.xi._draws(rng, size)
+        out = self.zeta._draws(rng, size)
+        if not self.zeta.is_gaussian:
+            keep = np.flatnonzero(~pick_xi)
+            np.put(out, keep, self.zeta._from_draws(np.take(out, keep)))
+        at = np.flatnonzero(pick_xi)
+        np.put(out, at, self.xi._from_draws(np.take(from_xi, at)))
+        return out
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ DIGESTS = {
     "left-desk": "115053209997d00b5488985ab01c5a649fbaac966d1a2bf2931d7873d2a07ec1",
     "left-desk-uncentered": "c95baf4bdd6a3462ae59643beabf344ba4a2aa92a52893532e5e5f4a152f0dc1",
     "right-desk-cell": "cee3c610dea415668379a6d9c60434c06c157dbe06cfe6c9c86c8d185859b4d0",
+    "fig1-right-cell": "fe8c0991fca993717a0c816bd8cdd17e896a5ca8ccc35c9365eaa1320d6d5ec0",
     "limit": "a0080e17d6edba5997180b9984895609dded8a21394e860f1092bb1916cd89fb",
 }
 
@@ -84,6 +85,14 @@ def test_right_desk_cell_statistics_are_pinned(workers):
     assert cell.n == 20_000
     stats = estimate_probability(cell, workers=workers, retain_stats=True).stats
     _check("right-desk-cell", stats)
+
+
+def test_fig1_right_cell_statistics_are_pinned():
+    # n = 50 000 and 1000 corners: the widest cells of any preset, and a
+    # rank index of 16 bits in each packed sort key
+    cell = preset_config("fig1-right", n_reps=3).scenarios()[0]
+    assert (cell.n, cell.grid.m_points) == (50_000, 1000)
+    _check("fig1-right-cell", estimate_probability(cell, retain_stats=True).stats)
 
 
 def test_limit_draws_are_pinned():

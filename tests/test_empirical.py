@@ -159,7 +159,7 @@ def _count_case(case, rng):
     if case in ("x-tied", "y-tied"):
         # one x value shared by all 3000 points and 3 y values, or the
         # mirror: a few large tie groups across two query chunks
-        m = _chunk_rows(3000) + 7
+        m = _chunk_queries(3000, 7)
         pts = np.column_stack([np.full(3000, 0.5), rng.integers(0, 3, 3000).astype(float)])
         q = np.column_stack([rng.choice([0.0, 0.5, 1.0], m), rng.integers(-1, 4, m)])
         if case == "y-tied":
@@ -176,43 +176,87 @@ def _count_case(case, rng):
     pts = rng.normal(size=(n, 2))
     if case != "blocks":
         pts = np.round(pts, 1)  # tied sample keys across the strips
-    m = _chunk_rows(n) + 7
+    m = _chunk_queries(n, 7)
     q = np.column_stack([rng.choice(pts[:, 0], m), rng.choice(pts[:, 1], m)])
     q[::5] = rng.normal(size=(len(q[::5]), 2))
     return pts, q
 
 
-def _chunk_rows(n):
-    """Queries per chunk of the strip gathers over n sample points."""
-    return max(1, _STRIP_CHUNK // _strip_width(n))
+def _chunk_queries(n, past):
+    """The query count m that is ``past`` queries beyond one chunk of strip
+    gathers over n sample points, the chunk sized by the strip width of
+    those m queries: the least fixed point of m = chunk(m) + past, which
+    iterating from one reaches since chunk(m) grows with m."""
+    m, prev = 1, None
+    while m != prev:
+        prev, m = m, max(1, _STRIP_CHUNK // _strip_width(n, m)) + past
+    return m
 
 
 def test_strip_width_rule():
-    assert [_strip_width(n) for n in (1, 64, 100, 384, 700, 3000, 20_000, 70_000)] == [
-        4, 4, 5, 9, 13, 27, 70, 132,
+    # (N, M): stacks of 6 left-desk replications of 500 corners each at
+    # n = 100, 500, 1000 and 2000, the 4 + 2 and 3 + 3 stacks of n = 3500
+    # and 5000, right-desk (n = 20 000, 500 corners) and fig1-right
+    # (n = 50 000, 1000 corners), then the floors at many queries
+    shapes = [
+        (600, 3000), (3000, 3000), (6000, 3000), (12_000, 3000), (14_000, 2000),
+        (7000, 1000), (15_000, 1500), (20_000, 500), (50_000, 1000),
+        (1, 1), (64, 10**6), (384, 10**6), (70_000, 10**9),
     ]
-    assert [_chunk_rows(n) for n in (1, 700, 3000)] == [16_384, 5041, 2427]
+    assert [_strip_width(*shape) for shape in shapes] == [
+        12, 27, 39, 62, 79, 63, 91, 159, 232, 4, 4, 9, 132,
+    ]
+    # no query sizes the cells as one
+    assert _strip_width(3000, 0) == _strip_width(3000, 1)
+    assert [_chunk_queries(n, d) for n, d in ((1, 1), (700, -1), (3000, 7))] == [
+        16_385, 5040, 2434,
+    ]
 
 
-# sample sizes on and next to a multiple of the strip width, where the
-# last coarse cell is full, holds one rank or lacks one
-_EDGE_SIZES = [n for n in range(1, 2049) if (n + 1) % _strip_width(n) <= 2]
+@pytest.mark.parametrize("n", [1, 2, 5, 63, 64, 65, 1000, 20_000, 50_000, 10**6, 10**9])
+def test_strip_width_keeps_the_table_and_the_mask_within_about_4n(n):
+    # the cells never shrink below the side isqrt(n) // 2, whatever the
+    # query count, so the (n // S + 2)^2 table stays O(n); nor grow past
+    # 2 isqrt(n), so the strips' (S + 1) x S mask stays O(n) too
+    bound = (n // max(4, math.isqrt(n) // 2) + 2) ** 2
+    for m in (1, 2, 7, 500, n, 10 * n, 10**12):
+        s = _strip_width(n, m)
+        assert (n // s + 2) ** 2 <= bound
+        assert s <= max(4, 2 * math.isqrt(n))
+
+
+@st.composite
+def _count_shapes(draw):
+    """(n, m): a sample of up to 2048 points and no queries, a few, or one
+    less or one more than a chunk of strip gathers."""
+    n = draw(st.integers(1, 2048))
+    return n, draw(st.one_of(
+        st.integers(0, 59), st.sampled_from([_chunk_queries(n, -1), _chunk_queries(n, 1)])
+    ))
+
+
+# (n, m) with n on and next to a multiple of the strip width of m queries,
+# where the last coarse cell is full, holds one rank or lacks one
+_EDGE_SHAPES = [
+    (n, m)
+    for n in range(1, 2049)
+    for m in (1, 40, _chunk_queries(n, -1), _chunk_queries(n, 1))
+    if (n + 1) % _strip_width(n, m) <= 2
+]
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
-    n=st.one_of(st.integers(1, 2048), st.sampled_from(_EDGE_SIZES)),
+    shape=st.one_of(_count_shapes(), st.sampled_from(_EDGE_SHAPES)),
     spread=st.integers(0, 40),
-    size=st.sampled_from(["none", "few", "chunk-1", "chunk+1"]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_count_matches_naive_on_lattices(n, spread, size, seed):
+def test_count_matches_naive_on_lattices(shape, spread, seed):
     # integer lattices tie both axes; queries are corners, off-lattice
     # points and infinite coordinates
+    n, m = shape
     rng = np.random.default_rng(seed)
     pts = rng.integers(-spread, spread + 1, size=(n, 2)).astype(float)
-    rows = _chunk_rows(n)
-    m = {"none": 0, "few": int(rng.integers(1, 60)), "chunk-1": rows - 1, "chunk+1": rows + 1}[size]
     q = np.column_stack([rng.choice(pts[:, 0], m), rng.choice(pts[:, 1], m)])
     kind = rng.integers(0, 4, size=(m, 2))
     q = np.where(kind == 1, np.floor(q) + 0.5, q)
@@ -240,41 +284,46 @@ def test_blocked_count_matches_naive(case):
     np.testing.assert_array_equal(strict, strict_ref)
 
 
-# (replications, n) of stacks whose R n points sit on or next to a multiple
-# of the strip width, and on both sides of the split into stacks of at most
-# _SLICE_POINTS points
+@st.composite
+def _stack_shapes(draw):
+    """(replications, n, corners per replication): up to 6 samples of up
+    to 40 points, with some or all of their corners."""
+    reps, n = draw(st.integers(1, 6)), draw(st.integers(1, 40))
+    return reps, n, draw(st.one_of(st.just(n * n), st.integers(1, min(n * n, 300))))
+
+
+# (replications, n, corners) of stacks whose R n points sit on or next to a
+# multiple of the strip width of their R m corners, and on both sides of
+# the split into stacks of at most _SLICE_POINTS points
 _STACK_EDGES = [
-    (reps, n) for reps in range(1, 7) for n in range(1, 400)
-    if (reps * n + 1) % _strip_width(reps * n) <= 2
+    (reps, n, m) for reps in range(1, 7) for n in range(1, 400) for m in (min(n * n, 300),)
+    if (reps * n + 1) % _strip_width(reps * n, reps * m) <= 2
 ]
-_STACK_SPLITS = [(reps, _SLICE_POINTS // reps + d) for reps in range(1, 7) for d in (0, 1)]
+_STACK_SPLITS = [(reps, _SLICE_POINTS // reps + d, 300) for reps in range(1, 7) for d in (0, 1)]
 
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
-    shape=st.one_of(
-        st.tuples(st.integers(1, 6), st.integers(1, 40)),
-        st.sampled_from(_STACK_EDGES),
-        st.sampled_from(_STACK_SPLITS),
-    ),
+    shape=st.one_of(_stack_shapes(), st.sampled_from(_STACK_EDGES), st.sampled_from(_STACK_SPLITS)),
     spread=st.integers(0, 6),
     step=st.sampled_from([-1, 0, 1]),
-    every=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_stacked_corner_counts_match_naive(shape, spread, step, every, seed):
+def test_stacked_corner_counts_match_naive(shape, spread, step, seed):
     # integer lattices tie both axes; with step = +-1 replication r holds the
     # values r * spread + [-spread, spread] (or the mirror), so its top tie
     # group equals the next replication's bottom one
-    reps, n = shape
+    reps, n, m = shape
     rng = np.random.default_rng(seed)
     offset = step * spread * np.arange(reps)[:, None, None]
     points = (rng.integers(-spread, spread + 1, size=(reps, n, 2)) + offset).astype(float)
-    if every and n <= 40:
-        flat = np.stack([rng.permutation(n * n) for _ in range(reps)])
-    else:
-        m = int(rng.integers(1, min(n * n, 300) + 1))
-        flat = np.stack([rng.choice(n * n, m, replace=False) for _ in range(reps)])
+    _check_corner_counts(points, np.stack([rng.choice(n * n, m, replace=False) for _ in range(reps)]))
+
+
+def _check_corner_counts(points, flat):
+    """``_corner_counts`` of the (R, n, 2) samples ``points`` at the corner
+    indices ``flat`` (R, m) against naive counting, sample by sample."""
+    reps, n, _ = points.shape
     corners, weak, strict = _corner_counts(zip(points, flat), n)
     corners = corners.reshape(reps, -1, 2)
     for r in range(reps):
@@ -283,6 +332,51 @@ def test_stacked_corner_counts_match_naive(shape, spread, step, every, seed):
         weak_ref, strict_ref = naive_dominance_counts(points[r], corners[r])
         np.testing.assert_array_equal(weak[r], weak_ref)
         np.testing.assert_array_equal(strict[r], strict_ref)
+
+
+@st.composite
+def _near_tie_rows(draw):
+    """(R, n, 2) samples, R <= 6, whose rows mix the cases the packed sort
+    must see: distinct values, -0.0 beside +0.0, one-ulp neighbours (the
+    larger at the lower index) and exact ties, each row its own mix."""
+    reps, n = draw(st.integers(1, 6)), draw(st.integers(2, 300))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(reps, n, 2)) * 10.0 ** rng.integers(-3, 4, size=(reps, 1, 2))
+    for r in range(reps):
+        for axis in (0, 1):
+            v = rows[r, :, axis]
+            at = rng.permutation(n)
+            mix = draw(st.sets(st.sampled_from(["zeros", "ulp", "ties"])))
+            if "zeros" in mix:
+                v[at[0]], v[at[1]] = -0.0, 0.0
+            if "ulp" in mix:
+                lo, hi = sorted(at[2:4]) if n > 3 else (0, 1)
+                v[hi] = v[lo]
+                v[lo] = np.nextafter(v[hi], np.inf)
+            if "ties" in mix:
+                v[at[-1]] = v[at[-2]]
+    return rows
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(points=_near_tie_rows(), seed=st.integers(0, 2**32 - 1))
+def test_packed_ranks_match_naive_on_near_ties(points, seed):
+    # keys that agree above the index bits (a tie, or a near-tie that
+    # clearing the bits made one) must send their row to the argsort path,
+    # and -0.0 must tie +0.0; a row without either keeps the packed order
+    reps, n, _ = points.shape
+    rng = np.random.default_rng(seed)
+    m = min(n * n, 200)
+    _check_corner_counts(points, np.stack([rng.choice(n * n, m, replace=False) for _ in range(reps)]))
+    for sample in points:
+        q = np.column_stack([rng.choice(sample[:, 0], m), rng.choice(sample[:, 1], m)])
+        q[::3] = np.nextafter(q[::3], -np.inf)
+        q[1::7] = [[0.0, -0.0], [-0.0, 0.0]][seed % 2]
+        weak, strict = EmpiricalCdf(Sample2D(sample)).dominance_counts(q)
+        weak_ref, strict_ref = naive_dominance_counts(sample, q)
+        np.testing.assert_array_equal(weak, weak_ref)
+        np.testing.assert_array_equal(strict, strict_ref)
 
 
 def test_count_memory_is_bounded_in_the_queries(traced_peak):
@@ -305,6 +399,15 @@ def test_count_memory_is_linear_at_large_n(traced_peak):
     q = np.column_stack([rng.choice(sample.points[:, 0], 200_000), rng.normal(size=200_000)])
     ecdf = EmpiricalCdf(sample)
     assert traced_peak(ecdf.dominance_counts, q) < 40 * 2**20
+
+
+def test_count_memory_is_linear_at_few_queries(traced_peak):
+    # one query would balance the table against cells of over 5000 ranks
+    # a side, whose strip mask alone takes about 34 MB; the cap of
+    # 2 isqrt(n) ranks keeps it under 1 MB
+    rng = np.random.default_rng(12)
+    ecdf = EmpiricalCdf(Sample2D(rng.normal(size=(200_000, 2))))
+    assert traced_peak(ecdf.dominance_counts, rng.normal(size=(1, 2))) < 24 * 2**20
 
 
 def test_counts_validate_query_shape():

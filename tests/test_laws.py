@@ -213,6 +213,29 @@ def test_mixture_draws_reproducible_across_betas():
     assert flipped < 0.02
 
 
+@pytest.mark.parametrize(
+    "xi, zeta",
+    [
+        (CENTERED_EXPONENTIAL, STANDARD_NORMAL),
+        (STANDARD_EXPONENTIAL, STANDARD_NORMAL),
+        (STANDARD_NORMAL, CENTERED_EXPONENTIAL),
+        (CENTERED_EXPONENTIAL, STANDARD_EXPONENTIAL),
+    ],
+)
+@pytest.mark.parametrize("beta", [0.0, 1e-4, 0.3, 1.0])
+def test_mixture_draws_equal_the_whole_array_formula(xi, zeta, beta):
+    # the sampler transforms only the coordinates each component supplies;
+    # the draws must be bit for bit those of transforming both components
+    # everywhere and selecting with the Bernoulli picks
+    law = ContaminatedLaw(beta, xi, zeta)
+    for size in (1, (7, 2), (20_000, 2)):
+        rng = np.random.default_rng(31)
+        pick_xi = rng.random(size) < beta
+        want = np.where(pick_xi, xi.sample(rng, size), zeta.sample(rng, size))
+        got = law.sample(np.random.default_rng(31), size)
+        assert got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # uniform-norm distance
 
