@@ -40,12 +40,15 @@ There are two ways to make the cuts and one count after them.
 the sorted axes for their cuts.  The replication engine counts corners
 (``_corner_counts``): a corner (x_i, y_j) has kx at the end of x_i's tie
 group in x-rank order and ky likewise, so its cuts are read from the
-ranks of points i and j.  It also counts several samples at once: up to
-``laws._SLICE_POINTS`` points of R consecutive replications form one
-stacked sample keyed by (replication, coordinate), each replication's
-ranks offset by r n, so every point of an earlier replication lies
-strictly below and left of every corner of replication r and its counts
-are the stack's minus r n.  Tie groups stop at replication boundaries.
+ranks of points i and j.  It also draws and counts several samples at
+once: up to ``laws._SLICE_POINTS`` points of R consecutive replications
+are drawn as one array and transformed as A @ e^T straight into one
+contiguous (R, n) block of rows per axis (``_draw_rows``;
+``draw_sample`` is a stack of one), and form one stacked sample keyed by
+(replication, coordinate), each replication's ranks offset by r n, so
+every point of an earlier replication lies strictly below and left of
+every corner of replication r and its counts are the stack's minus r n.
+Tie groups stop at replication boundaries.
 
 One path leads from counts to the statistic: ``_Candidates`` holds a
 (reps, m) stack of counts, the corners at which the target is needed
@@ -59,7 +62,6 @@ task's blocks.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -104,15 +106,36 @@ def draw_sample(
     xi: ComponentLaw = CENTERED_EXPONENTIAL,
     zeta: ComponentLaw = STANDARD_NORMAL,
 ) -> Sample2D:
-    """n i.i.d. draws of A e with coordinates i.i.d. beta*xi + (1-beta)*zeta.
+    """n i.i.d. draws of A e with coordinates i.i.d. beta*xi + (1-beta)*zeta:
+    a stack of one (``_draw_rows``).
 
     ``rng`` is either a reproducible stream or a bare numpy Generator.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     gen = rng.generator() if isinstance(rng, RngStream) else rng
-    eps = ContaminatedLaw(beta, xi, zeta).sample(gen, (n, 2))
-    return Sample2D(eps @ as_matrix(m).as_array().T)
+    return Sample2D(_draw_rows(m, ContaminatedLaw(beta, xi, zeta), n, [gen])[:, 0].T)
+
+
+def _draw_rows(m, law: ContaminatedLaw, n: int, gens) -> np.ndarray:
+    """A stack of R = len(gens) samples of n draws of A e, e's coordinates
+    i.i.d. ``law``, sample r drawn by gens[r]; shape (2, R, n), so each
+    axis is one contiguous (R, n) block of rows, as ``_StackRanks`` reads
+    them.
+
+    The stack is drawn as one array (``ContaminatedLaw._sample_stack``)
+    and transformed as one: A @ e^T, which the tests check equals each
+    sample's e @ A^T bit for bit from n = 2 on.  A one-point sample's
+    product takes numpy's vector route, whose rounding the stacked product
+    does not share, so at n = 1 each sample is transformed as e @ A^T.  A
+    non-finite coordinate raises ``ValueError``.
+    """
+    eps = law._sample_stack(gens, (n, 2))
+    a = as_matrix(m).as_array()
+    rows = a @ eps.reshape(-1, 2).T if n > 1 else np.concatenate([e @ a.T for e in eps]).T
+    if not np.all(np.isfinite(rows)):
+        raise ValueError("sample coordinates must be finite")
+    return rows.reshape(2, len(gens), n)
 
 
 _STRIP_CHUNK = 1 << 16  # strip elements gathered per chunk of queries
@@ -198,7 +221,7 @@ class _StackRanks:
         dt = np.int32 if size < 2**31 else np.intp
         ids = np.arange(size, dtype=dt)
         self.n, self.size = n, size
-        self.sorted, self.rank, orders, may_tie = [], [], [], []
+        self.values, self.orders, self.rank, may_tie = (xs, ys), [], [], []
         for values in (xs, ys):
             order, tied = _row_orders(values)
             if reps > 1:
@@ -206,16 +229,20 @@ class _StackRanks:
             order = order.ravel()
             rank = np.empty(size, dtype=dt)
             rank[order] = ids
-            orders.append(order)
+            self.orders.append(order)
             may_tie.append(tied)
-            self.sorted.append(values.ravel()[order])
             self.rank.append(rank)
         # the other axis's rank of each point, listed in this axis's order
-        self.other = [self.rank[1][orders[0]], self.rank[0][orders[1]]]
+        self.other = [self.rank[1][self.orders[0]], self.rank[0][self.orders[1]]]
         self.groups = [
-            self._tie_groups(s, o) if t else None
-            for s, o, t in zip(self.sorted, self.other, may_tie)
+            self._tie_groups(self._sorted(axis), self.other[axis]) if tied else None
+            for axis, tied in enumerate(may_tie)
         ]
+
+    def _sorted(self, axis: int) -> np.ndarray:
+        """One axis's values in rank order.  Gathered when asked for: only
+        tie groups and searched cuts read them."""
+        return self.values[axis].ravel()[self.orders[axis]]
 
     def _tie_groups(self, s: np.ndarray, other: np.ndarray) -> _TieGroups | None:
         """The tie groups of one sorted axis, or None when no group holds
@@ -245,7 +272,8 @@ class _StackRanks:
         """Cuts of arbitrary (m, 2) queries on a stack of one sample, per
         axis (k, l) = (#{s <= v}, #{s < v}), by a search of the sorted axis."""
         cuts = []
-        for s, groups, v in zip(self.sorted, self.groups, q.T):
+        for axis, (groups, v) in enumerate(zip(self.groups, q.T)):
+            s = self._sorted(axis)
             k = np.searchsorted(s, v, side="right")
             last = np.maximum(k - 1, 0)
             tied = s[last] == v
@@ -419,33 +447,53 @@ def build_eval_grid(sample: Sample2D, spec: EvalGridSpec, rng: np.random.Generat
     return np.column_stack([sample.points[i, 0], sample.points[j, 1]])
 
 
-def _corner_counts(replications, n: int):
-    """Corners of R samples and their dominance counts, counted in stacks.
-
-    ``replications`` yields, for each sample of n points in turn, its
-    (n, 2) points and the corner indices i n + j that ``_corner_indices``
-    drew for it.  Returns the (R m, 2) corners (x_i^(1), x_j^(2)) in
-    replication order and the (R, m) weak and strict counts of each corner
-    in its own sample.  The samples are read a stack at a time: up to
-    ``laws._SLICE_POINTS`` points of consecutive samples (at least one
-    sample) are counted as one stacked sample (``_StackRanks``), and each
-    corner's cuts come from the ranks of its points i and j, so no query
-    is searched.
-    """
+def _stack_slices(count: int, n: int) -> list[slice]:
+    """The stacks of ``count`` consecutive samples of n points: runs of up
+    to ``laws._SLICE_POINTS`` points in all, and at least one sample."""
     per_stack = max(1, _SLICE_POINTS // n)
-    reps = iter(replications)
+    return [slice(lo, lo + per_stack) for lo in range(0, count, per_stack)]
+
+
+def _replication_stacks(m, law: ContaminatedLaw, n: int, spec: EvalGridSpec, root, indices):
+    """Samples and corner indices of replications ``indices`` of ``root``,
+    a stack (``_stack_slices``) at a time.
+
+    Replication r draws n points of A e, e's coordinates i.i.d. ``law``,
+    from ``root.child(r, 0)`` and the corner indices of ``spec`` from
+    ``root.child(r, 1)``.  Each stack is drawn as one array
+    (``_draw_rows``).  Yields, per stack, its (R, n) x and y coordinate
+    rows and its (R, m) flat corner indices.
+    """
+    for stack in _stack_slices(len(indices), n):
+        reps = indices[stack]
+        xs, ys = _draw_rows(m, law, n, [root.child(r, 0).generator() for r in reps])
+        flat = np.stack([_corner_indices(n, spec, root.child(r, 1).generator()) for r in reps])
+        yield xs, ys, flat
+
+
+def _corner_counts(stacks, n: int):
+    """Corners of R samples and their dominance counts, counted a stack at
+    a time.
+
+    ``stacks`` yields, for each stack of consecutive samples of n points,
+    its (R_k, n) x and y coordinate rows and the (R_k, m) corner indices
+    i n + j that ``_corner_indices`` drew for each of its samples, as
+    ``_replication_stacks`` does.  Returns the (R m, 2) corners
+    (x_i^(1), x_j^(2)) in sample order and the (R, m) weak and strict
+    counts of each corner in its own sample.  Each stack is counted as one
+    stacked sample (``_StackRanks``), and each corner's cuts come from the
+    ranks of its points i and j, so no query is searched.
+    """
     corners, weak, strict = [], [], []
-    while stack := list(itertools.islice(reps, per_stack)):
-        # one contiguous (R, n) array per axis
-        xs, ys = (np.stack([p[:, axis] for p, _ in stack]) for axis in (0, 1))
-        base = np.arange(0, len(stack) * n, n)[:, None]
-        i, j = np.divmod(np.stack([f for _, f in stack]), n)
+    for xs, ys, flat in stacks:
+        base = np.arange(0, xs.size, n)[:, None]
+        i, j = np.divmod(flat, n)
         ix, iy = (i + base).ravel(), (j + base).ravel()
         ranks = _StackRanks(xs, ys)
         w, s = ranks.counts(ranks.corner_cuts(ix, iy))
         corners.append(np.column_stack([xs.ravel()[ix], ys.ravel()[iy]]))
-        weak.append(w.reshape(len(stack), -1) - base)
-        strict.append(s.reshape(len(stack), -1) - base)
+        weak.append(w.reshape(len(xs), -1) - base)
+        strict.append(s.reshape(len(xs), -1) - base)
     return np.concatenate(corners), np.concatenate(weak), np.concatenate(strict)
 
 

@@ -6,7 +6,10 @@ level ``beta`` in [0, 1].  The background ``zeta`` is standard normal
 throughout; the contaminant ``xi`` defaults to a mean-zero exponential so
 the mixture stays centered at every contamination level.  Only CDFs and
 samplers are exposed: everything downstream works with distribution
-functions, not densities.
+functions, not densities.  The mixture draws a stack of replications,
+each from its own generator, as one array (``ContaminatedLaw.sample`` is
+a stack of one): each generator fills its slices of one buffer, and the
+selection and the inverse CDFs run once per stack.
 
 Distances between laws are always taken in the uniform (Kolmogorov) norm
 ``sup_t |F(t) - G(t)|``: a dense grid on [-20, 20] is scanned in slices of
@@ -70,10 +73,12 @@ class ComponentLaw:
     def sample(self, rng: np.random.Generator, size=None) -> np.ndarray:
         return self._from_draws(self._draws(rng, size))
 
-    def _draws(self, rng: np.random.Generator, size):
+    def _draws(self, rng: np.random.Generator, size=None, out=None):
         """The generator's output that ``_from_draws`` maps to this law:
-        standard normals, or uniforms on [0, 1)."""
-        return rng.standard_normal(size) if self.is_gaussian else rng.random(size)
+        standard normals, or uniforms on [0, 1); written into ``out`` when
+        it is given."""
+        draw = rng.standard_normal if self.is_gaussian else rng.random
+        return draw(size, out=out)
 
     def _from_draws(self, draws):
         if self.is_gaussian:
@@ -110,19 +115,61 @@ class ContaminatedLaw:
         return self.beta * xi_cdf + (1.0 - self.beta) * zeta_cdf
 
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
-        # Latent Bernoulli(beta) picks the contaminant.  Draw order is
-        # fixed (selector, contaminant, background) so identical streams
-        # give identical output for every beta; each component's inverse
-        # CDF runs only on the coordinates it supplies.
-        pick_xi = rng.random(size) < self.beta
-        from_xi = self.xi._draws(rng, size)
-        out = self.zeta._draws(rng, size)
+        """``size`` draws from ``rng``: a stack of one (``_sample_stack``)."""
+        return self._sample_stack([rng], tuple(np.atleast_1d(size)))[0]
+
+    def _sample_stack(self, rngs, shape) -> np.ndarray:
+        """Draws of shape ``(R,) + shape``, row r drawn by ``rngs[r]``.
+
+        A latent Bernoulli(beta) picks the contaminant.  Each row's
+        generator fills its slices of one buffer in a fixed order
+        (selector, contaminant, background), so identical streams give
+        identical output for every beta.  The selection and each
+        component's inverse CDF then run once on the whole stack, each
+        inverse CDF only on the coordinates its component supplies.
+
+        A fill that the level never reads is not drawn.  At beta = 0 the
+        selector, and a contaminant of uniforms, are passed over: a PCG64
+        generator advances one 64-bit output per float64 instead (a
+        Gaussian contaminant is still drawn, since its ziggurat takes a
+        varying number of outputs).  At beta = 1 the background, the last
+        fill, is skipped, so the generator stops short of it.  Every row
+        equals the one the three fills would give, bit for bit.
+        """
+        sel, from_xi, out = np.empty((3, len(rngs), *shape))
+        zero, one = self.beta == 0.0, self.beta == 1.0
+        for rng, s, c, b in zip(rngs, sel, from_xi, out):
+            if zero:
+                _pass_over(rng, s)
+            else:
+                rng.random(out=s)
+            if zero and not self.xi.is_gaussian:
+                _pass_over(rng, c)
+            else:
+                self.xi._draws(rng, out=c)
+            if not one:
+                self.zeta._draws(rng, out=b)
+        if zero:
+            return self.zeta._from_draws(out)
+        if one:
+            return self.xi._from_draws(from_xi)
+        pick_xi = sel < self.beta
         if not self.zeta.is_gaussian:
             keep = np.flatnonzero(~pick_xi)
             np.put(out, keep, self.zeta._from_draws(np.take(out, keep)))
         at = np.flatnonzero(pick_xi)
         np.put(out, at, self.xi._from_draws(np.take(from_xi, at)))
         return out
+
+
+def _pass_over(rng: np.random.Generator, out: np.ndarray) -> None:
+    """Move ``rng`` past the uniforms that a fill of ``out`` would draw:
+    a PCG64 advances by one output per entry, any other bit generator
+    fills ``out``."""
+    if type(rng.bit_generator) is np.random.PCG64:
+        rng.bit_generator.advance(out.size)
+    else:
+        rng.random(out=out)
 
 
 @dataclass(frozen=True)

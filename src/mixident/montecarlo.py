@@ -29,9 +29,10 @@ forked from one that holds a pool starts its own.  Results do not depend
 on which pool, or how many, ran them.  A job is cut into blocks, each a
 contiguous range of one scenario's replication indices, and the blocks
 are grouped into tasks, each run by ``_run_task``.  Every block takes one
-path from counts to statistic: it draws each replication's sample and
-corners, counts the corners of up to ``laws._SLICE_POINTS`` sample points
-at a time as one stacked sample, and keeps its corners as
+path from counts to statistic: it draws its replications' samples a stack
+of up to ``laws._SLICE_POINTS`` sample points at a time, as one array,
+draws each replication's corners, counts each stack's corners as one
+stacked sample, and keeps its corners as
 ``empirical._Candidates``; the task then evaluates the target CDF once on
 the kept corners of its blocks rather than once per grid, one kernel call
 per assignment, and each block takes its statistics from its own slice.
@@ -78,16 +79,16 @@ from .empirical import (
     _Candidates,
     _check_sample_size,
     _corner_counts,
-    _corner_indices,
+    _replication_stacks,
     _whole_fields,
     _whole_numbers,
-    draw_sample,
 )
 from .laws import (
     _SLICE_POINTS,
     CENTERED_EXPONENTIAL,
     STANDARD_NORMAL,
     ComponentLaw,
+    ContaminatedLaw,
     RngStream,
 )
 from .pushforward import (
@@ -202,10 +203,11 @@ def _run_task(blocks) -> list[tuple[np.ndarray, float]]:
     A block ``(job, indices, bracketed)`` holds replications ``indices`` of
     a job, and every block takes the same path.  Replication r draws n
     points of m_sample at level beta from ``root.child(r, 0)`` and its
-    corner indices from ``root.child(r, 1)``; ``empirical._corner_counts``
-    counts the corners of consecutive replications of up to
-    ``laws._SLICE_POINTS`` points in all (at least one) as one stacked
-    sample.  The block keeps its corners as ``empirical._Candidates``:
+    corner indices from ``root.child(r, 1)``.  Consecutive replications
+    of up to ``laws._SLICE_POINTS`` points in all (at least one) form a
+    stack: ``empirical._replication_stacks`` draws its samples as one
+    array, and ``empirical._corner_counts`` counts its corners as one
+    stacked sample.  The block keeps its corners as ``empirical._Candidates``:
     every corner, or, when it is bracketed, only those that m_target's
     ``pushforward.bracket_table`` leaves able to attain a maximum.
 
@@ -259,15 +261,9 @@ def _run_task(blocks) -> list[tuple[np.ndarray, float]]:
             flush()
         kept_target = target
         t0 = time.perf_counter()
-        # drawn a stack at a time, as the count reads them
-        replications = (
-            (
-                draw_sample(m_sample, beta, n, root.child(r, 0), xi=xi, zeta=zeta).points,
-                _corner_indices(n, grid, root.child(r, 1).generator()),
-            )
-            for r in indices
-        )
-        pts, weak, strict = _corner_counts(replications, n)
+        law = ContaminatedLaw(beta, xi, zeta)
+        stacks = _replication_stacks(m_sample, law, n, grid, root, indices)
+        pts, weak, strict = _corner_counts(stacks, n)
         weights = mixture_weights(beta)
         bracket = bracket_table(m_target, xi, zeta).bracket(weights, pts) if bracketed else None
         cand = _Candidates(weak, strict, n, pts, bracket)

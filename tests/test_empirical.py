@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
@@ -14,6 +14,8 @@ from mixident.empirical import (
     Sample2D,
     _STRIP_CHUNK,
     _corner_counts,
+    _replication_stacks,
+    _stack_slices,
     _strip_width,
     build_eval_grid,
     corner_grid,
@@ -21,8 +23,16 @@ from mixident.empirical import (
     naive_dominance_counts,
     sup_stat,
 )
-from mixident.laws import _SLICE_POINTS, STANDARD_NORMAL, RngStream
+from mixident.laws import (
+    _SLICE_POINTS,
+    CENTERED_EXPONENTIAL,
+    STANDARD_EXPONENTIAL,
+    STANDARD_NORMAL,
+    ContaminatedLaw,
+    RngStream,
+)
 from mixident.pushforward import (
+    as_matrix,
     equal_product_pair,
     mixture_cdf_batch,
     pure_cdf_batch,
@@ -88,6 +98,83 @@ def test_draw_sample_covariance_matches_mixing():
     # below 3 for these laws; 4 sigma with sigma ~ sqrt(3/n)
     tol = 4.0 * math.sqrt(3.0 / n)
     assert np.max(np.abs(got - want)) < tol
+
+
+def _reference_points(law, m, n, gen):
+    """One replication's points as a per-replication sampler draws them:
+    selector, contaminant and background filled in full, each component's
+    inverse CDF on the coordinates it supplies, then e @ A^T."""
+    size = (n, 2)
+    pick_xi = gen.random(size) < law.beta
+    from_xi = law.xi._draws(gen, size)
+    out = law.zeta._draws(gen, size)
+    if not law.zeta.is_gaussian:
+        keep = np.flatnonzero(~pick_xi)
+        np.put(out, keep, law.zeta._from_draws(np.take(out, keep)))
+    at = np.flatnonzero(pick_xi)
+    np.put(out, at, law.xi._from_draws(np.take(from_xi, at)))
+    return out @ as_matrix(m).as_array().T
+
+
+_DRAW_LAWS = [
+    (CENTERED_EXPONENTIAL, STANDARD_NORMAL),
+    (STANDARD_EXPONENTIAL, STANDARD_NORMAL),
+    (STANDARD_NORMAL, CENTERED_EXPONENTIAL),
+]
+_DRAW_MATRICES = [*equal_product_pair(0.4), ((100.0, 1.0), (0.8, -1.4))]
+# (replications, n) whose R n points lie on both sides of _SLICE_POINTS
+_DRAW_SPLITS = [(k + 1, _SLICE_POINTS // k + d) for k in (1, 2, 3) for d in (-1, 0, 1)]
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    laws=st.sampled_from(_DRAW_LAWS),
+    beta=st.sampled_from([0.0, 1e-4, 0.3, 1.0]),
+    shape=st.one_of(
+        st.tuples(st.integers(1, 6), st.integers(1, 300)), st.sampled_from(_DRAW_SPLITS)
+    ),
+    m=st.sampled_from(_DRAW_MATRICES),
+    seed=st.integers(0, 2**32 - 1),
+)
+# one-point samples: a stack's product must not round them as a matrix does
+@example(laws=_DRAW_LAWS[0], beta=0.3, shape=(6, 1), m=_DRAW_MATRICES[0], seed=2)
+def test_stacked_draws_equal_per_replication_draws(laws, beta, shape, m, seed):
+    # each stack is drawn as one array and transformed as A @ e^T; every
+    # replication's rows and corner indices must be bit for bit the ones a
+    # per-replication draw gives, whether a fill is drawn or passed over
+    reps, n = shape
+    law = ContaminatedLaw(beta, *laws)
+    spec = EvalGridSpec(m_points=min(n * n, 50))
+    root = RngStream(seed).child(4)
+    stacks = list(_replication_stacks(m, law, n, spec, root, range(3, 3 + reps)))
+    assert all(xs.size <= _SLICE_POINTS or len(xs) == 1 for xs, _, _ in stacks)
+    xs, ys, flat = (np.concatenate(part) for part in zip(*stacks))
+    for r in range(reps):
+        ref_gen = root.child(3 + r, 0).generator()
+        want = _reference_points(law, m, n, ref_gen)
+        assert xs[r].tobytes() == want[:, 0].tobytes()
+        assert ys[r].tobytes() == want[:, 1].tobytes()
+        gen = root.child(3 + r, 0).generator()
+        assert draw_sample(m, beta, n, gen, *laws).points.tobytes() == want.tobytes()
+        if beta < 1.0:
+            # advancing past the unread fills leaves the stream where drawing them would
+            assert gen.bit_generator.state == ref_gen.bit_generator.state
+        corners = root.child(3 + r, 1).generator().choice(n * n, spec.m_points, replace=False)
+        np.testing.assert_array_equal(flat[r], corners)
+
+
+@pytest.mark.parametrize("bits", [np.random.MT19937, np.random.Philox, np.random.SFC64])
+@pytest.mark.parametrize("laws", _DRAW_LAWS)
+def test_level_zero_draws_fill_without_an_advancing_generator(bits, laws):
+    # only a PCG64 is advanced past the unread fills; any other bit
+    # generator draws them, and the sample and the stream end as a
+    # per-replication draw leaves them
+    m = equal_product_pair(0.4)[0]
+    law = ContaminatedLaw(0.0, *laws)
+    ref_gen, gen = np.random.Generator(bits(5)), np.random.Generator(bits(5))
+    want = _reference_points(law, m, 300, ref_gen)
+    assert draw_sample(m, 0.0, 300, gen, *laws).points.tobytes() == want.tobytes()
+    assert gen.random(8).tobytes() == ref_gen.random(8).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +411,8 @@ def _check_corner_counts(points, flat):
     """``_corner_counts`` of the (R, n, 2) samples ``points`` at the corner
     indices ``flat`` (R, m) against naive counting, sample by sample."""
     reps, n, _ = points.shape
-    corners, weak, strict = _corner_counts(zip(points, flat), n)
+    stacks = ((points[k, :, 0], points[k, :, 1], flat[k]) for k in _stack_slices(reps, n))
+    corners, weak, strict = _corner_counts(stacks, n)
     corners = corners.reshape(reps, -1, 2)
     for r in range(reps):
         i, j = np.divmod(flat[r], n)

@@ -181,6 +181,31 @@ def test_rep_block_equals_per_stream_rebuild(m_points, beta, reps, n):
     assert got.tolist() == want
 
 
+def test_overflowing_sample_raises_from_the_draw_and_the_engine():
+    # 1e308 times a coordinate of size above 1.8 overflows to inf; the
+    # stacked draw's finiteness check must catch it wherever it is drawn.
+    # numpy's overflow warning, an error under this suite's filters, is
+    # silenced so that the check is what raises
+    m = [[1e308, 0.0], [0.0, 1.0]]
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="sample coordinates must be finite"):
+            draw_sample(m, 0.3, 500, RngStream(3))
+        with pytest.raises(ValueError, match="sample coordinates must be finite"):
+            estimate_probability(tiny_scenario(m_a=m))
+
+
+def test_left_desk_block_peak_memory(traced_peak):
+    # the largest block a left-desk sweep cuts: 8 replications at n = 5000,
+    # drawn and counted in stacks of 3 and bracketed.  The bound is about
+    # twice the estimated peak of one such stack (its draw buffers, rows,
+    # ranks, table and strips).  The bracket table is built before tracing.
+    cell = next(s for s in preset_config("fig1-left-desk").scenarios() if s.n == 5000)
+    assert montecarlo._TARGET_CHUNK // cell.grid.m_points == 8
+    block = [(montecarlo._scenario_job(cell), range(8), True)]
+    montecarlo._run_task(block)
+    assert traced_peak(montecarlo._run_task, block) < 4 * 2**20
+
+
 def test_rep_block_makes_one_target_call(monkeypatch):
     # one pure-assignment row per nonzero mixture weight, over the whole
     # block: four at a positive level, the Gaussian row alone at level zero
