@@ -124,10 +124,17 @@ def _draw_rows(m, law: ContaminatedLaw, n: int, gens) -> np.ndarray:
     them.
 
     The stack is drawn as one array (``ContaminatedLaw._sample_stack``)
-    and transformed as one: A @ e^T, which the tests check equals each
-    sample's e @ A^T bit for bit from n = 2 on.  A one-point sample's
-    product takes numpy's vector route, whose rounding the stacked product
-    does not share, so at n = 1 each sample is transformed as e @ A^T.  A
+    and transformed as one: A @ e^T, a single (2, 2) @ (2, R n) product
+    whose column block r is sample r.  A sample's bits therefore stay
+    independent of R and of its place in the stack, and so of the stack
+    sizes that worker counts lead to, only if the BLAS product rounds
+    every column alike, its tail columns included.  That is assumed, not
+    enforced: the tests check it (each sample equals its own e @ A^T bit
+    for bit from n = 2 on, at mixed R and positions, and a sample drawn
+    first and last in one stack gives the same bytes), and so do the
+    pinned digests at one and two workers.  A one-point sample's product
+    takes numpy's vector route, whose rounding the stacked product does
+    not share, so at n = 1 each sample is transformed as e @ A^T.  A
     non-finite coordinate raises ``ValueError``.
     """
     eps = law._sample_stack(gens, (n, 2))

@@ -8,8 +8,8 @@ the mixture stays centered at every contamination level.  Only CDFs and
 samplers are exposed: everything downstream works with distribution
 functions, not densities.  The mixture draws a stack of replications,
 each from its own generator, as one array (``ContaminatedLaw.sample`` is
-a stack of one): each generator fills its slices of one buffer, and the
-selection and the inverse CDFs run once per stack.
+a stack of one): each generator fills its slices of the stack's buffers,
+and the selection and the inverse CDFs run once per stack.
 
 Distances between laws are always taken in the uniform (Kolmogorov) norm
 ``sup_t |F(t) - G(t)|``: a dense grid on [-20, 20] is scanned in slices of
@@ -122,37 +122,35 @@ class ContaminatedLaw:
         """Draws of shape ``(R,) + shape``, row r drawn by ``rngs[r]``.
 
         A latent Bernoulli(beta) picks the contaminant.  Each row's
-        generator fills its slices of one buffer in a fixed order
+        generator fills its slices of the stack's buffers in a fixed order
         (selector, contaminant, background), so identical streams give
         identical output for every beta.  The selection and each
         component's inverse CDF then run once on the whole stack, each
-        inverse CDF only on the coordinates its component supplies.
+        inverse CDF only on the coordinates its component supplies.  The
+        result does not share a buffer with the selector or contaminant
+        fills, so holding it keeps neither alive.
 
-        A fill that the level never reads is not drawn.  At beta = 0 the
-        selector, and a contaminant of uniforms, are passed over: a PCG64
-        generator advances one 64-bit output per float64 instead (a
-        Gaussian contaminant is still drawn, since its ziggurat takes a
-        varying number of outputs).  At beta = 1 the background, the last
-        fill, is skipped, so the generator stops short of it.  Every row
-        equals the one the three fills would give, bit for bit.
+        At beta = 0 the selector, and a contaminant of uniforms, are never
+        read: a generator that ``_advances`` is moved past them, one 64-bit
+        output per float64, instead of filling them (a Gaussian
+        contaminant is still drawn, since its ziggurat takes a varying
+        number of outputs).  Every row, and every generator's state after
+        the draw, is what the three fills give, bit for bit.
         """
-        sel, from_xi, out = np.empty((3, len(rngs), *shape))
-        zero, one = self.beta == 0.0, self.beta == 1.0
+        sel, from_xi = np.empty((2, len(rngs), *shape))
+        out = np.empty((len(rngs), *shape))
+        zero = self.beta == 0.0
         for rng, s, c, b in zip(rngs, sel, from_xi, out):
-            if zero:
-                _pass_over(rng, s)
+            if zero and _advances(rng):
+                rng.bit_generator.advance(s.size if self.xi.is_gaussian else s.size + c.size)
+                if self.xi.is_gaussian:
+                    self.xi._draws(rng, out=c)
             else:
                 rng.random(out=s)
-            if zero and not self.xi.is_gaussian:
-                _pass_over(rng, c)
-            else:
                 self.xi._draws(rng, out=c)
-            if not one:
-                self.zeta._draws(rng, out=b)
+            self.zeta._draws(rng, out=b)
         if zero:
             return self.zeta._from_draws(out)
-        if one:
-            return self.xi._from_draws(from_xi)
         pick_xi = sel < self.beta
         if not self.zeta.is_gaussian:
             keep = np.flatnonzero(~pick_xi)
@@ -162,14 +160,16 @@ class ContaminatedLaw:
         return out
 
 
-def _pass_over(rng: np.random.Generator, out: np.ndarray) -> None:
-    """Move ``rng`` past the uniforms that a fill of ``out`` would draw:
-    a PCG64 advances by one output per entry, any other bit generator
-    fills ``out``."""
-    if type(rng.bit_generator) is np.random.PCG64:
-        rng.bit_generator.advance(out.size)
-    else:
-        rng.random(out=out)
+def _advances(rng: np.random.Generator) -> bool:
+    """Whether ``bit_generator.advance`` moves ``rng`` past float64
+    uniforms exactly as filling them would: a PCG64 that holds no half of
+    a 32-bit draw.  A float64 takes one 64-bit output and leaves that
+    buffer alone, where advancing clears it."""
+    bits = rng.bit_generator
+    if type(bits) is not np.random.PCG64:
+        return False
+    state = bits.state
+    return not (state["has_uint32"] or state["uinteger"])
 
 
 @dataclass(frozen=True)

@@ -135,10 +135,14 @@ _DRAW_SPLITS = [(k + 1, _SLICE_POINTS // k + d) for k in (1, 2, 3) for d in (-1,
     ),
     m=st.sampled_from(_DRAW_MATRICES),
     seed=st.integers(0, 2**32 - 1),
+    prior=st.integers(0, 2),
 )
 # one-point samples: a stack's product must not round them as a matrix does
-@example(laws=_DRAW_LAWS[0], beta=0.3, shape=(6, 1), m=_DRAW_MATRICES[0], seed=2)
-def test_stacked_draws_equal_per_replication_draws(laws, beta, shape, m, seed):
+@example(laws=_DRAW_LAWS[0], beta=0.3, shape=(6, 1), m=_DRAW_MATRICES[0], seed=2, prior=0)
+# a bare generator holding half of a 32-bit draw, or a spent half, at level zero
+@example(laws=_DRAW_LAWS[0], beta=0.0, shape=(1, 50), m=_DRAW_MATRICES[0], seed=2, prior=1)
+@example(laws=_DRAW_LAWS[0], beta=0.0, shape=(1, 50), m=_DRAW_MATRICES[0], seed=2, prior=2)
+def test_stacked_draws_equal_per_replication_draws(laws, beta, shape, m, seed, prior):
     # each stack is drawn as one array and transformed as A @ e^T; every
     # replication's rows and corner indices must be bit for bit the ones a
     # per-replication draw gives, whether a fill is drawn or passed over
@@ -150,17 +154,35 @@ def test_stacked_draws_equal_per_replication_draws(laws, beta, shape, m, seed):
     assert all(xs.size <= _SLICE_POINTS or len(xs) == 1 for xs, _, _ in stacks)
     xs, ys, flat = (np.concatenate(part) for part in zip(*stacks))
     for r in range(reps):
-        ref_gen = root.child(3 + r, 0).generator()
-        want = _reference_points(law, m, n, ref_gen)
+        want = _reference_points(law, m, n, root.child(3 + r, 0).generator())
         assert xs[r].tobytes() == want[:, 0].tobytes()
         assert ys[r].tobytes() == want[:, 1].tobytes()
-        gen = root.child(3 + r, 0).generator()
-        assert draw_sample(m, beta, n, gen, *laws).points.tobytes() == want.tobytes()
-        if beta < 1.0:
-            # advancing past the unread fills leaves the stream where drawing them would
-            assert gen.bit_generator.state == ref_gen.bit_generator.state
         corners = root.child(3 + r, 1).generator().choice(n * n, spec.m_points, replace=False)
         np.testing.assert_array_equal(flat[r], corners)
+        # a caller's generator, after ``prior`` float32 draws (a PCG64
+        # keeps the other half of each 64-bit output for the next), ends
+        # where drawing every fill leaves it, and its next draws agree
+        ref_gen, gen = (root.child(3 + r, 0).generator() for _ in range(2))
+        for g in (ref_gen, gen):
+            g.random(prior, dtype=np.float32)
+        want = _reference_points(law, m, n, ref_gen)
+        assert draw_sample(m, beta, n, gen, *laws).points.tobytes() == want.tobytes()
+        assert gen.bit_generator.state == ref_gen.bit_generator.state
+        assert gen.random(3, dtype=np.float32).tobytes() == ref_gen.random(3, dtype=np.float32).tobytes()
+
+
+@pytest.mark.parametrize("m", _DRAW_MATRICES)
+@pytest.mark.parametrize("n, reps", [(2, 9), (7, 16), (301, 5), (1000, 16), (5000, 3)])
+def test_a_sample_has_the_same_bytes_first_and_last_in_its_stack(m, n, reps):
+    # the stack's one product must round every sample's columns alike,
+    # wherever the sample sits: replication 7 is drawn first and last in
+    # one full stack
+    law = ContaminatedLaw(0.3)
+    indices = [7, *range(20, 18 + reps), 7]
+    [(xs, ys, _)] = _replication_stacks(m, law, n, EvalGridSpec(m_points=4), RngStream(11), indices)
+    assert len(xs) == reps
+    assert xs[0].tobytes() == xs[-1].tobytes()
+    assert ys[0].tobytes() == ys[-1].tobytes()
 
 
 @pytest.mark.parametrize("bits", [np.random.MT19937, np.random.Philox, np.random.SFC64])

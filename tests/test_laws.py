@@ -236,6 +236,18 @@ def test_mixture_draws_equal_the_whole_array_formula(xi, zeta, beta):
         assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("beta", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize(
+    "xi, zeta", [(CENTERED_EXPONENTIAL, STANDARD_NORMAL), (STANDARD_NORMAL, CENTERED_EXPONENTIAL)]
+)
+def test_a_sample_holds_no_scratch_fill(xi, zeta, beta):
+    # the selector and contaminant fills are scratch: the sample must not
+    # be a view that keeps them alive
+    got = ContaminatedLaw(beta, xi, zeta).sample(np.random.default_rng(3), (100, 2))
+    owner = got if got.base is None else got.base
+    assert owner.nbytes == got.nbytes
+
+
 # ---------------------------------------------------------------------------
 # uniform-norm distance
 
