@@ -430,15 +430,6 @@ def _check_sample_size(spec: EvalGridSpec, n: int) -> None:
         )
 
 
-def corner_grid(sample: Sample2D) -> np.ndarray:
-    """All n^2 corner pairs (x_i^(1), x_j^(2)); quadratic, and not the exact
-    set, which adds the +inf row and column of the (n+1)^2 lattice."""
-    xs = sample.points[:, 0]
-    ys = sample.points[:, 1]
-    g1, g2 = np.meshgrid(xs, ys, indexing="ij")
-    return np.column_stack([g1.ravel(), g2.ravel()])
-
-
 def _corner_indices(n: int, spec: EvalGridSpec, rng: np.random.Generator) -> np.ndarray:
     """Flat indices i n + j of spec.m_points corners (x_i^(1), x_j^(2)) of a
     sample of n points, drawn by ``rng`` uniformly without replacement from

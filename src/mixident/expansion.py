@@ -73,19 +73,6 @@ def gamma_k_batch(m, k: int, points, measure: NuMeasure = DEFAULT_MEASURE) -> np
     return fields.combine(GAMMA_WEIGHTS[k]) / measure.norm_c**k
 
 
-def polynomial_reconstruct(m, beta: float, x) -> float:
-    """Rebuild the mixture CDF from the expansion coefficients.
-
-    Evaluates sum_k beta^k * norm_c^k * coefficient_k(x).  Must agree
-    with the direct mixture evaluation; the two share the pure rows but
-    combine them with different weights.
-    """
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta must lie in [0, 1], got {beta}")
-    c = DEFAULT_MEASURE.norm_c
-    return float(sum(beta**k * c**k * gamma_k_batch(m, k, [x]) for k in range(P_DIM + 1))[0])
-
-
 def sup_on_grid(values) -> float:
     """Max absolute value over a finite evaluation; lower bound of the sup."""
     v = np.asarray(values, dtype=float)

@@ -4,8 +4,10 @@ The error model mixes a smooth background law with a contaminant: each
 coordinate follows ``beta * xi + (1 - beta) * zeta`` for a contamination
 level ``beta`` in [0, 1].  The background ``zeta`` is standard normal
 throughout; the contaminant ``xi`` defaults to a mean-zero exponential so
-the mixture stays centered at every contamination level.  Only CDFs and
-samplers are exposed: everything downstream works with distribution
+the mixture stays centered at every contamination level.  A component
+law carries its support edge: ``shift`` is None for the standard normal,
+and the left end of the support for a unit-rate exponential.  Only CDFs
+and samplers are exposed: everything downstream works with distribution
 functions, not densities.  The mixture draws a stack of replications,
 each from its own generator, as one array (``ContaminatedLaw.sample`` is
 a stack of one): each generator fills its slices of the stack's buffers,
@@ -19,7 +21,6 @@ refined by golden section.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -27,37 +28,28 @@ import numpy as np
 from scipy.special import ndtr
 
 
-class ComponentKind(enum.Enum):
-    STANDARD_NORMAL = "normal"
-    CENTERED_EXPONENTIAL = "centered_exponential"
-    # Literal Exp(1), mean one.  Kept for the uncentered reading of the
-    # contamination model; breaks the mean-zero convention, so nothing
-    # selects it unless asked (config flag center_xi=false).
-    STANDARD_EXPONENTIAL = "exponential"
-
-
-_EXP_SHIFT = {
-    ComponentKind.CENTERED_EXPONENTIAL: -1.0,
-    ComponentKind.STANDARD_EXPONENTIAL: 0.0,
-}
-
-
 @dataclass(frozen=True)
 class ComponentLaw:
-    """A pure one-dimensional component law, identified by its kind."""
+    """A pure one-dimensional component law: the standard normal when
+    ``shift`` is None, else a unit-rate exponential whose support starts
+    at the finite edge ``shift``.
 
-    kind: ComponentKind
+    -0.0 is stored as +0.0, so equal laws give equal row-cache and
+    bracket-table keys.
+    """
+
+    shift: float | None
+
+    def __post_init__(self):
+        if not self.is_gaussian:
+            edge = float(self.shift) + 0.0  # folds -0.0 into +0.0
+            if not math.isfinite(edge):
+                raise ValueError(f"support edge must be finite, got {edge}")
+            object.__setattr__(self, "shift", edge)
 
     @property
     def is_gaussian(self) -> bool:
-        return self.kind is ComponentKind.STANDARD_NORMAL
-
-    @property
-    def shift(self) -> float:
-        """Left support endpoint for the exponential kinds."""
-        if self.is_gaussian:
-            raise ValueError("shift is only defined for exponential laws")
-        return _EXP_SHIFT[self.kind]
+        return self.shift is None
 
     def cdf(self, t: float) -> float:
         return float(self.cdf_batch(np.asarray([t], dtype=float))[0])
@@ -88,9 +80,13 @@ class ComponentLaw:
         return -np.log1p(-draws) + self.shift
 
 
-STANDARD_NORMAL = ComponentLaw(ComponentKind.STANDARD_NORMAL)
-CENTERED_EXPONENTIAL = ComponentLaw(ComponentKind.CENTERED_EXPONENTIAL)
-STANDARD_EXPONENTIAL = ComponentLaw(ComponentKind.STANDARD_EXPONENTIAL)
+STANDARD_NORMAL = ComponentLaw(None)
+# mean zero, the contaminant of every preset
+CENTERED_EXPONENTIAL = ComponentLaw(-1.0)
+# literal Exp(1), mean one: the uncentered reading of the contamination
+# model, which breaks the mean-zero convention, so nothing selects it
+# unless asked (config flag center_xi=false)
+STANDARD_EXPONENTIAL = ComponentLaw(0.0)
 
 
 @dataclass(frozen=True)

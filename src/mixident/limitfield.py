@@ -24,7 +24,6 @@ by 4 * p * k * (contrast norm), with p = 2 coordinates.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +31,7 @@ import numpy as np
 from .empirical import GRID_MODE, EvalGridSpec, _check_sample_size, _whole_numbers
 from .expansion import DEFAULT_MEASURE, P_DIM
 from .laws import CENTERED_EXPONENTIAL, STANDARD_NORMAL, RngStream
-from .montecarlo import _run_jobs, table_lines
+from .montecarlo import _exceedance, _run_jobs, table_lines
 from .pushforward import as_matrix
 
 
@@ -59,13 +58,10 @@ class LimitLawSample:
         return self.draws.size
 
     def survival(self, c: float, strict: bool = True) -> tuple[float, float]:
-        """P(draw > c) (or >= c) with its binomial standard error; a
-        negative or NaN threshold raises ``ValueError``."""
-        if not c >= 0.0:
-            raise ValueError(f"threshold must be nonnegative, got {c}")
-        hits = self.draws > c if strict else self.draws >= c
-        p = float(np.mean(hits))
-        return p, math.sqrt(p * (1.0 - p) / self.draws.size)
+        """P(draw > c) (or >= c) with its binomial standard error, by the
+        sweeps' exceedance rule; a negative or NaN threshold raises
+        ``ValueError``."""
+        return _exceedance(self.draws, c, strict)
 
 
 def simulate_limit_sup(

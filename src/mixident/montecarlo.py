@@ -405,7 +405,15 @@ def _run_jobs(jobs, workers: int) -> list[tuple[np.ndarray, float]]:
 
 
 def probability_above(stats: np.ndarray, c: float) -> tuple[float, float]:
-    """Indicator average of {stat > c} and its binomial standard error.
+    """Indicator average of {stat > c} and its binomial standard error
+    (``_exceedance``)."""
+    return _exceedance(stats, c, strict=True)
+
+
+def _exceedance(stats: np.ndarray, c: float, strict: bool) -> tuple[float, float]:
+    """Share of ``stats`` above ``c`` (``stat > c``, or ``stat >= c`` when
+    not ``strict``) and its binomial standard error: the one exceedance
+    rule of sweeps and limit laws.
 
     A non-finite statistic, or a negative or NaN threshold, raises
     ``ValueError``: NaN would otherwise count as no exceedance.
@@ -414,7 +422,7 @@ def probability_above(stats: np.ndarray, c: float) -> tuple[float, float]:
         raise ValueError(f"threshold must be nonnegative, got {c}")
     if not np.all(np.isfinite(stats)):
         raise ValueError("non-finite replication statistics")
-    p_hat = float(np.mean(stats > c))
+    p_hat = float(np.mean(stats > c if strict else stats >= c))
     return p_hat, math.sqrt(p_hat * (1.0 - p_hat) / stats.size)
 
 

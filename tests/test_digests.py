@@ -42,8 +42,22 @@ FILE_DIGESTS = {
 _REPIN = (
     "{name} changed bits; a deliberate change of draws, bits or layout "
     "re-pins the digests in tests/test_digests.py, with a CHANGES.md "
-    "line saying why"
+    "line saying why. The digests were pinned on one host, and numpy's "
+    "SIMD dispatch and BLAS can round differently on another: this one "
+    "runs {host}"
 )
+
+
+def _host() -> str:
+    """numpy's version, the SIMD extensions it found on this CPU and the
+    BLAS it was built with, from its public configuration."""
+    config = np.show_config(mode="dicts")
+    simd = config.get("SIMD Extensions", {}).get("found") or ["none"]
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    return (
+        f"numpy {np.__version__}, SIMD found {' '.join(simd)}, "
+        f"BLAS {blas.get('name', 'unknown')} {blas.get('version', '')}".rstrip()
+    )
 
 
 def _digest(stats) -> str:
@@ -51,12 +65,16 @@ def _digest(stats) -> str:
 
 
 def _check(name, stats):
-    assert _digest(stats) == DIGESTS[name], _REPIN.format(name=f"raw statistics of {name}")
+    assert _digest(stats) == DIGESTS[name], _REPIN.format(
+        name=f"raw statistics of {name}", host=_host()
+    )
 
 
 def _check_file(name, path):
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == FILE_DIGESTS[name], _REPIN.format(name=f"the {name} file")
+    assert digest == FILE_DIGESTS[name], _REPIN.format(
+        name=f"the {name} file", host=_host()
+    )
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -18,7 +18,6 @@ from mixident.empirical import (
     _stack_slices,
     _strip_width,
     build_eval_grid,
-    corner_grid,
     draw_sample,
     naive_dominance_counts,
     sup_stat,
@@ -44,6 +43,12 @@ def gaussian_target(m):
         return mixture_cdf_batch(m, 0.0, grid)
 
     return target
+
+
+def all_corners(sample):
+    """All n^2 corners (x_i^(1), x_j^(2)) of ``sample``, row i n + j."""
+    x, y = sample.points.T
+    return np.column_stack([np.repeat(x, y.size), np.tile(y, x.size)])
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +569,7 @@ def test_corner_subsample_bounds_and_determinism():
 def test_corner_subsample_draws_from_corner_set():
     s = Sample2D(np.random.default_rng(6).normal(size=(25, 2)))
     g = build_eval_grid(s, EvalGridSpec(m_points=200), np.random.default_rng(1))
-    corners = {tuple(r) for r in corner_grid(s)}
+    corners = {tuple(r) for r in all_corners(s)}
     assert {tuple(r) for r in g} <= corners
 
 
@@ -587,7 +592,7 @@ def test_sup_stat_grid_refinement_monotone():
     target = gaussian_target(m)
     sub = build_eval_grid(s, EvalGridSpec(m_points=50), stream.child(1).generator())
     more = build_eval_grid(s, EvalGridSpec(m_points=400), stream.child(2).generator())
-    full = corner_grid(s)
+    full = all_corners(s)
     v_sub = sup_stat(s, target, sub)
     v_joined = sup_stat(s, target, np.vstack([sub, more]))
     v_full = sup_stat(s, target, full)
@@ -606,7 +611,7 @@ def test_sup_stat_against_own_jumps():
     pts = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 1.0], [2.0, -1.0]])
     s = Sample2D(pts)
     ecdf = EmpiricalCdf(s)
-    corners = corner_grid(s)
+    corners = all_corners(s)
     got = sup_stat(s, lambda g: ecdf.dominance_counts(g)[0] / s.n, corners)
     weak, strict = naive_dominance_counts(pts, corners)
     want = math.sqrt(s.n) * np.max(weak - strict) / s.n
@@ -641,5 +646,5 @@ def test_sup_stat_rejects_non_finite_target():
     s = Sample2D(np.array([[0.0, 0.0], [1.0, 1.0]]))
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="non-finite"):
-            sup_stat(s, lambda g, bad=bad: np.full(len(g), bad), corner_grid(s))
+            sup_stat(s, lambda g, bad=bad: np.full(len(g), bad), all_corners(s))
 

@@ -9,7 +9,6 @@ from mixident.laws import (
     CENTERED_EXPONENTIAL,
     STANDARD_EXPONENTIAL,
     STANDARD_NORMAL,
-    ComponentKind,
     ComponentLaw,
     ContaminatedLaw,
     RngStream,
@@ -70,8 +69,8 @@ def test_standard_exponential_cdf_anchors():
 
 def test_gaussian_has_no_shift():
     assert STANDARD_NORMAL.is_gaussian
-    with pytest.raises(ValueError):
-        _ = STANDARD_NORMAL.shift
+    assert STANDARD_NORMAL.shift is None
+    assert not CENTERED_EXPONENTIAL.is_gaussian
 
 
 def test_cdf_batch_matches_scalar():
@@ -327,6 +326,14 @@ def test_scan_memory_stays_within_slices(traced_peak):
     assert peak < 3 * 2**20
 
 
-def test_component_kind_round_trip():
-    for kind in ComponentKind:
-        assert ComponentLaw(kind).kind is kind
+def test_component_law_edge_is_finite_and_folds_negative_zero():
+    assert ComponentLaw(-1) == CENTERED_EXPONENTIAL
+    assert type(ComponentLaw(-1).shift) is float
+    # -0.0 and +0.0 are one law: one repr, one hash, one cache key
+    folded = ComponentLaw(-0.0)
+    assert folded == STANDARD_EXPONENTIAL
+    assert math.copysign(1.0, folded.shift) == 1.0
+    assert repr(folded) == repr(STANDARD_EXPONENTIAL)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            ComponentLaw(bad)

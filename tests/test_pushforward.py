@@ -930,8 +930,8 @@ def test_row_cache_under_threads(monkeypatch):
     # more threads than cores, switching often, reading and evicting the
     # shared rows through a kernel stand-in that costs nothing, so that
     # lookups and updates interleave: each row must still be its own
-    def code(comps):  # distinct for the four assignments
-        return 10 * len(comps[0].kind.value) + len(comps[1].kind.value)
+    def code(comps):  # distinct for the four assignments, 10 or more apart
+        return 100 * comps[0].is_gaussian + 10 * comps[1].is_gaussian
 
     def stand_in(m, comps, pts):
         return pts[:, 0] + code(comps)
